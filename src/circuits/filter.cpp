@@ -1,7 +1,9 @@
 #include "circuits/filter.hpp"
 
 #include <cmath>
+#include <functional>
 
+#include "eval/engine.hpp"
 #include "mc/monte_carlo.hpp"
 #include "spice/analysis/ac.hpp"
 #include "spice/analysis/dc.hpp"
@@ -189,8 +191,7 @@ FilterEvaluator::measure_chunk(std::span<const FilterSizing> sizings,
 
 FilterPerformance FilterEvaluator::measure(const FilterSizing& sizing,
                                            OtaModelKind kind) const {
-    Circuit ckt = build_filter(sizing, config_, kind);
-    return measure_circuit(ckt);
+    return pool_->acquire(static_cast<std::uint64_t>(kind))->measure(sizing);
 }
 
 FilterPerformance
@@ -224,32 +225,28 @@ FilterEvaluator::ac_response(const FilterSizing& sizing, OtaModelKind kind) cons
     return r;
 }
 
-mc::YieldEstimate filter_yield_behavioural(const FilterEvaluator& evaluator,
-                                           const FilterSizing& sizing,
-                                           const FilterVariation& var,
-                                           std::size_t samples, Rng& rng) {
-    const va::BehaviouralOtaSpec nominal = evaluator.config().ota_spec;
+namespace {
+
+/// Yield of `samples` pass/fail draws: `pass` judges one sample from its
+/// child stream. Runs as a chunk kernel on a private cache-less engine (one
+/// stream per sample, so the estimate is the same for any thread count).
+mc::YieldEstimate sampled_yield(std::size_t samples, Rng& rng,
+                                const std::function<bool(Rng&)>& pass) {
+    eval::EngineConfig engine_config;
+    engine_config.cache_capacity = 0; // nothing to memoise in a one-shot run
+    eval::Engine engine(engine_config);
     mc::McConfig mc_cfg;
     mc_cfg.samples = samples;
-
     const auto result = mc::run_monte_carlo(
-        mc_cfg, rng, [&](std::size_t, Rng& sample_rng) -> std::vector<double> {
-            auto draw_spec = [&]() {
-                va::BehaviouralOtaSpec spec = nominal;
-                // Delta values are 3-sigma percentages (paper Table 2).
-                spec.gain_db *=
-                    1.0 + sample_rng.gauss(0.0, var.gain_delta_pct / 300.0);
-                spec.f3db *= 1.0 + sample_rng.gauss(0.0, var.pm_delta_pct / 300.0);
-                return spec;
-            };
-            FilterSizing varied = sizing;
-            varied.c1 *= 1.0 + sample_rng.gauss(0.0, var.cap_sigma_rel);
-            varied.c2 *= 1.0 + sample_rng.gauss(0.0, var.cap_sigma_rel);
-            varied.c3 *= 1.0 + sample_rng.gauss(0.0, var.cap_sigma_rel);
-            const FilterPerformance perf =
-                evaluator.measure_behavioural(varied, draw_spec(), draw_spec());
-            return {perf.meets(evaluator.mask()) ? 1.0 : 0.0};
-        });
+        engine, mc_cfg, rng,
+        mc::ChunkSampleFn([&pass](std::span<const std::size_t>,
+                                  std::span<Rng> rngs) {
+            std::vector<std::vector<double>> rows;
+            rows.reserve(rngs.size());
+            for (Rng& sample_rng : rngs)
+                rows.push_back({pass(sample_rng) ? 1.0 : 0.0});
+            return rows;
+        }));
 
     std::vector<bool> flags;
     flags.reserve(result.rows.size());
@@ -258,30 +255,43 @@ mc::YieldEstimate filter_yield_behavioural(const FilterEvaluator& evaluator,
     return mc::yield_from_flags(flags);
 }
 
+} // namespace
+
+mc::YieldEstimate filter_yield_behavioural(const FilterEvaluator& evaluator,
+                                           const FilterSizing& sizing,
+                                           const FilterVariation& var,
+                                           std::size_t samples, Rng& rng) {
+    const va::BehaviouralOtaSpec nominal = evaluator.config().ota_spec;
+    return sampled_yield(samples, rng, [&](Rng& sample_rng) {
+        auto draw_spec = [&]() {
+            va::BehaviouralOtaSpec spec = nominal;
+            // Delta values are 3-sigma percentages (paper Table 2).
+            spec.gain_db *=
+                1.0 + sample_rng.gauss(0.0, var.gain_delta_pct / 300.0);
+            spec.f3db *= 1.0 + sample_rng.gauss(0.0, var.pm_delta_pct / 300.0);
+            return spec;
+        };
+        FilterSizing varied = sizing;
+        varied.c1 *= 1.0 + sample_rng.gauss(0.0, var.cap_sigma_rel);
+        varied.c2 *= 1.0 + sample_rng.gauss(0.0, var.cap_sigma_rel);
+        varied.c3 *= 1.0 + sample_rng.gauss(0.0, var.cap_sigma_rel);
+        return evaluator.measure_behavioural(varied, draw_spec(), draw_spec())
+            .meets(evaluator.mask());
+    });
+}
+
 mc::YieldEstimate filter_yield_transistor(const FilterEvaluator& evaluator,
                                           const FilterSizing& sizing,
                                           const process::ProcessSampler& sampler,
                                           std::size_t samples, Rng& rng) {
     // Geometry inventory for mismatch scaling: build one throwaway circuit.
-    Circuit proto =
+    const Circuit proto =
         build_filter(sizing, evaluator.config(), OtaModelKind::transistor);
     const auto geometries = proto.mos_geometries();
-
-    mc::McConfig mc_cfg;
-    mc_cfg.samples = samples;
-    const auto result = mc::run_monte_carlo(
-        mc_cfg, rng, [&](std::size_t, Rng& sample_rng) -> std::vector<double> {
-            const process::Realization real = sampler.sample(sample_rng, geometries);
-            const FilterPerformance perf =
-                evaluator.measure_transistor(sizing, real);
-            return {perf.meets(evaluator.mask()) ? 1.0 : 0.0};
-        });
-
-    std::vector<bool> flags;
-    flags.reserve(result.rows.size());
-    for (const auto& row : result.rows)
-        flags.push_back(!row.empty() && row[0] == 1.0);
-    return mc::yield_from_flags(flags);
+    return sampled_yield(samples, rng, [&](Rng& sample_rng) {
+        const process::Realization real = sampler.sample(sample_rng, geometries);
+        return evaluator.measure_transistor(sizing, real).meets(evaluator.mask());
+    });
 }
 
 } // namespace ypm::circuits

@@ -106,8 +106,9 @@ class FilterEvaluator; // below
 /// Prototype-backed filter measurement kernel: builds the filter once for a
 /// fixed OTA model kind and re-binds the designable capacitors per point,
 /// reusing the MNA factorisation workspaces across the chunk. Results are
-/// bit-identical to FilterEvaluator::measure on a fresh build. Stateful -
-/// one per thread.
+/// bit-identical to measuring a freshly built filter (the rebuild oracle in
+/// tests/support checks this). Stateful - one per thread; FilterEvaluator
+/// leases warm instances from its pool.
 class FilterPrototype {
 public:
     FilterPrototype(const FilterEvaluator& evaluator, OtaModelKind kind);
@@ -136,6 +137,7 @@ public:
     FilterEvaluator(const FilterEvaluator& other);
     FilterEvaluator& operator=(const FilterEvaluator& other);
 
+    /// Measure one sizing: a one-point lease of the prototype pool below.
     [[nodiscard]] FilterPerformance measure(const FilterSizing& sizing,
                                             OtaModelKind kind) const;
 
@@ -145,24 +147,26 @@ public:
     [[nodiscard]] std::vector<FilterPerformance>
     measure_chunk(std::span<const FilterSizing> sizings, OtaModelKind kind) const;
 
-    /// The persistent prototype pool behind measure_chunk.
+    /// The persistent prototype pool behind measure and measure_chunk.
     [[nodiscard]] const spice::PrototypePool<FilterPrototype>& prototype_pool() const {
         return *pool_;
     }
 
-    /// Response metrics from a computed transfer function (shared by the
-    /// scalar and prototype paths so they stay bit-identical).
+    /// Response metrics from a computed transfer function (shared by every
+    /// measurement path so they stay bit-identical).
     [[nodiscard]] FilterPerformance
     metrics_from_transfer(const std::vector<double>& freqs,
                           const std::vector<std::complex<double>>& h) const;
 
-    /// Measure with explicit per-OTA macromodel specs (used by yield MC).
+    /// Measure with explicit per-OTA macromodel specs on a freshly built
+    /// circuit (used by yield MC).
     [[nodiscard]] FilterPerformance
     measure_behavioural(const FilterSizing& sizing,
                         const va::BehaviouralOtaSpec& ota1,
                         const va::BehaviouralOtaSpec& ota2) const;
 
-    /// Measure at transistor level under a process realisation.
+    /// Measure at transistor level under a process realisation, on a
+    /// freshly built circuit.
     [[nodiscard]] FilterPerformance
     measure_transistor(const FilterSizing& sizing,
                        const process::Realization& realization) const;

@@ -13,46 +13,11 @@ std::vector<double> perf_row(const FilterPerformance& perf,
     return {fc_err, perf.worst_passband_dev_db};
 }
 
-/// Shared chunk implementation of both batch entry points (engine chunk
-/// kernel and FilterProblem::evaluate_batch).
-std::vector<std::vector<double>>
-measure_rows(const FilterEvaluator& evaluator,
-             const std::vector<FilterSizing>& sizings, OtaModelKind kind) {
-    const auto perfs = evaluator.measure_chunk(sizings, kind);
-    std::vector<std::vector<double>> rows;
-    rows.reserve(perfs.size());
-    for (const FilterPerformance& p : perfs)
-        rows.push_back(perf_row(p, evaluator.mask()));
-    return rows;
-}
-
 } // namespace
-
-eval::KernelFn filter_objectives_kernel(const FilterEvaluator& evaluator,
-                                        OtaModelKind kind) {
-    return [&evaluator, kind](const eval::EvalRequest& request) {
-        const FilterPerformance perf =
-            evaluator.measure(FilterSizing::from_vector(request.params), kind);
-        return perf_row(perf, evaluator.mask());
-    };
-}
-
-eval::BatchKernelFn
-filter_objectives_chunk_kernel(const FilterEvaluator& evaluator,
-                               OtaModelKind kind) {
-    return [&evaluator, kind](const std::vector<const eval::EvalRequest*>& requests) {
-        std::vector<FilterSizing> sizings;
-        sizings.reserve(requests.size());
-        for (const eval::EvalRequest* r : requests)
-            sizings.push_back(FilterSizing::from_vector(r->params));
-        return measure_rows(evaluator, sizings, kind);
-    };
-}
 
 FilterProblem::FilterProblem(FilterConfig config, FilterSpecMask mask,
                              OtaModelKind kind)
     : evaluator_(config, mask), kind_(kind),
-      kernel_(filter_objectives_kernel(evaluator_, kind)),
       params_(FilterSizing::parameter_specs()),
       objectives_{{"fc_err_rel", moo::Direction::minimize},
                   {"passband_dev_db", moo::Direction::minimize}} {}
@@ -66,7 +31,8 @@ const std::vector<moo::ObjectiveSpec>& FilterProblem::objectives() const {
 }
 
 std::vector<double> FilterProblem::evaluate(const std::vector<double>& p) const {
-    return kernel_({p});
+    return perf_row(evaluator_.measure(FilterSizing::from_vector(p), kind_),
+                    evaluator_.mask());
 }
 
 std::vector<std::vector<double>>
@@ -74,7 +40,12 @@ FilterProblem::evaluate_batch(const std::vector<std::vector<double>>& points) co
     std::vector<FilterSizing> sizings;
     sizings.reserve(points.size());
     for (const auto& p : points) sizings.push_back(FilterSizing::from_vector(p));
-    return measure_rows(evaluator_, sizings, kind_);
+    const auto perfs = evaluator_.measure_chunk(sizings, kind_);
+    std::vector<std::vector<double>> rows;
+    rows.reserve(perfs.size());
+    for (const FilterPerformance& perf : perfs)
+        rows.push_back(perf_row(perf, evaluator_.mask()));
+    return rows;
 }
 
 } // namespace ypm::circuits

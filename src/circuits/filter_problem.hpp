@@ -4,25 +4,9 @@
 ///        section 5: 30 individuals x 40 generations over C1, C2, C3).
 
 #include "circuits/filter.hpp"
-#include "eval/engine.hpp"
 #include "moo/problem.hpp"
 
 namespace ypm::circuits {
-
-/// Canonical filter objectives kernel: {fc_err_rel, passband_dev_db} at a
-/// capacitor point, NaNs when the response does not exist. The scalar twin
-/// of the chunk path below; consumers sharing an engine tag must measure
-/// through one of these so cached rows stay interchangeable.
-/// \param evaluator must outlive the returned kernel.
-[[nodiscard]] eval::KernelFn
-filter_objectives_kernel(const FilterEvaluator& evaluator, OtaModelKind kind);
-
-/// Chunk twin: measures a group of requests through one shared filter
-/// prototype (FilterEvaluator::measure_chunk). Element-wise bit-identical
-/// to the scalar kernel.
-[[nodiscard]] eval::BatchKernelFn
-filter_objectives_chunk_kernel(const FilterEvaluator& evaluator,
-                               OtaModelKind kind);
 
 /// Objectives: minimise the relative cutoff error |fc - target|/target and
 /// minimise the worst passband deviation, subject to the response existing
@@ -32,17 +16,13 @@ public:
     FilterProblem(FilterConfig config, FilterSpecMask mask,
                   OtaModelKind kind = OtaModelKind::behavioural);
 
-    // kernel_ captures evaluator_ by reference; a copy would dangle.
-    FilterProblem(const FilterProblem&) = delete;
-    FilterProblem& operator=(const FilterProblem&) = delete;
-
     [[nodiscard]] const std::vector<moo::ParameterSpec>& parameters() const override;
     [[nodiscard]] const std::vector<moo::ObjectiveSpec>& objectives() const override;
     [[nodiscard]] std::vector<double>
     evaluate(const std::vector<double>& params) const override;
 
-    /// Prototype-reuse batch path: one shared filter prototype per call,
-    /// element-wise bit-identical to the scalar evaluate().
+    /// Batch path: one leased filter prototype per call, element-wise
+    /// bit-identical to the scalar evaluate().
     [[nodiscard]] std::vector<std::vector<double>>
     evaluate_batch(const std::vector<std::vector<double>>& points) const override;
 
@@ -51,7 +31,6 @@ public:
 private:
     FilterEvaluator evaluator_;
     OtaModelKind kind_;
-    eval::KernelFn kernel_; ///< hoisted: built once, not per evaluate() call
     std::vector<moo::ParameterSpec> params_;
     std::vector<moo::ObjectiveSpec> objectives_;
 };

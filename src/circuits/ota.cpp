@@ -18,9 +18,8 @@ using spice::NodeId;
 
 namespace {
 
-/// Shared metric/validity tail of the scalar and prototype measurement
-/// paths, so the two cannot diverge (the engine cache, tests and the CI
-/// speedup gate all rely on their bit-identity).
+/// Metric/validity tail of a measurement: Bode metrics from the transfer
+/// function, invalid when there is no unity-gain crossing.
 OtaPerformance perf_from_transfer(const std::vector<double>& freqs,
                                   const std::vector<std::complex<double>>& h) {
     OtaPerformance perf;
@@ -190,42 +189,13 @@ OtaEvaluator::OtaEvaluator(OtaConfig config)
           // core and never reference this evaluator).
           [config](std::uint64_t) { return std::make_unique<OtaPrototype>(config); })) {}
 
-OtaPerformance OtaEvaluator::measure_impl(const OtaSizing& sizing,
-                                          const process::Realization* real) const {
-    OtaPerformance perf;
-    Circuit ckt = build_ota_testbench(sizing, config_);
-    if (real != nullptr) ckt.apply_process(*real);
-
-    const spice::DcSolver solver;
-    const spice::DcResult op = solver.solve(ckt);
-    if (!op.converged) {
-        perf.failure = "dc operating point did not converge";
-        return perf;
-    }
-
-    const auto freqs =
-        spice::log_sweep(config_.f_start, config_.f_stop, config_.points_per_decade);
-    spice::AcResult ac;
-    try {
-        ac = spice::run_ac(ckt, op.solution, freqs);
-    } catch (const NumericalError& e) {
-        perf.failure = std::string("ac analysis failed: ") + e.what();
-        return perf;
-    }
-
-    const NodeId out = *ckt.find_node("out");
-    const NodeId inp = *ckt.find_node("inp");
-    const auto h = ac.transfer(out, inp);
-    return perf_from_transfer(freqs, h);
-}
-
 OtaPerformance OtaEvaluator::measure(const OtaSizing& sizing) const {
-    return measure_impl(sizing, nullptr);
+    return pool_->acquire()->measure(sizing);
 }
 
 OtaPerformance OtaEvaluator::measure(const OtaSizing& sizing,
                                      const process::Realization& real) const {
-    return measure_impl(sizing, &real);
+    return pool_->acquire()->measure(sizing, &real);
 }
 
 std::vector<OtaPerformance>

@@ -89,8 +89,9 @@ struct OtaPerformance {
 /// Prototype-backed OTA measurement kernel: builds the testbench once and
 /// re-binds sizing/process values per point, reusing the MNA factorisation
 /// workspaces across the whole chunk. Results are bit-identical to
-/// OtaEvaluator::measure on a fresh build. Stateful - one per thread; the
-/// measure_chunk entry points construct one per chunk.
+/// measuring a freshly built testbench (the rebuild oracle in
+/// tests/support checks this). Stateful - one per thread; OtaEvaluator
+/// leases warm instances from its pool.
 class OtaPrototype {
 public:
     explicit OtaPrototype(const OtaConfig& config);
@@ -113,24 +114,24 @@ private:
     std::vector<double> freqs_;
 };
 
-/// Measurement harness around the testbench (thread-safe: scalar calls
-/// build their own circuit; chunk entry points lease warm prototypes from a
-/// persistent spice::PrototypePool keyed by this evaluator's config, so the
+/// Measurement harness around the testbench (thread-safe: every measurement
+/// leases a warm prototype from a persistent spice::PrototypePool keyed by
+/// this evaluator's config - a scalar call is a one-point lease - so the
 /// testbench structure is built once per concurrent kernel, not once per
-/// evaluate_batch call). Copies share the pool - they measure the same
-/// configuration, so warm instances are interchangeable.
+/// point or per evaluate_batch call). Copies share the pool - they measure
+/// the same configuration, so warm instances are interchangeable.
 class OtaEvaluator {
 public:
     explicit OtaEvaluator(OtaConfig config = {});
 
-    /// Nominal-process measurement.
+    /// Nominal-process measurement (a one-point lease).
     [[nodiscard]] OtaPerformance measure(const OtaSizing& sizing) const;
 
-    /// Measurement under a sampled process realisation (Monte Carlo).
+    /// Measurement under a sampled process realisation (a one-point lease).
     [[nodiscard]] OtaPerformance
     measure(const OtaSizing& sizing, const process::Realization& realization) const;
 
-    /// Chunk kernels: evaluate a group of points through one shared
+    /// Chunk kernels: evaluate a group of points through one leased
     /// testbench prototype (see OtaPrototype). Element i of the result is
     /// bit-identical to the corresponding scalar measure() call.
     [[nodiscard]] std::vector<OtaPerformance>
@@ -169,10 +170,6 @@ public:
     }
 
 private:
-    [[nodiscard]] OtaPerformance
-    measure_impl(const OtaSizing& sizing,
-                 const process::Realization* realization) const;
-
     OtaConfig config_;
     /// Shared so copies reuse the same warm instances (identical config).
     std::shared_ptr<spice::PrototypePool<OtaPrototype>> pool_;

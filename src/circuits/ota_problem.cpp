@@ -11,7 +11,7 @@ std::vector<double> perf_row(const OtaPerformance& perf) {
 
 /// The one chunk implementation both the engine kernel and the problem's
 /// evaluate_batch route through, so the two batch entry points cannot
-/// diverge from each other (or from the scalar kernel's rows).
+/// diverge.
 std::vector<std::vector<double>>
 measure_rows(const OtaEvaluator& evaluator,
              const std::vector<OtaSizing>& sizings) {
@@ -24,14 +24,9 @@ measure_rows(const OtaEvaluator& evaluator,
 
 } // namespace
 
-eval::KernelFn ota_objectives_kernel(const OtaEvaluator& evaluator) {
-    return [&evaluator](const eval::EvalRequest& request) {
-        return perf_row(evaluator.measure(OtaSizing::from_vector(request.params)));
-    };
-}
-
-eval::BatchKernelFn ota_objectives_chunk_kernel(const OtaEvaluator& evaluator) {
-    return [&evaluator](const std::vector<const eval::EvalRequest*>& requests) {
+eval::ChunkKernelFn ota_objectives_chunk_kernel(const OtaEvaluator& evaluator) {
+    return [&evaluator](const std::vector<const eval::EvalRequest*>& requests,
+                        std::span<Rng>) {
         std::vector<OtaSizing> sizings;
         sizings.reserve(requests.size());
         for (const eval::EvalRequest* r : requests)
@@ -41,8 +36,7 @@ eval::BatchKernelFn ota_objectives_chunk_kernel(const OtaEvaluator& evaluator) {
 }
 
 OtaProblem::OtaProblem(OtaConfig config)
-    : evaluator_(config), kernel_(ota_objectives_kernel(evaluator_)),
-      params_(OtaSizing::parameter_specs()),
+    : evaluator_(config), params_(OtaSizing::parameter_specs()),
       objectives_{{"gain_db", moo::Direction::maximize},
                   {"pm_deg", moo::Direction::maximize}} {}
 
@@ -55,7 +49,7 @@ const std::vector<moo::ObjectiveSpec>& OtaProblem::objectives() const {
 }
 
 std::vector<double> OtaProblem::evaluate(const std::vector<double>& params) const {
-    return kernel_({params});
+    return perf_row(evaluator_.measure(OtaSizing::from_vector(params)));
 }
 
 std::vector<std::vector<double>>

@@ -10,28 +10,19 @@
 
 namespace ypm::circuits {
 
-/// The canonical nominal-process objectives kernel: {gain_db, pm_deg} at a
-/// parameter point, NaNs on simulation failure. Every consumer that shares
-/// an engine's default cache tag (OtaProblem::evaluate, sensitivity probes,
-/// transistor-level verification) MUST measure through this one function so
-/// cached rows stay interchangeable. \param evaluator must outlive the
-/// returned kernel.
-[[nodiscard]] eval::KernelFn ota_objectives_kernel(const OtaEvaluator& evaluator);
-
-/// Chunk twin of ota_objectives_kernel: measures a group of requests
-/// through one shared testbench prototype (OtaEvaluator::measure_chunk).
-/// Element-wise bit-identical to the scalar kernel, so rows cached under
-/// either are interchangeable. \param evaluator must outlive the kernel.
-[[nodiscard]] eval::BatchKernelFn
+/// The canonical nominal-process objectives kernel: {gain_db, pm_deg} per
+/// request, NaNs on simulation failure, measured through one leased
+/// testbench prototype per chunk (OtaEvaluator::measure_chunk). Every
+/// consumer that shares an engine's default cache tag (the optimiser's
+/// populations, sensitivity probes, transistor-level verification) measures
+/// through this one kernel so cached rows stay interchangeable.
+/// \param evaluator must outlive the returned kernel.
+[[nodiscard]] eval::ChunkKernelFn
 ota_objectives_chunk_kernel(const OtaEvaluator& evaluator);
 
 class OtaProblem final : public moo::Problem {
 public:
     explicit OtaProblem(OtaConfig config = {});
-
-    // kernel_ captures evaluator_ by reference; a copy would dangle.
-    OtaProblem(const OtaProblem&) = delete;
-    OtaProblem& operator=(const OtaProblem&) = delete;
 
     [[nodiscard]] const std::vector<moo::ParameterSpec>& parameters() const override;
     [[nodiscard]] const std::vector<moo::ObjectiveSpec>& objectives() const override;
@@ -40,8 +31,8 @@ public:
     [[nodiscard]] std::vector<double>
     evaluate(const std::vector<double>& params) const override;
 
-    /// Prototype-reuse batch path: one shared testbench prototype per call,
-    /// element-wise bit-identical to the scalar evaluate().
+    /// Batch path: one leased testbench prototype per call, element-wise
+    /// bit-identical to the scalar evaluate().
     [[nodiscard]] std::vector<std::vector<double>>
     evaluate_batch(const std::vector<std::vector<double>>& points) const override;
 
@@ -49,7 +40,6 @@ public:
 
 private:
     OtaEvaluator evaluator_;
-    eval::KernelFn kernel_; ///< hoisted: built once, not per evaluate() call
     std::vector<moo::ParameterSpec> params_;
     std::vector<moo::ObjectiveSpec> objectives_;
 };

@@ -44,8 +44,9 @@ CornerSweep run_corner_sweep(eval::Engine& engine,
     // the whole group measures through a leased warm testbench prototype.
     const auto evals = engine.evaluate(
         std::move(batch),
-        eval::BatchKernelFn([&](const std::vector<const eval::EvalRequest*>&
-                                    requests) {
+        eval::ChunkKernelFn([&](const std::vector<const eval::EvalRequest*>&
+                                    requests,
+                                std::span<Rng>) {
             std::vector<circuits::OtaSizing> sizings;
             std::vector<process::Realization> reals;
             sizings.reserve(requests.size());

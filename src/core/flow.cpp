@@ -280,13 +280,25 @@ FlowResult YieldFlow::run() const {
         const util::TickNs t0 = util::now_ns();
         Rng mc_rng = rng.child(2);
 
-        const eval::KernelFn bode_kernel = [&](const eval::EvalRequest& request) {
-            const auto perf =
-                evaluator.measure(circuits::OtaSizing::from_vector(request.params));
-            if (!perf.valid) return moo::failed_evaluation(4);
-            return std::vector<double>{perf.gain_db, perf.pm_deg, perf.bode.f3db,
-                                       perf.bode.gbw};
-        };
+        const eval::ChunkKernelFn bode_kernel =
+            [&](const std::vector<const eval::EvalRequest*>& requests,
+                std::span<Rng>) {
+                std::vector<circuits::OtaSizing> sizings;
+                sizings.reserve(requests.size());
+                for (const eval::EvalRequest* r : requests)
+                    sizings.push_back(circuits::OtaSizing::from_vector(r->params));
+                std::vector<std::vector<double>> rows;
+                rows.reserve(sizings.size());
+                for (const auto& perf : evaluator.measure_chunk(sizings)) {
+                    if (!perf.valid) {
+                        rows.push_back(moo::failed_evaluation(4));
+                        continue;
+                    }
+                    rows.push_back({perf.gain_db, perf.pm_deg, perf.bode.f3db,
+                                    perf.bode.gbw});
+                }
+                return rows;
+            };
 
         // Pre-filter on archive objectives alone (no simulation needed), so
         // only points worth a Monte Carlo budget get submitted at all.

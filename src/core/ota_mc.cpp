@@ -25,10 +25,10 @@ mc::McTicket submit_ota_monte_carlo(eval::Engine& engine,
 
     mc::McConfig cfg;
     cfg.samples = samples;
-    // Chunk kernel: realisations are drawn per sample from the same child
-    // streams as the scalar path, then measured through a leased warm
-    // testbench prototype - element-wise bit-identical to measuring each
-    // sample on a fresh build. Sizing and geometries are captured by value:
+    // Chunk kernel: realisations are drawn per sample from its own child
+    // stream, then measured through a leased warm testbench prototype -
+    // element-wise bit-identical to measuring each sample on a fresh build.
+    // Sizing and geometries are captured by value:
     // with async dispatch the kernel outlives this scope (the evaluator and
     // sampler are the caller's lifetime problem, see header).
     return mc::submit_monte_carlo(

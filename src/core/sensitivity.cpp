@@ -66,7 +66,7 @@ SensitivityReport compute_sensitivities(eval::Engine& engine,
     }
 
     // Chunk kernel: the 17 probes share warm pooled prototypes; rows stay
-    // interchangeable with the scalar ota_objectives_kernel cache entries.
+    // interchangeable with every other default-tag objectives entry.
     const auto evals = engine.evaluate(
         std::move(batch), circuits::ota_objectives_chunk_kernel(evaluator));
 

@@ -123,8 +123,8 @@ void Engine::reset_counters() {
     counters_ = EngineCounters{};
 }
 
-Engine::Ticket Engine::submit_impl(EvalBatch batch, const SaltFn& salt_of,
-                                   const DispatchFn& dispatch) {
+Engine::Ticket Engine::submit_impl(EvalBatch batch, ChunkKernelFn kernel,
+                                   std::optional<Rng> base) {
     const util::TickNs t0 = util::now_ns();
     auto pending = std::make_shared<Pending>();
     pending->owner = this;
@@ -134,6 +134,13 @@ Engine::Ticket Engine::submit_impl(EvalBatch batch, const SaltFn& salt_of,
     const std::size_t n = pending->batch.size();
     pending->results.resize(n);
     pending->use_cache = cache_.capacity() > 0;
+    // Cache salt: the batch tag for deterministic batches; per item stream
+    // for stochastic ones, so only a replay of the same stream can hit.
+    const std::uint64_t tag = pending->batch.tag;
+    const std::uint64_t base_seed = base ? base->seed() : 0;
+    const auto salt_of = [&](std::size_t i) {
+        return base ? mix64(tag, mix64(base_seed, i)) : tag;
+    };
 
     // Front phase, on the submitting thread: ledger request count, cache
     // lookups and within-batch dedup. Happens in submission order, so the
@@ -181,7 +188,7 @@ Engine::Ticket Engine::submit_impl(EvalBatch batch, const SaltFn& salt_of,
     // Start the misses. Parallel engines enqueue pool jobs and return
     // immediately; serial engines evaluate inline here (still deferring
     // ledger/cache retirement to wait(), so both paths retire identically).
-    dispatch(*pending);
+    dispatch_chunks(*pending, std::move(kernel), std::move(base));
 
     {
         const util::MutexLock lock(mutex_);
@@ -198,31 +205,8 @@ Engine::Ticket Engine::submit_impl(EvalBatch batch, const SaltFn& salt_of,
     return Ticket(std::move(pending));
 }
 
-void Engine::dispatch_items(Pending& pending, ItemEvalFn eval_item) {
-    const std::size_t count = pending.misses.size();
-    if (count == 0) return;
-    Pending* p = &pending;
-    // Shared so the closure stays copyable (std::function requirement).
-    auto eval = std::make_shared<ItemEvalFn>(std::move(eval_item));
-    auto run_item = [p, eval](std::size_t k) {
-        const std::size_t idx = p->misses[k];
-        obs::Span span("engine.kernel", "kernel");
-        span.arg("batch", static_cast<double>(p->seq));
-        span.arg("item", static_cast<double>(idx));
-        p->results[idx].values = (*eval)(p->batch.items[idx], idx);
-    };
-    if (!config_.parallel) {
-        try {
-            for (std::size_t k = 0; k < count; ++k) run_item(k);
-        } catch (...) {
-            pending.error = std::current_exception();
-        }
-        return;
-    }
-    pending.job = pool().parallel_for_async(count, std::move(run_item));
-}
-
-void Engine::dispatch_chunks(Pending& pending, ChunkEvalFn eval_chunk) {
+void Engine::dispatch_chunks(Pending& pending, ChunkKernelFn kernel,
+                             std::optional<Rng> base) {
     const std::size_t count = pending.misses.size();
     if (count == 0) return;
     // Worker-sized chunks keep chunk kernels busy without starving the
@@ -234,8 +218,9 @@ void Engine::dispatch_chunks(Pending& pending, ChunkEvalFn eval_chunk) {
     const std::size_t n_chunks = (count + chunk - 1) / chunk;
 
     Pending* p = &pending;
-    auto eval = std::make_shared<ChunkEvalFn>(std::move(eval_chunk));
-    auto run_chunk = [p, eval, chunk, count](std::size_t c) {
+    // Shared so the closure stays copyable (std::function requirement).
+    auto eval = std::make_shared<ChunkKernelFn>(std::move(kernel));
+    auto run_chunk = [p, eval, base, chunk, count](std::size_t c) {
         const std::size_t lo = c * chunk;
         const std::size_t hi = std::min(count, lo + chunk);
         obs::Span span("engine.kernel", "kernel");
@@ -246,8 +231,15 @@ void Engine::dispatch_chunks(Pending& pending, ChunkEvalFn eval_chunk) {
         reqs.reserve(hi - lo);
         for (std::size_t k = lo; k < hi; ++k)
             reqs.push_back(&p->batch.items[p->misses[k]]);
-        auto out = (*eval)(
-            reqs, std::span<const std::size_t>(p->misses.data() + lo, hi - lo));
+        // Item i (batch index) gets base.child(i), whichever chunk it lands
+        // in; deterministic batches pass an empty span.
+        std::vector<Rng> rngs;
+        if (base) {
+            rngs.reserve(hi - lo);
+            for (std::size_t k = lo; k < hi; ++k)
+                rngs.push_back(base->child(p->misses[k]));
+        }
+        auto out = (*eval)(reqs, rngs);
         if (out.size() != reqs.size())
             throw InvalidInputError(
                 "eval::Engine: chunk kernel returned wrong batch size");
@@ -377,104 +369,25 @@ std::vector<EvalResult> Engine::wait(Ticket ticket) {
     return std::move(pending->results);
 }
 
-Engine::Ticket Engine::submit(EvalBatch batch, KernelFn kernel) {
-    const std::uint64_t salt = batch.tag;
-    auto eval = std::make_shared<KernelFn>(std::move(kernel));
-    return submit_impl(
-        std::move(batch), [salt](std::size_t) { return salt; },
-        [&](Pending& pending) {
-            dispatch_items(pending,
-                           [eval](const EvalRequest& request, std::size_t) {
-                               return (*eval)(request);
-                           });
-        });
+Engine::Ticket Engine::submit(EvalBatch batch, ChunkKernelFn kernel) {
+    return submit_impl(std::move(batch), std::move(kernel), std::nullopt);
 }
 
-Engine::Ticket Engine::submit(EvalBatch batch, BatchKernelFn kernel) {
-    const std::uint64_t salt = batch.tag;
-    auto eval = std::make_shared<BatchKernelFn>(std::move(kernel));
-    return submit_impl(
-        std::move(batch), [salt](std::size_t) { return salt; },
-        [&](Pending& pending) {
-            dispatch_chunks(pending,
-                            [eval](const std::vector<const EvalRequest*>& reqs,
-                                   std::span<const std::size_t>) {
-                                return (*eval)(reqs);
-                            });
-        });
-}
-
-Engine::Ticket Engine::submit(EvalBatch batch, StochasticKernelFn kernel,
-                              Rng& rng) {
+Engine::Ticket Engine::submit(EvalBatch batch, ChunkKernelFn kernel, Rng& rng) {
     // Same derivation as the original Monte Carlo runner: one child stream
     // per item from the caller's RNG (identical for any thread count), with
     // the parent advanced once at submission so successive batches differ.
-    const Rng base = rng.child(rng.engine()());
-    const std::uint64_t base_seed = base.seed();
-    const std::uint64_t tag = batch.tag;
-    auto eval = std::make_shared<StochasticKernelFn>(std::move(kernel));
-    return submit_impl(
-        std::move(batch),
-        [base_seed, tag](std::size_t i) {
-            return mix64(tag, mix64(base_seed, i));
-        },
-        [&](Pending& pending) {
-            dispatch_items(pending,
-                           [eval, base](const EvalRequest& request,
-                                        std::size_t idx) {
-                               Rng item_rng = base.child(idx);
-                               return (*eval)(request, item_rng);
-                           });
-        });
-}
-
-Engine::Ticket Engine::submit(EvalBatch batch, StochasticBatchKernelFn kernel,
-                              Rng& rng) {
-    // Stream and salt derivation must match the scalar stochastic overload
-    // exactly: item i (batch index) gets base.child(i), whichever chunk it
-    // lands in.
-    const Rng base = rng.child(rng.engine()());
-    const std::uint64_t base_seed = base.seed();
-    const std::uint64_t tag = batch.tag;
-    auto eval = std::make_shared<StochasticBatchKernelFn>(std::move(kernel));
-    return submit_impl(
-        std::move(batch),
-        [base_seed, tag](std::size_t i) {
-            return mix64(tag, mix64(base_seed, i));
-        },
-        [&](Pending& pending) {
-            dispatch_chunks(
-                pending,
-                [eval, base](const std::vector<const EvalRequest*>& reqs,
-                             std::span<const std::size_t> batch_indices) {
-                    std::vector<Rng> rngs;
-                    rngs.reserve(batch_indices.size());
-                    for (std::size_t idx : batch_indices)
-                        rngs.push_back(base.child(idx));
-                    return (*eval)(reqs, rngs);
-                });
-        });
+    return submit_impl(std::move(batch), std::move(kernel),
+                       rng.child(rng.engine()()));
 }
 
 std::vector<EvalResult> Engine::evaluate(EvalBatch batch,
-                                         const KernelFn& kernel) {
+                                         const ChunkKernelFn& kernel) {
     return wait(submit(std::move(batch), kernel));
 }
 
 std::vector<EvalResult> Engine::evaluate(EvalBatch batch,
-                                         const BatchKernelFn& kernel) {
-    return wait(submit(std::move(batch), kernel));
-}
-
-std::vector<EvalResult> Engine::evaluate(EvalBatch batch,
-                                         const StochasticKernelFn& kernel,
-                                         Rng& rng) {
-    return wait(submit(std::move(batch), kernel, rng));
-}
-
-std::vector<EvalResult> Engine::evaluate(EvalBatch batch,
-                                         const StochasticBatchKernelFn& kernel,
-                                         Rng& rng) {
+                                         const ChunkKernelFn& kernel, Rng& rng) {
     return wait(submit(std::move(batch), kernel, rng));
 }
 

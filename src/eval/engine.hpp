@@ -13,11 +13,13 @@
 ///    several batches stream onto the pool together (overlapped Monte Carlo
 ///    stages); wait() retires batches strictly in submission order.
 ///    evaluate() is submit() + wait() in one call;
-///  * determinism: stochastic kernels receive per-item RNG child streams
-///    derived exactly like the original Monte Carlo runner
-///    (base = rng.child(rng.engine()()), item i gets base.child(i)) at
-///    submission time, so results are bit-identical for any thread count
-///    and identical between the blocking and async paths;
+///  * one kernel shape (ChunkKernelFn): misses are evaluated in
+///    worker-sized chunks; stochastic batches hand the kernel per-item RNG
+///    child streams (base = rng.child(rng.engine()()) drawn at submission,
+///    item i gets base.child(i)), deterministic batches an empty span, so
+///    results are bit-identical for any thread count and identical between
+///    the blocking and async paths. Scalar callers are one-point batches;
+///    per-request test lambdas adapt through tests/support;
 ///  * memoisation: an LRU cache keyed bit-exactly on (params, process key,
 ///    batch tag / stream seed) serves repeated points - GA elites, repeated
 ///    corner sweeps, sensitivity probes on archived designs. Lookups happen
@@ -50,6 +52,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -62,24 +65,13 @@
 
 namespace ypm::eval {
 
-/// Deterministic kernel: same request, same values, every call.
-using KernelFn = std::function<std::vector<double>(const EvalRequest&)>;
-
-/// Stochastic kernel: consumes the per-item child stream (Monte Carlo).
-using StochasticKernelFn =
-    std::function<std::vector<double>(const EvalRequest&, Rng&)>;
-
-/// Chunk kernel: evaluates a group of requests at once. Must return one
-/// value vector per request, element-wise identical to evaluating each
-/// request alone (chunk boundaries depend on the worker count).
-using BatchKernelFn = std::function<std::vector<std::vector<double>>(
-    const std::vector<const EvalRequest*>&)>;
-
-/// Stochastic chunk kernel: a group of requests with one RNG child stream
-/// per request (rngs[k] belongs to requests[k], derived exactly as the
-/// scalar stochastic path derives item streams). Element-wise identical to
-/// the scalar path for any chunking.
-using StochasticBatchKernelFn = std::function<std::vector<std::vector<double>>(
+/// The engine's one kernel shape: evaluates a chunk of requests at once and
+/// returns one value vector per request, element-wise identical to
+/// evaluating each request alone (chunk boundaries depend on the worker
+/// count). A batch submitted with an Rng hands the kernel one child stream
+/// per request (rngs[k] belongs to requests[k], see submit()); a
+/// deterministic batch hands it an empty span.
+using ChunkKernelFn = std::function<std::vector<std::vector<double>>(
     const std::vector<const EvalRequest*>&, std::span<Rng>)>;
 
 struct EngineConfig {
@@ -131,29 +123,20 @@ public:
         std::shared_ptr<Pending> pending_;
     };
 
-    /// Enqueue a batch through a deterministic kernel; misses start
-    /// evaluating on the pool immediately, the call returns without
-    /// blocking. The kernel is copied; anything it captures by reference
-    /// must outlive the batch's retirement.
-    [[nodiscard]] Ticket submit(EvalBatch batch, KernelFn kernel)
+    /// Enqueue a deterministic batch: misses are split into worker-sized
+    /// chunks that start evaluating on the pool immediately (the kernel sees
+    /// an empty RNG span), and the call returns without blocking. Cache keys
+    /// are salted with the batch tag. The kernel is copied; anything it
+    /// captures by reference must outlive the batch's retirement.
+    [[nodiscard]] Ticket submit(EvalBatch batch, ChunkKernelFn kernel)
         YPM_EXCLUDES(mutex_);
 
-    /// Enqueue a batch through a chunk kernel (moo::Problem::evaluate_batch
-    /// adapters). Misses are split into worker-sized chunks.
-    [[nodiscard]] Ticket submit(EvalBatch batch, BatchKernelFn kernel)
+    /// Enqueue a stochastic batch. Advances `rng` once at submission (so
+    /// successive submissions differ, in submission order) and hands item i
+    /// the deterministic child stream base.child(i), whichever chunk it
+    /// lands in; cache keys are salted per item stream instead of per tag.
+    [[nodiscard]] Ticket submit(EvalBatch batch, ChunkKernelFn kernel, Rng& rng)
         YPM_EXCLUDES(mutex_);
-
-    /// Enqueue a batch through a stochastic kernel. Advances `rng` once at
-    /// submission (so successive submissions differ, in submission order)
-    /// and hands item i the deterministic child stream base.child(i).
-    [[nodiscard]] Ticket submit(EvalBatch batch, StochasticKernelFn kernel,
-                                Rng& rng) YPM_EXCLUDES(mutex_);
-
-    /// Enqueue a batch through a stochastic chunk kernel (the Monte Carlo
-    /// prototype-reuse path). Streams and salts are derived exactly as the
-    /// scalar stochastic overload.
-    [[nodiscard]] Ticket submit(EvalBatch batch, StochasticBatchKernelFn kernel,
-                                Rng& rng) YPM_EXCLUDES(mutex_);
 
     /// Block until `ticket`'s batch (and every batch submitted before it)
     /// has retired, then return its results. Retirement is strictly in
@@ -166,26 +149,16 @@ public:
     [[nodiscard]] std::vector<EvalResult> wait(Ticket ticket)
         YPM_EXCLUDES(retire_mutex_, mutex_);
 
-    /// Evaluate a batch through a deterministic kernel (submit + wait).
-    /// Taking the batch by value lets rvalue callers move it in for free;
-    /// lvalue callers pay the same one copy the submit path needs anyway.
+    /// submit() + wait() of a deterministic batch. Taking the batch by value
+    /// lets rvalue callers move it in for free; lvalue callers pay the same
+    /// one copy the submit path needs anyway.
     [[nodiscard]] std::vector<EvalResult>
-    evaluate(EvalBatch batch, const KernelFn& kernel)
+    evaluate(EvalBatch batch, const ChunkKernelFn& kernel)
         YPM_EXCLUDES(retire_mutex_, mutex_);
 
-    /// Evaluate a batch through a chunk kernel (submit + wait).
+    /// submit() + wait() of a stochastic batch.
     [[nodiscard]] std::vector<EvalResult>
-    evaluate(EvalBatch batch, const BatchKernelFn& kernel)
-        YPM_EXCLUDES(retire_mutex_, mutex_);
-
-    /// Evaluate a batch through a stochastic kernel (submit + wait).
-    [[nodiscard]] std::vector<EvalResult>
-    evaluate(EvalBatch batch, const StochasticKernelFn& kernel, Rng& rng)
-        YPM_EXCLUDES(retire_mutex_, mutex_);
-
-    /// Evaluate a batch through a stochastic chunk kernel (submit + wait).
-    [[nodiscard]] std::vector<EvalResult>
-    evaluate(EvalBatch batch, const StochasticBatchKernelFn& kernel, Rng& rng)
+    evaluate(EvalBatch batch, const ChunkKernelFn& kernel, Rng& rng)
         YPM_EXCLUDES(retire_mutex_, mutex_);
 
     /// Snapshot of the ledger (copied under the engine lock: retirement on
@@ -201,23 +174,15 @@ public:
     void clear_cache() { cache_.clear(); }
 
 private:
-    using SaltFn = std::function<std::uint64_t(std::size_t)>;
-    /// Starts the miss evaluation: either launches an async pool job on the
-    /// pending block or (serial engines) runs inline, capturing any error.
-    using DispatchFn = std::function<void(Pending&)>;
-    /// Chunk-kernel adapter: gather each chunk's requests (plus their batch
-    /// indices, for RNG provisioning), evaluate, arity-check and scatter.
-    using ChunkEvalFn = std::function<std::vector<std::vector<double>>(
-        const std::vector<const EvalRequest*>&, std::span<const std::size_t>)>;
-    /// Scalar-kernel adapter: evaluate one request (idx = batch index).
-    using ItemEvalFn =
-        std::function<std::vector<double>(const EvalRequest&, std::size_t)>;
-
-    [[nodiscard]] Ticket submit_impl(EvalBatch batch, const SaltFn& salt_of,
-                                     const DispatchFn& dispatch)
+    /// Shared body of both submit() overloads: `base` is the stochastic
+    /// batch's stream root, or empty for a deterministic batch.
+    [[nodiscard]] Ticket submit_impl(EvalBatch batch, ChunkKernelFn kernel,
+                                     std::optional<Rng> base)
         YPM_EXCLUDES(mutex_);
-    void dispatch_items(Pending& pending, ItemEvalFn eval_item);
-    void dispatch_chunks(Pending& pending, ChunkEvalFn eval_chunk);
+    /// Start the misses: launch async pool jobs over worker-sized chunks,
+    /// or (serial engines) evaluate inline, capturing any error.
+    void dispatch_chunks(Pending& pending, ChunkKernelFn kernel,
+                         std::optional<Rng> base);
     /// Retire the oldest pending batch: wait for its jobs, then apply its
     /// ledger/cache/alias updates. The "caller holds retire_mutex_ but NOT
     /// mutex_" lock-order contract is compiler-checked: the positive

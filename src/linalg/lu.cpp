@@ -8,91 +8,6 @@
 
 namespace ypm::linalg {
 
-template <typename T>
-Lu<T>::Lu(Matrix<T> a) : lu_(std::move(a)) {
-    if (!lu_.square()) throw NumericalError("Lu: matrix must be square");
-    const std::size_t n = lu_.rows();
-    perm_.resize(n);
-    std::iota(perm_.begin(), perm_.end(), std::size_t{0});
-
-    double min_pivot = std::numeric_limits<double>::infinity();
-    double max_pivot = 0.0;
-
-    for (std::size_t k = 0; k < n; ++k) {
-        // Partial pivoting: pick the largest magnitude in column k.
-        std::size_t piv = k;
-        double best = std::abs(lu_(k, k));
-        for (std::size_t i = k + 1; i < n; ++i) {
-            const double mag = std::abs(lu_(i, k));
-            if (mag > best) {
-                best = mag;
-                piv = i;
-            }
-        }
-        if (best == 0.0 || !std::isfinite(best))
-            throw NumericalError("Lu: singular or non-finite matrix at column " +
-                                 std::to_string(k));
-        if (piv != k) {
-            for (std::size_t j = 0; j < n; ++j) std::swap(lu_(k, j), lu_(piv, j));
-            std::swap(perm_[k], perm_[piv]);
-            sign_ = -sign_;
-        }
-        min_pivot = std::min(min_pivot, best);
-        max_pivot = std::max(max_pivot, best);
-
-        const T pivot = lu_(k, k);
-        for (std::size_t i = k + 1; i < n; ++i) {
-            const T factor = lu_(i, k) / pivot;
-            lu_(i, k) = factor;
-            if (factor == T{}) continue;
-            for (std::size_t j = k + 1; j < n; ++j)
-                lu_(i, j) -= factor * lu_(k, j);
-        }
-    }
-    pivot_ratio_ = max_pivot > 0.0 ? min_pivot / max_pivot : 0.0;
-}
-
-template <typename T>
-void Lu<T>::solve_in_place(std::vector<T>& b) const {
-    const std::size_t n = lu_.rows();
-    if (b.size() != n) throw NumericalError("Lu::solve: rhs size mismatch");
-
-    // Apply permutation: y = P b.
-    std::vector<T> y(n);
-    for (std::size_t i = 0; i < n; ++i) y[i] = b[perm_[i]];
-
-    // Forward substitution L z = y (unit diagonal).
-    for (std::size_t i = 1; i < n; ++i) {
-        T acc = y[i];
-        for (std::size_t j = 0; j < i; ++j) acc -= lu_(i, j) * y[j];
-        y[i] = acc;
-    }
-    // Back substitution U x = z.
-    for (std::size_t ii = n; ii-- > 0;) {
-        T acc = y[ii];
-        for (std::size_t j = ii + 1; j < n; ++j) acc -= lu_(ii, j) * y[j];
-        y[ii] = acc / lu_(ii, ii);
-    }
-    b = std::move(y);
-}
-
-template <typename T>
-std::vector<T> Lu<T>::solve(const std::vector<T>& b) const {
-    std::vector<T> x = b;
-    solve_in_place(x);
-    return x;
-}
-
-template <typename T>
-T Lu<T>::determinant() const {
-    T det = static_cast<T>(sign_);
-    for (std::size_t i = 0; i < lu_.rows(); ++i) det *= lu_(i, i);
-    return det;
-}
-
-template class Lu<double>;
-template class Lu<std::complex<double>>;
-
 namespace {
 
 /// Cheap pivot weight: strictly monotone in |v| within normal double range.
@@ -131,8 +46,8 @@ void InplaceLu<T>::factor(Matrix<T>& a) {
         if constexpr (!std::is_same_v<T, double>) {
             if (!weight_reliable(best)) {
                 // Degenerate weights (underflow, overflow, NaN): redo the
-                // column with Lu's exact std::abs comparisons so selection
-                // and the singularity test match Lu bit-for-bit.
+                // column with exact std::abs comparisons, which also make
+                // the singularity test exact.
                 piv = k;
                 double best_abs = std::abs(data[k * n + k]);
                 for (std::size_t i = k + 1; i < n; ++i) {

@@ -10,73 +10,31 @@
 
 namespace ypm::linalg {
 
-/// LU factorisation with row partial pivoting: P*A = L*U.
-/// Factor once, solve for many right-hand sides (the AC sweep re-factors per
-/// frequency, the DC Newton loop per iteration).
-template <typename T>
-class Lu {
-public:
-    /// Factor a square matrix. \throws ypm::NumericalError if singular to
-    /// working precision.
-    explicit Lu(Matrix<T> a);
-
-    /// Solve A x = b.
-    [[nodiscard]] std::vector<T> solve(const std::vector<T>& b) const;
-
-    /// Solve in place (b becomes x).
-    void solve_in_place(std::vector<T>& b) const;
-
-    /// Determinant (product of pivots with sign of permutation).
-    [[nodiscard]] T determinant() const;
-
-    /// Reciprocal of the pivot-growth conditioning heuristic:
-    /// min |pivot| / max |pivot|. Near zero indicates ill-conditioning.
-    [[nodiscard]] double pivot_ratio() const { return pivot_ratio_; }
-
-    [[nodiscard]] std::size_t size() const { return lu_.rows(); }
-
-private:
-    Matrix<T> lu_;
-    std::vector<std::size_t> perm_;
-    int sign_ = 1;
-    double pivot_ratio_ = 0.0;
-};
-
-/// One-shot convenience: solve A x = b.
-/// \throws ypm::NumericalError if A is singular.
-template <typename T>
-[[nodiscard]] std::vector<T> solve(Matrix<T> a, std::vector<T> b) {
-    const Lu<T> lu(std::move(a));
-    lu.solve_in_place(b);
-    return b;
-}
-
-/// Allocation-free factorisation workspace for repeated solves at a fixed
-/// system size (the batch kernels factor thousands of same-shape MNA
-/// matrices). factor() overwrites the caller's matrix with the packed LU -
-/// no copy - and solve() reuses internal scratch, so the steady state
-/// performs zero allocations per point.
+/// LU factorisation with row partial pivoting (P*A = L*U), in place and
+/// allocation-free for repeated solves at a fixed system size (the batch
+/// kernels factor thousands of same-shape MNA matrices). factor()
+/// overwrites the caller's matrix with the packed LU - no copy - and
+/// solve() reuses internal scratch, so the steady state performs zero
+/// allocations per point.
 ///
-/// Equivalence to Lu: the elimination arithmetic (division by the pivot,
-/// the rank-1 update, the substitution sweeps) is operation-for-operation
-/// identical, so for the same pivot sequence the results are bit-identical.
-/// Pivot selection is also equivalent: real magnitudes compare with fabs
-/// (exact, as in Lu); complex magnitudes compare *squared* (strictly
-/// monotone in |.|, so the argmax matches Lu's std::abs comparisons unless
-/// two magnitudes coincide below one ulp), falling back to std::abs for any
-/// column whose squared maximum leaves the normal double range (underflow /
-/// overflow / non-finite), which also reproduces Lu's singularity test.
+/// Pivot selection: real magnitudes compare with fabs; complex magnitudes
+/// compare *squared* (strictly monotone in |.|, so the argmax matches
+/// std::abs comparisons unless two magnitudes coincide below one ulp),
+/// falling back to std::abs for any column whose squared maximum leaves the
+/// normal double range (underflow / overflow / non-finite). The elimination
+/// arithmetic is the textbook one, operation for operation; the reference
+/// LU in tests/support pins both properties bit-for-bit.
 template <typename T>
 class InplaceLu {
 public:
     /// Factor `a` in place (it becomes the packed LU).
-    /// \throws ypm::NumericalError under exactly the condition, and with
-    /// the same message, as Lu's constructor (singular / non-finite).
+    /// \throws ypm::NumericalError if `a` is not square, or singular or
+    /// non-finite to working precision.
     void factor(Matrix<T>& a);
 
     /// Solve LU x = b with the matrix last passed to factor(). `b` is left
     /// untouched; the substitution runs directly in `x` (resized, reused).
-    /// Identical arithmetic to Lu::solve_in_place, minus its copies.
+    /// \throws ypm::NumericalError on a size mismatch.
     void solve(const Matrix<T>& lu, const std::vector<T>& b,
                std::vector<T>& x) const;
 
@@ -84,9 +42,18 @@ private:
     std::vector<std::size_t> perm_;
 };
 
-extern template class Lu<double>;
-extern template class Lu<std::complex<double>>;
 extern template class InplaceLu<double>;
 extern template class InplaceLu<std::complex<double>>;
+
+/// One-shot convenience: solve A x = b.
+/// \throws ypm::NumericalError if A is singular.
+template <typename T>
+[[nodiscard]] std::vector<T> solve(Matrix<T> a, const std::vector<T>& b) {
+    InplaceLu<T> lu;
+    lu.factor(a);
+    std::vector<T> x;
+    lu.solve(a, b, x);
+    return x;
+}
 
 } // namespace ypm::linalg

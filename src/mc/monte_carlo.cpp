@@ -89,22 +89,6 @@ McResult collect_rows(std::vector<eval::EvalResult> evals) {
 } // namespace
 
 McResult run_monte_carlo(eval::Engine& engine, const McConfig& config, Rng& rng,
-                         const SampleFn& fn) {
-    if (config.samples == 0)
-        throw InvalidInputError("run_monte_carlo: need >= 1 sample");
-
-    // One-shot stochastic samples: distinct streams mean a point never
-    // repeats within a run, so keep them out of the memoisation cache.
-    return collect_rows(engine.evaluate(
-        sample_batch(config.samples),
-        eval::StochasticKernelFn(
-            [&fn](const eval::EvalRequest& request, Rng& sample_rng) {
-                return fn(request.process_key, sample_rng);
-            }),
-        rng));
-}
-
-McResult run_monte_carlo(eval::Engine& engine, const McConfig& config, Rng& rng,
                          const ChunkSampleFn& fn) {
     return wait_monte_carlo(engine, submit_monte_carlo(engine, config, rng, fn));
 }
@@ -119,7 +103,7 @@ McTicket submit_monte_carlo(eval::Engine& engine, const McConfig& config,
     // after the submitting scope has moved on to the next Pareto point.
     return McTicket{engine.submit(
         std::move(batch),
-        eval::StochasticBatchKernelFn(
+        eval::ChunkKernelFn(
             [fn](const std::vector<const eval::EvalRequest*>& requests,
                  std::span<Rng> rngs) {
                 std::vector<std::size_t> ids;
@@ -133,14 +117,6 @@ McTicket submit_monte_carlo(eval::Engine& engine, const McConfig& config,
 
 McResult wait_monte_carlo(eval::Engine& engine, McTicket ticket) {
     return collect_rows(engine.wait(std::move(ticket.ticket)));
-}
-
-McResult run_monte_carlo(const McConfig& config, Rng& rng, const SampleFn& fn) {
-    eval::EngineConfig engine_config;
-    engine_config.parallel = config.parallel;
-    engine_config.cache_capacity = 0; // nothing to memoise in a one-shot run
-    eval::Engine engine(engine_config);
-    return run_monte_carlo(engine, config, rng, fn);
 }
 
 } // namespace ypm::mc

@@ -3,12 +3,11 @@
 /// \brief Generic Monte Carlo runner (paper section 3.4).
 ///
 /// The runner owns only the sampling discipline: N samples, each evaluated
-/// with an independent deterministic RNG child stream, optionally in
-/// parallel, with failed samples (NaN performances) tracked separately so
-/// convergence failures degrade yield instead of silently vanishing.
-/// Scheduling and accounting are delegated to the shared evaluation engine;
-/// the legacy overload spins up a private engine for callers that do not
-/// keep a flow-wide ledger.
+/// with an independent deterministic RNG child stream, with failed samples
+/// (NaN performances) tracked separately so convergence failures degrade
+/// yield instead of silently vanishing. Scheduling, parallelism and
+/// accounting are delegated to the caller's evaluation engine; samples
+/// reach the kernel in worker-sized chunks.
 
 #include <functional>
 #include <span>
@@ -22,7 +21,6 @@ namespace ypm::mc {
 
 struct McConfig {
     std::size_t samples = 200; ///< paper section 4.4 uses 200 per Pareto point
-    bool parallel = true;
 };
 
 struct McResult {
@@ -63,27 +61,16 @@ private:
     mutable bool finalized_ = false;
 };
 
-/// Sample kernel: fn(sample_index, rng) -> performance row. Must be
-/// thread-safe and return the same arity every call.
-using SampleFn = std::function<std::vector<double>(std::size_t, Rng&)>;
-
-/// Chunk sample kernel: rows for a group of samples at once; sample_ids[k]
-/// is the Monte Carlo sample index and rngs[k] its child stream (derived
-/// exactly as the scalar path derives them). Kernels that amortise setup
-/// across the chunk (shared testbench prototypes) use this form; results
-/// must stay element-wise identical to the scalar SampleFn path.
+/// Sample kernel: rows for a group of samples at once; sample_ids[k] is the
+/// Monte Carlo sample index and rngs[k] its child stream. Must be
+/// thread-safe, return one row per sample with the same arity every call,
+/// and keep each row independent of how the samples are grouped into
+/// chunks (boundaries depend on the worker count).
 using ChunkSampleFn = std::function<std::vector<std::vector<double>>(
     std::span<const std::size_t>, std::span<Rng>)>;
 
 /// Evaluate `fn` for each sample through a shared engine (one ledger across
 /// the whole flow). Advances `rng` once; bit-identical for any thread count.
-[[nodiscard]] McResult run_monte_carlo(eval::Engine& engine,
-                                       const McConfig& config, Rng& rng,
-                                       const SampleFn& fn);
-
-/// Chunked variant: samples are dispatched to `fn` in worker-sized groups
-/// through the engine's stochastic chunk path. Bit-identical to the scalar
-/// overload when the kernel honours the ChunkSampleFn contract.
 [[nodiscard]] McResult run_monte_carlo(eval::Engine& engine,
                                        const McConfig& config, Rng& rng,
                                        const ChunkSampleFn& fn);
@@ -94,10 +81,10 @@ struct McTicket {
     [[nodiscard]] bool valid() const { return ticket.valid(); }
 };
 
-/// Async variant of the chunked runner: enqueue the run and return without
+/// Async variant of run_monte_carlo: enqueue the run and return without
 /// blocking, so the MC stages of several Pareto points stream onto the pool
 /// together. Advances `rng` once at submission (same derivation as the
-/// blocking overloads, in submission order); `fn` is copied and anything it
+/// blocking runner, in submission order); `fn` is copied and anything it
 /// captures by reference must outlive wait_monte_carlo(). Rows are
 /// bit-identical to run_monte_carlo() with the same engine state and rng.
 [[nodiscard]] McTicket submit_monte_carlo(eval::Engine& engine,
@@ -107,10 +94,5 @@ struct McTicket {
 /// Block until the submitted run (and every batch submitted to the engine
 /// before it) has retired, then collect its rows.
 [[nodiscard]] McResult wait_monte_carlo(eval::Engine& engine, McTicket ticket);
-
-/// Legacy entry point: runs through a private engine honouring
-/// config.parallel. Results are bit-identical to the engine overload.
-[[nodiscard]] McResult run_monte_carlo(const McConfig& config, Rng& rng,
-                                       const SampleFn& fn);
 
 } // namespace ypm::mc

@@ -7,8 +7,9 @@ evaluate_population(eval::Engine& engine, const Problem& problem,
                     const std::vector<std::vector<double>>& points) {
     return engine.evaluate(
         eval::EvalBatch::nominal(points),
-        eval::BatchKernelFn([&problem](const std::vector<const eval::EvalRequest*>&
-                                           requests) {
+        eval::ChunkKernelFn([&problem](const std::vector<const eval::EvalRequest*>&
+                                           requests,
+                                       std::span<Rng>) {
             std::vector<std::vector<double>> chunk;
             chunk.reserve(requests.size());
             for (const eval::EvalRequest* r : requests) chunk.push_back(r->params);

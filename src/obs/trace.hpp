@@ -14,7 +14,7 @@
 ///    site first reads one relaxed atomic flag (Tracer::enabled()) and does
 ///    nothing else when it is false - no clock reads, no string
 ///    construction, no allocation. The bench-smoke CI job gates on this
-///    (<= 2 % on chunk throughput with tracing off).
+///    in absolute ns per disarmed span (BM_ObsDisarmedSpan).
 ///  * Purely observational. Recording never touches RNG streams, engine
 ///    retirement order or reduction order, so results are bit-identical
 ///    with tracing on or off (asserted in tests/test_async.cpp and

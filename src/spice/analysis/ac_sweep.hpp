@@ -4,7 +4,7 @@
 ///
 /// run_ac (ac.hpp) is the reference implementation: per frequency it
 /// re-runs every device's stamp_ac - which for a MOSFET re-evaluates the
-/// whole EKV model - and pays a fresh factorisation allocation. This
+/// whole EKV model - and pays fresh allocations. This
 /// module is the fast path used by the chunk kernels:
 ///
 ///  * device stamps are recorded once per operating point as
@@ -16,8 +16,7 @@
 ///
 /// Results are bit-identical to run_ac followed by AcResult::transfer: the
 /// replay reproduces stamp_ac's additions value-for-value in the same
-/// order, and InplaceLu matches Lu's pivoting and elimination arithmetic
-/// (see the class notes for the one sub-ulp caveat on complex pivot ties).
+/// order, and both paths factor through linalg::InplaceLu.
 /// Devices whose stamps are not affine in omega (the behavioural OTA's
 /// single-pole gain) fall back to per-frequency stamp_ac; if such a device
 /// precedes an affine one in device order the plan is abandoned entirely

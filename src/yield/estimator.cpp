@@ -47,8 +47,6 @@ SequentialConfig reset_method_knobs(SequentialConfig c) {
     c.mixture_proposal = true;
     c.refine_after_chunks = 0;
     c.shift_fit.adapt_scale = false;
-    c.shift_fit.merge_distance = 0.0;
-    c.control = {};
     return c;
 }
 
@@ -82,20 +80,6 @@ SequentialConfig mixture_ce_scale(SequentialConfig c) {
     return c;
 }
 
-SequentialConfig mixture_merge(SequentialConfig base) {
-    const double distance = base.shift_fit.merge_distance;
-    SequentialConfig c = mixture_ce(std::move(base));
-    c.shift_fit.merge_distance = distance > 0.0 ? distance : 1.0;
-    return c;
-}
-
-SequentialConfig control_variate(SequentialConfig c) {
-    c = reset_method_knobs(std::move(c));
-    c.control.enabled = true;
-    c.control.auto_beta = true;
-    return c;
-}
-
 } // namespace
 
 EstimatorRegistry& EstimatorRegistry::instance() {
@@ -114,8 +98,6 @@ EstimatorRegistry::EstimatorRegistry() {
     builtin("single_shift", single_shift);
     builtin("mixture_ce", mixture_ce);
     builtin("mixture_ce_scale", mixture_ce_scale);
-    builtin("mixture_merge", mixture_merge);
-    builtin("control_variate", control_variate);
 }
 
 void EstimatorRegistry::add(std::string name, EstimatorFactory factory) {

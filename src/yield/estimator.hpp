@@ -8,8 +8,7 @@
 /// estimator takes a scenario-level base configuration (pilot size, chunk
 /// size, sample caps, CI target - the knobs that belong to the problem) and
 /// specializes the family-defining knobs (proposal form, CE refinement,
-/// scale adaptation, component merging, control variates - the knobs that
-/// belong to the method). This keeps the determinism and inflight-window
+/// scale adaptation - the knobs that belong to the method). This keeps the determinism and inflight-window
 /// invariance guarantees of the driver uniform across the whole zoo, and it
 /// is what lets one conformance suite and one benchmark matrix iterate over
 /// every registered estimator by name.
@@ -20,11 +19,9 @@
 ///   mixture_ce       - defensive mixture + one cross-entropy mean refit.
 ///   mixture_ce_scale - mixture_ce whose CE refit also learns per-component
 ///                      diagonal variances (ShiftFitConfig::adapt_scale).
-///   mixture_merge    - mixture_ce with Mahalanobis component merging
-///                      (ShiftFitConfig::merge_distance).
-///   control_variate  - single-stage mixture proposal with the regression
-///                      estimator on the exact likelihood ratios
-///                      (ControlVariateOptions, auto beta).
+///
+/// Each member earns a column of bench_yield_matrix; a member that wins no
+/// column is deleted rather than kept as an option.
 ///
 /// Adding an estimator: implement YieldEstimator (usually just configure()),
 /// register a factory under a new name, and give it a column floor in

@@ -60,11 +60,6 @@ SequentialYieldRunner::SequentialYieldRunner(eval::Engine& engine,
     // CE refinement needs u records on the main stage and at least one
     // failing record per refit.
     record_main_u_ = config_.refine_after_chunks > 0 && config_.max_refits > 0;
-    if (config_.control.enabled && record_main_u_)
-        throw InvalidInputError(
-            "SequentialYieldRunner: control-variate estimation is "
-            "incompatible with CE refinement - per-stage moment pooling "
-            "cannot carry the pass-side control term");
     if (!config_.initial_proposal.components.empty()) {
         if (config_.pilot_samples > 0)
             throw InvalidInputError(
@@ -211,10 +206,7 @@ void SequentialYieldRunner::fold_rows(const mc::McResult& result) {
 
 void SequentialYieldRunner::update_estimate() {
     if (stages_.empty()) {
-        // control_variate_yield delegates verbatim to the fail-side
-        // estimator when the control is inert, so this is the one estimate
-        // path for every single-stage configuration.
-        estimate_ = control_variate_yield(flags_, log_weights_, config_.control);
+        estimate_ = weighted_yield_from_flags(flags_, log_weights_);
         return;
     }
     std::vector<WeightedYieldEstimate> all = stages_;
@@ -291,9 +283,8 @@ SequentialYieldResult SequentialYieldRunner::finish() {
     result.stage_estimates = stages_;
     if (!flags_.empty())
         result.stage_estimates.push_back(
-            control_variate_yield(flags_, log_weights_, config_.control));
+            weighted_yield_from_flags(flags_, log_weights_));
     result.refinements = refits_done_;
-    result.merged_components = fit_.merged_components;
     result.shift_pilot_failures = pilot_failures_;
     result.samples_used = retired_samples_;
     result.pilot_samples = pilot_submitted_ ? config_.pilot_samples : 0;

@@ -20,78 +20,10 @@ void clamp_norm(std::vector<double>& mu, double max_norm) {
     for (double& m : mu) m *= k;
 }
 
-/// One surviving per-spec component on its way into the mixture: clamped
-/// mean, (weighted) failure mass, and the diagonal variance (empty = unit).
-struct FitComponent {
-    std::vector<double> mu;
-    double mass = 0.0;
-    std::vector<double> var; ///< empty = isotropic unit variance
-    [[nodiscard]] double var_at(std::size_t d) const {
-        return var.empty() ? 1.0 : var[d];
-    }
-};
-
-/// Mahalanobis distance between two component means under the average of
-/// their diagonal variances (Euclidean in the standardized space when both
-/// are unit): the overlap metric that decides a merge.
-double component_distance(const FitComponent& a, const FitComponent& b) {
-    double sum = 0.0;
-    for (std::size_t d = 0; d < a.mu.size(); ++d) {
-        const double dm = a.mu[d] - b.mu[d];
-        const double s2 = 0.5 * (a.var_at(d) + b.var_at(d));
-        sum += dm * dm / s2;
-    }
-    return std::sqrt(sum);
-}
-
-/// Greedy Mahalanobis merging of overlapping components: later components
-/// are absorbed into the first one within `merge_distance` (mass-weighted
-/// moment match: merged mean, merged variance = within + between-mean
-/// spread when variances are carried). Deterministic: components are
-/// visited in spec order. Returns the number of components absorbed.
-std::size_t merge_components(std::vector<FitComponent>& comps,
-                             double merge_distance) {
-    if (merge_distance <= 0.0) return 0;
-    std::size_t merged = 0;
-    for (std::size_t i = 0; i < comps.size(); ++i) {
-        for (std::size_t j = i + 1; j < comps.size();) {
-            if (component_distance(comps[i], comps[j]) >= merge_distance) {
-                ++j;
-                continue;
-            }
-            FitComponent& a = comps[i];
-            const FitComponent& b = comps[j];
-            const double mass = a.mass + b.mass;
-            const double wa = a.mass / mass, wb = b.mass / mass;
-            const bool carry_var = !a.var.empty() || !b.var.empty();
-            std::vector<double> mu(a.mu.size(), 0.0);
-            std::vector<double> var;
-            if (carry_var) var.assign(a.mu.size(), 0.0);
-            for (std::size_t d = 0; d < a.mu.size(); ++d) {
-                mu[d] = wa * a.mu[d] + wb * b.mu[d];
-                if (carry_var) {
-                    // Moment match: E[u^2] pooled minus the merged mean
-                    // squared - the within-component variances plus the
-                    // between-mean spread.
-                    const double m2 = wa * (a.var_at(d) + a.mu[d] * a.mu[d]) +
-                                      wb * (b.var_at(d) + b.mu[d] * b.mu[d]);
-                    var[d] = std::max(m2 - mu[d] * mu[d], 0.0);
-                }
-            }
-            a.mu = std::move(mu);
-            a.var = std::move(var);
-            a.mass = mass;
-            comps.erase(comps.begin() + static_cast<std::ptrdiff_t>(j));
-            ++merged;
-        }
-    }
-    return merged;
-}
-
 /// Shared fitting machinery: per-spec (optionally importance-weighted)
 /// centers of gravity of the failing rows, each norm-clamped; a combined
-/// single shift; and the defensive mixture (scale-adapted and/or merged
-/// when the config asks for it).
+/// single shift; and the defensive mixture (scale-adapted when the config
+/// asks for it).
 ShiftFit fit_impl(const std::vector<std::vector<double>>& rows,
                   const std::vector<mc::Spec>& specs, std::size_t dimension,
                   const ShiftFitConfig& config, bool importance_weighted) {
@@ -210,39 +142,18 @@ ShiftFit fit_impl(const std::vector<std::vector<double>>& rows,
 
     // Defensive mixture: nominal component + one component per failing
     // spec, the shifted mass split in proportion to the spec failure mass.
-    // Per-spec components first pass through the (optional) Mahalanobis
-    // merging so overlapping failure modes share one component.
-    std::vector<FitComponent> comps;
-    for (std::size_t s = 0; s < specs.size(); ++s) {
-        if (!(mass[s] > 0.0)) continue;
-        FitComponent c;
-        c.mu = fit.per_spec[s].mu;
-        c.mass = mass[s];
-        if (!spec_sigma[s].empty()) {
-            c.var.resize(dimension);
-            for (std::size_t d = 0; d < dimension; ++d)
-                c.var[d] = spec_sigma[s][d] * spec_sigma[s][d];
-        }
-        comps.push_back(std::move(c));
-    }
-    fit.merged_components = merge_components(comps, config.merge_distance);
-
     if (config.defensive_weight > 0.0) {
         process::ProposalComponent nominal;
         nominal.weight = config.defensive_weight;
         fit.mixture.components.push_back(std::move(nominal));
     }
     const double shifted_mass = 1.0 - config.defensive_weight;
-    for (FitComponent& c : comps) {
+    for (std::size_t s = 0; s < specs.size(); ++s) {
+        if (!(mass[s] > 0.0)) continue;
         process::ProposalComponent comp;
-        comp.mu = std::move(c.mu);
-        comp.weight = shifted_mass * c.mass / total_mass;
-        if (!c.var.empty()) {
-            comp.sigma.resize(dimension);
-            for (std::size_t d = 0; d < dimension; ++d)
-                comp.sigma[d] = std::clamp(std::sqrt(c.var[d]),
-                                           config.min_scale, config.max_scale);
-        }
+        comp.mu = fit.per_spec[s].mu;
+        comp.weight = shifted_mass * mass[s] / total_mass;
+        comp.sigma = std::move(spec_sigma[s]);
         fit.mixture.components.push_back(std::move(comp));
     }
     return fit;

@@ -63,9 +63,6 @@ struct WeightedYieldEstimate {
     double max_weight_share = 0.0;
     /// False when every log weight was exactly 0 (plain MC reduction).
     bool weighted = false;
-    /// Control coefficient actually applied (0 when the control-variate
-    /// path was off or degenerated to the plain fail-side estimator).
-    double control_beta = 0.0;
     /// Raw fail-side moments behind the estimate: sum of w_i*fail_i, sum of
     /// (w_i*fail_i)^2 and the largest single fail-side weight (the failure
     /// count, the failure count and 1/0 under unit weights). These are what
@@ -98,50 +95,6 @@ struct WeightedYieldEstimate {
 [[nodiscard]] WeightedYieldEstimate
 weighted_yield_from_flags(const std::vector<bool>& pass,
                           const std::vector<double>& log_weights);
-
-/// Control-variate (regression) refinement of the fail-side estimator.
-/// The full likelihood ratio w_i = exp(log_weights[i]) has known mean 1
-/// under the proposal (E_q[p/q] = 1), so it is a free control variate for
-/// x_i = w_i * fail_i:
-///   phat_cv = mean(x) - beta * (mean(w) - 1),
-/// unbiased for every fixed beta, with variance minimized at
-/// beta* = Cov(x, w) / Var(w). The correction recycles the *pass-side*
-/// weights - the information the unnormalized fail-side estimator throws
-/// away - without inheriting the self-normalized ratio's instability,
-/// because beta scales the correction instead of dividing by it.
-struct ControlVariateOptions {
-    /// Off = delegate verbatim to weighted_yield_from_flags.
-    bool enabled = false;
-    /// Fixed control coefficient; ignored when auto_beta is set. beta == 0
-    /// (with auto_beta off) reduces *bit-identically* to the plain
-    /// fail-side estimator - the conformance anchor for the CV estimator.
-    double beta = 0.0;
-    /// Estimate beta = Cov(x, w) / Var(w) from the sample itself (the
-    /// regression estimator). The plug-in beta introduces O(1/n) bias,
-    /// standard for regression sampling; the CI uses the residual variance.
-    bool auto_beta = true;
-    /// Clamp on |beta| (applied to fixed and estimated coefficients): a
-    /// near-singular Var(w) would otherwise let the correction term dwarf
-    /// the estimate. <= 0 disables the clamp.
-    double max_beta = 4.0;
-};
-
-/// Control-variate estimate from pass flags and log likelihood ratios.
-/// Delegates *bit-identically* to weighted_yield_from_flags whenever the
-/// control is inert: options.enabled false, all log weights exactly zero
-/// (plain MC - w is constant, Var(w) = 0, no control exists), a fixed
-/// beta of 0, a degenerate Var(w) under auto_beta, or fewer than two
-/// observed failures (the delta-method CI fallbacks of the fail-side path
-/// are the safer report there). Otherwise the estimate is phat_cv above
-/// with a CI from the sample variance of the residuals
-/// y_i = x_i - beta * (w_i - 1); ESS/max-weight-share diagnostics and the
-/// pooled fail-side moments are unchanged (the control shifts the
-/// estimate, not the fail-side evidence). \throws like
-/// weighted_yield_from_flags.
-[[nodiscard]] WeightedYieldEstimate
-control_variate_yield(const std::vector<bool>& pass,
-                      const std::vector<double>& log_weights,
-                      const ControlVariateOptions& options);
 
 /// Combine per-stage estimates of the *same* failure probability drawn
 /// from different proposal distributions (the cross-entropy refinement

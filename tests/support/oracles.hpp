@@ -1,0 +1,67 @@
+#pragma once
+/// \file oracles.hpp
+/// \brief Reference implementations that tests and benches compare the
+///        production paths against, bit for bit: the rebuild-per-point
+///        circuit measurements and a textbook partial-pivot LU. They live
+///        in the ypm_test_support library rather than src/ because nothing
+///        but a comparison runs them.
+
+#include <complex>
+#include <cstddef>
+#include <vector>
+
+#include "circuits/filter.hpp"
+#include "circuits/ota.hpp"
+#include "linalg/matrix.hpp"
+#include "process/sampler.hpp"
+
+namespace ypm::testsupport {
+
+/// OTA measurement on a freshly built testbench: build, apply the process
+/// realisation (nullptr = nominal), DC operating point, an AC sweep that
+/// re-stamps every device per frequency and solves with ReferenceLu, Bode
+/// metrics. The per-point rebuild path that OtaPrototype (and with it every
+/// OtaEvaluator measurement) must reproduce bit for bit.
+[[nodiscard]] circuits::OtaPerformance
+rebuild_measure(const circuits::OtaConfig& config,
+                const circuits::OtaSizing& sizing,
+                const process::Realization* realization = nullptr);
+
+/// Filter measurement on a freshly built filter of the given OTA model
+/// kind: the oracle of FilterPrototype / FilterEvaluator::measure.
+[[nodiscard]] circuits::FilterPerformance
+rebuild_measure(const circuits::FilterEvaluator& evaluator,
+                const circuits::FilterSizing& sizing,
+                circuits::OtaModelKind kind);
+
+/// Textbook LU with row partial pivoting (P*A = L*U): copies the matrix,
+/// picks pivots by std::abs, and keeps the permutation sign for the
+/// determinant. The reference linalg::InplaceLu must match bit for bit.
+template <typename T>
+class ReferenceLu {
+public:
+    /// Factor a square matrix. \throws ypm::NumericalError if singular to
+    /// working precision (or not square).
+    explicit ReferenceLu(linalg::Matrix<T> a);
+
+    /// Solve A x = b.
+    [[nodiscard]] std::vector<T> solve(const std::vector<T>& b) const;
+
+    /// Determinant (product of pivots with sign of permutation).
+    [[nodiscard]] T determinant() const;
+
+    /// Reciprocal of the pivot-growth conditioning heuristic:
+    /// min |pivot| / max |pivot|. Near zero indicates ill-conditioning.
+    [[nodiscard]] double pivot_ratio() const { return pivot_ratio_; }
+
+private:
+    linalg::Matrix<T> lu_;
+    std::vector<std::size_t> perm_;
+    int sign_ = 1;
+    double pivot_ratio_ = 0.0;
+};
+
+extern template class ReferenceLu<double>;
+extern template class ReferenceLu<std::complex<double>>;
+
+} // namespace ypm::testsupport

@@ -1,8 +1,12 @@
-// Dedicated suite for the engine's async streaming dispatch: submit()/wait()
-// must be bit-identical to evaluate() - results, cache behaviour and ledger
-// counters - for all four kernel kinds, with the cache on and off; plus the
-// ticket discipline (in-order retirement, out-of-order waits, error
-// delivery, misuse) and the overlapped Monte Carlo entry points.
+// Dedicated suite for the engine's one kernel shape (eval::ChunkKernelFn)
+// and its async streaming dispatch, parametrised over {deterministic,
+// stochastic} x {serial, parallel} x {cache on, off}: submit()/wait() must
+// be bit-identical to evaluate() - results, cache behaviour, ledger counters
+// and RNG streams - with tracing on or off, every row must equal the
+// per-request reference, and the fail-row, wrong-arity and foreign-ticket
+// cases must behave identically in every configuration. Plus the ticket
+// discipline (in-order retirement, out-of-order waits, error delivery,
+// misuse) and the overlapped Monte Carlo entry points.
 
 #include <gtest/gtest.h>
 
@@ -10,18 +14,21 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/ota_mc.hpp"
 #include "eval/engine.hpp"
 #include "mc/monte_carlo.hpp"
 #include "obs/trace.hpp"
+#include "support/kernels.hpp"
 #include "util/error.hpp"
 
 namespace {
 
 using namespace ypm;
 using namespace ypm::eval;
+using testsupport::per_item;
 
 constexpr double nan_v = std::numeric_limits<double>::quiet_NaN();
 
@@ -44,23 +51,36 @@ EvalBatch toy_batch(std::size_t n, double offset = 0.0) {
 
 /// Sequence of batches covering the interesting shapes: distinct points,
 /// repeats of an earlier batch (LRU hits), within-batch duplicates
-/// (dedup aliases) and a NaN-failing point.
+/// (dedup aliases), a NaN-failing point and an empty-row failure.
 std::vector<EvalBatch> batch_sequence() {
     std::vector<EvalBatch> seq;
     seq.push_back(toy_batch(17));
     seq.push_back(toy_batch(17));      // full repeat -> cache hits
     EvalBatch dups;
     for (int rep = 0; rep < 4; ++rep) dups.add({2.0, 3.0});
-    dups.add({-1.0, 1.0});             // NaN-failing point (see fail_kernel)
+    dups.add({-1.0, 1.0});             // NaN-failing point (see the kernels)
     dups.add({-1.0, 1.0});             // ... and its dedup alias
+    dups.add({-2.0, 1.0});             // empty-row failure
     seq.push_back(std::move(dups));
     seq.push_back(toy_batch(5, 100.0));
     return seq;
 }
 
+/// Failure conventions shared by both kernel flavours: params[0] in
+/// (-2, 0) fails with a NaN row, params[0] <= -2 with an empty row.
+std::vector<double> failure_row(const EvalRequest& r) {
+    if (r.params[0] <= -2.0) return {};
+    return {nan_v, nan_v};
+}
+
 std::vector<double> fail_kernel(const EvalRequest& r) {
-    if (r.params[0] < 0.0) return {nan_v, nan_v};
+    if (r.params[0] < 0.0) return failure_row(r);
     return toy_kernel(r);
+}
+
+std::vector<double> stochastic_fail_kernel(const EvalRequest& r, Rng& rng) {
+    if (r.params[0] < 0.0) return failure_row(r);
+    return {rng.gauss(r.params[0], 1.0), rng.uniform01()};
 }
 
 /// Bit-identical rows: memcmp over the double bit patterns, so NaN failure
@@ -103,103 +123,73 @@ EngineConfig config_with_cache(bool cache) {
     return config;
 }
 
-// --------------------------------------------------- four kernel kinds
+// ------------------------------------------ the one kernel shape, 8 ways
 
-TEST(AsyncEquivalence, DeterministicKernel) {
-    for (bool cache : {true, false}) {
-        Engine blocking(config_with_cache(cache));
-        Engine async(config_with_cache(cache));
-        std::vector<std::vector<EvalResult>> blocking_results, async_results;
-        for (const EvalBatch& batch : batch_sequence())
-            blocking_results.push_back(
-                blocking.evaluate(batch, KernelFn(fail_kernel)));
-        for (const EvalBatch& batch : batch_sequence())
-            async_results.push_back(
-                async.wait(async.submit(batch, KernelFn(fail_kernel))));
-        expect_same_results(blocking_results, async_results);
-        expect_same_counters(blocking.counters(), async.counters());
-    }
+struct EngineCase {
+    bool stochastic;
+    bool parallel;
+    bool cache;
+};
+
+std::string case_name(const ::testing::TestParamInfo<EngineCase>& info) {
+    const EngineCase& c = info.param;
+    return std::string(c.stochastic ? "Stochastic" : "Deterministic") +
+           (c.parallel ? "Parallel" : "Serial") +
+           (c.cache ? "CacheOn" : "CacheOff");
 }
 
-TEST(AsyncEquivalence, ChunkKernel) {
-    const auto chunk_kernel =
-        BatchKernelFn([](const std::vector<const EvalRequest*>& reqs) {
-            std::vector<std::vector<double>> out;
-            out.reserve(reqs.size());
-            for (const auto* r : reqs) out.push_back(fail_kernel(*r));
-            return out;
-        });
-    for (bool cache : {true, false}) {
-        Engine blocking(config_with_cache(cache));
-        Engine async(config_with_cache(cache));
-        std::vector<std::vector<EvalResult>> blocking_results, async_results;
-        for (const EvalBatch& batch : batch_sequence())
-            blocking_results.push_back(blocking.evaluate(batch, chunk_kernel));
-        for (const EvalBatch& batch : batch_sequence())
-            async_results.push_back(async.wait(async.submit(batch, chunk_kernel)));
-        expect_same_results(blocking_results, async_results);
-        expect_same_counters(blocking.counters(), async.counters());
+class KernelShape : public ::testing::TestWithParam<EngineCase> {
+protected:
+    [[nodiscard]] EngineConfig config(std::size_t threads = 0) const {
+        EngineConfig config = config_with_cache(GetParam().cache);
+        config.parallel = GetParam().parallel;
+        config.threads = threads;
+        return config;
     }
+
+    [[nodiscard]] ChunkKernelFn kernel() const {
+        return GetParam().stochastic ? per_item(stochastic_fail_kernel)
+                                     : per_item(fail_kernel);
+    }
+
+    /// Submit the whole sequence, either blocking (evaluate per batch) or
+    /// as submit()+wait() per batch; stochastic runs draw from one Rng.
+    [[nodiscard]] std::vector<std::vector<EvalResult>>
+    run(Engine& engine, bool async) const {
+        const ChunkKernelFn k = kernel();
+        Rng rng(42);
+        std::vector<std::vector<EvalResult>> out;
+        for (const EvalBatch& batch : batch_sequence()) {
+            if (GetParam().stochastic)
+                out.push_back(async ? engine.wait(engine.submit(batch, k, rng))
+                                    : engine.evaluate(batch, k, rng));
+            else
+                out.push_back(async ? engine.wait(engine.submit(batch, k))
+                                    : engine.evaluate(batch, k));
+        }
+        return out;
+    }
+};
+
+TEST_P(KernelShape, SubmitWaitMatchesEvaluate) {
+    Engine blocking(config()), async(config());
+    const auto a = run(blocking, false);
+    const auto b = run(async, true);
+    expect_same_results(a, b);
+    expect_same_counters(blocking.counters(), async.counters());
 }
 
-TEST(AsyncEquivalence, StochasticKernel) {
-    const auto kernel = StochasticKernelFn([](const EvalRequest& r, Rng& rng) {
-        return std::vector<double>{rng.gauss(r.params[0], 1.0), rng.uniform01()};
-    });
-    for (bool cache : {true, false}) {
-        Engine blocking(config_with_cache(cache));
-        Engine async(config_with_cache(cache));
-        Rng r1(42), r2(42);
-        std::vector<std::vector<EvalResult>> blocking_results, async_results;
-        for (const EvalBatch& batch : batch_sequence())
-            blocking_results.push_back(blocking.evaluate(batch, kernel, r1));
-        for (const EvalBatch& batch : batch_sequence())
-            async_results.push_back(async.wait(async.submit(batch, kernel, r2)));
-        expect_same_results(blocking_results, async_results);
-        expect_same_counters(blocking.counters(), async.counters());
-    }
-}
-
-TEST(AsyncEquivalence, StochasticChunkKernel) {
-    const auto kernel = StochasticBatchKernelFn(
-        [](const std::vector<const EvalRequest*>& reqs, std::span<Rng> rngs) {
-            std::vector<std::vector<double>> out;
-            out.reserve(reqs.size());
-            for (std::size_t k = 0; k < reqs.size(); ++k)
-                out.push_back({rngs[k].gauss(reqs[k]->params[0], 1.0),
-                               rngs[k].uniform01()});
-            return out;
-        });
-    for (bool cache : {true, false}) {
-        Engine blocking(config_with_cache(cache));
-        Engine async(config_with_cache(cache));
-        Rng r1(13), r2(13);
-        std::vector<std::vector<EvalResult>> blocking_results, async_results;
-        for (const EvalBatch& batch : batch_sequence())
-            blocking_results.push_back(blocking.evaluate(batch, kernel, r1));
-        for (const EvalBatch& batch : batch_sequence())
-            async_results.push_back(async.wait(async.submit(batch, kernel, r2)));
-        expect_same_results(blocking_results, async_results);
-        expect_same_counters(blocking.counters(), async.counters());
-    }
-}
-
-// ------------------------------------------------- tracing bit-identity
-
-/// Runs the batch sequence twice on fresh engines - tracing off, then on -
-/// and requires bit-identical results and ledger counters. Spans and
-/// metrics are observational only; this is that contract's enforcement
-/// point, exercised for every kernel kind.
-template <typename RunFn>
-void expect_tracing_invariant(RunFn run) {
+TEST_P(KernelShape, TracingIsBitIdentical) {
+    // Spans and metrics are observational only: tracing on must leave
+    // results and ledger untouched.
     obs::Tracer::global().clear();
     ASSERT_FALSE(obs::Tracer::enabled());
-    Engine plain(config_with_cache(true));
-    const auto untraced = run(plain);
+    Engine plain(config());
+    const auto untraced = run(plain, true);
 
     obs::Tracer::set_enabled(true);
-    Engine traced(config_with_cache(true));
-    const auto traced_results = run(traced);
+    Engine traced(config());
+    const auto traced_results = run(traced, true);
     obs::Tracer::set_enabled(false);
 
     // Spans were actually recorded - the invariant is not vacuous.
@@ -208,62 +198,118 @@ void expect_tracing_invariant(RunFn run) {
     expect_same_counters(plain.counters(), traced.counters());
 }
 
-TEST(TracingBitIdentity, DeterministicKernel) {
-    expect_tracing_invariant([](Engine& e) {
-        std::vector<std::vector<EvalResult>> out;
-        for (const EvalBatch& batch : batch_sequence())
-            out.push_back(e.wait(e.submit(batch, KernelFn(fail_kernel))));
-        return out;
-    });
+TEST_P(KernelShape, RowsMatchPerRequestReferenceAndStreams) {
+    // Every row equals its request evaluated alone; stochastic rows use the
+    // documented stream derivation: base = rng.child(rng.engine()()) per
+    // batch, item i gets base.child(i), whichever chunk it lands in.
+    Engine engine(config());
+    const auto results = run(engine, true);
+    const auto seq = batch_sequence();
+    Rng rng(42);
+    for (std::size_t b = 0; b < seq.size(); ++b) {
+        const Rng base = rng.child(rng.engine()());
+        for (std::size_t i = 0; i < seq[b].size(); ++i) {
+            Rng item_rng = base.child(i);
+            const auto expected =
+                GetParam().stochastic
+                    ? stochastic_fail_kernel(seq[b].items[i], item_rng)
+                    : fail_kernel(seq[b].items[i]);
+            // Stochastic duplicates keep their own streams (salted per
+            // item), so they never alias.
+            expect_bits_identical(results[b][i].values, expected, b, i);
+        }
+    }
 }
 
-TEST(TracingBitIdentity, ChunkKernel) {
-    const auto kernel =
-        BatchKernelFn([](const std::vector<const EvalRequest*>& reqs) {
-            std::vector<std::vector<double>> rows;
-            rows.reserve(reqs.size());
-            for (const auto* r : reqs) rows.push_back(fail_kernel(*r));
-            return rows;
-        });
-    expect_tracing_invariant([&kernel](Engine& e) {
-        std::vector<std::vector<EvalResult>> out;
-        for (const EvalBatch& batch : batch_sequence())
-            out.push_back(e.wait(e.submit(batch, kernel)));
-        return out;
-    });
+TEST_P(KernelShape, LedgerAndCacheAccounting) {
+    Engine engine(config());
+    const auto results = run(engine, true);
+    std::size_t requests = 0, cached = 0, failed = 0;
+    for (const auto& batch : results)
+        for (const EvalResult& r : batch) {
+            ++requests;
+            if (r.from_cache) ++cached;
+            if (r.failed()) ++failed;
+        }
+    const EngineCounters c = engine.counters();
+    EXPECT_EQ(c.requests, requests);
+    EXPECT_EQ(c.cache_hits, cached);
+    EXPECT_EQ(c.evaluations + c.cache_hits, c.requests);
+    // Failures are charged once per request: the NaN point, its alias and
+    // the empty-row point.
+    EXPECT_EQ(c.failures, failed);
+    EXPECT_EQ(failed, 3u);
+    if (!GetParam().cache) {
+        EXPECT_EQ(c.cache_hits, 0u);
+        EXPECT_EQ(engine.cache_size(), 0u);
+    } else if (GetParam().stochastic) {
+        // Per-item stream salts: a stochastic point never repeats, so
+        // neither the repeated batch nor the in-batch duplicates hit.
+        EXPECT_EQ(c.cache_hits, 0u);
+    } else {
+        // The repeated 17-point batch plus four in-batch aliases
+        // ({2, 3} x 3 and the NaN point's alias).
+        EXPECT_EQ(c.cache_hits, 17u + 4u);
+    }
 }
 
-TEST(TracingBitIdentity, StochasticKernel) {
-    const auto kernel = StochasticKernelFn([](const EvalRequest& r, Rng& rng) {
-        return std::vector<double>{rng.gauss(r.params[0], 1.0), rng.uniform01()};
-    });
-    expect_tracing_invariant([&kernel](Engine& e) {
-        Rng rng(42);
-        std::vector<std::vector<EvalResult>> out;
-        for (const EvalBatch& batch : batch_sequence())
-            out.push_back(e.wait(e.submit(batch, kernel, rng)));
-        return out;
-    });
+TEST_P(KernelShape, ThreadCountInvariant) {
+    std::vector<std::vector<std::vector<EvalResult>>> runs;
+    for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+        Engine engine(config(threads));
+        runs.push_back(run(engine, true));
+    }
+    for (std::size_t t = 1; t < runs.size(); ++t)
+        expect_same_results(runs[0], runs[t]);
 }
 
-TEST(TracingBitIdentity, StochasticChunkKernel) {
-    const auto kernel = StochasticBatchKernelFn(
-        [](const std::vector<const EvalRequest*>& reqs, std::span<Rng> rngs) {
-            std::vector<std::vector<double>> rows;
-            rows.reserve(reqs.size());
-            for (std::size_t k = 0; k < reqs.size(); ++k)
-                rows.push_back({rngs[k].gauss(reqs[k]->params[0], 1.0),
-                                rngs[k].uniform01()});
-            return rows;
-        });
-    expect_tracing_invariant([&kernel](Engine& e) {
-        Rng rng(13);
-        std::vector<std::vector<EvalResult>> out;
-        for (const EvalBatch& batch : batch_sequence())
-            out.push_back(e.wait(e.submit(batch, kernel, rng)));
-        return out;
-    });
+TEST_P(KernelShape, WrongArityThrowsAtItsOwnTicket) {
+    Engine engine(config());
+    const ChunkKernelFn short_rows =
+        [](const std::vector<const EvalRequest*>&, std::span<Rng>) {
+            return std::vector<std::vector<double>>{};
+        };
+    Rng rng(1);
+    auto bad = GetParam().stochastic ? engine.submit(toy_batch(4), short_rows, rng)
+                                     : engine.submit(toy_batch(4), short_rows);
+    auto good = engine.submit(toy_batch(4, 9.0), per_item(toy_kernel));
+    // Waiting the later ticket retires the errored batch on the way; its
+    // error stays parked on its own ticket, and the ledger keeps only the
+    // errored batch's request count.
+    const auto results = engine.wait(good);
+    ASSERT_EQ(results.size(), 4u);
+    EXPECT_FALSE(results.front().failed());
+    EXPECT_THROW((void)engine.wait(bad), InvalidInputError);
+    EXPECT_EQ(engine.counters().requests, 8u);
+    EXPECT_EQ(engine.counters().evaluations, 4u);
 }
+
+TEST_P(KernelShape, ForeignTicketIsRejectedWithoutDraining) {
+    Engine owner(config()), other(config());
+    Rng rng(3);
+    auto ticket = GetParam().stochastic
+                      ? owner.submit(toy_batch(6), kernel(), rng)
+                      : owner.submit(toy_batch(6), kernel());
+    auto mine = other.submit(toy_batch(2), per_item(toy_kernel));
+    EXPECT_THROW((void)other.wait(ticket), InvalidInputError);
+    // The rejection happens before any retirement on either engine.
+    EXPECT_EQ(other.in_flight(), 1u);
+    EXPECT_EQ(owner.in_flight(), 1u);
+    EXPECT_EQ(owner.wait(ticket).size(), 6u);
+    EXPECT_EQ(other.wait(mine).size(), 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engine, KernelShape,
+    ::testing::Values(EngineCase{false, false, false},
+                      EngineCase{false, false, true},
+                      EngineCase{false, true, false},
+                      EngineCase{false, true, true},
+                      EngineCase{true, false, false},
+                      EngineCase{true, false, true},
+                      EngineCase{true, true, false},
+                      EngineCase{true, true, true}),
+    case_name);
 
 // ----------------------------------------------------- ticket discipline
 
@@ -271,7 +317,8 @@ TEST(AsyncTickets, ManyBatchesInFlightRetireInSubmissionOrder) {
     Engine engine;
     std::vector<Engine::Ticket> tickets;
     for (std::size_t b = 0; b < 8; ++b)
-        tickets.push_back(engine.submit(toy_batch(32, 10.0 * b), KernelFn(toy_kernel)));
+        tickets.push_back(
+            engine.submit(toy_batch(32, 10.0 * b), per_item(toy_kernel)));
     EXPECT_EQ(engine.in_flight(), 8u);
     for (std::size_t b = 0; b < 8; ++b) {
         const auto results = engine.wait(tickets[b]);
@@ -289,8 +336,8 @@ TEST(AsyncTickets, ManyBatchesInFlightRetireInSubmissionOrder) {
 
 TEST(AsyncTickets, OutOfOrderWaitRetiresEarlierBatchesFirst) {
     Engine engine;
-    auto t1 = engine.submit(toy_batch(16), KernelFn(toy_kernel));
-    auto t2 = engine.submit(toy_batch(16, 50.0), KernelFn(toy_kernel));
+    auto t1 = engine.submit(toy_batch(16), per_item(toy_kernel));
+    auto t2 = engine.submit(toy_batch(16, 50.0), per_item(toy_kernel));
     // Waiting the newer ticket retires the older batch first (ledger and
     // cache updates stay in submission order), then the older ticket's
     // results are still available.
@@ -308,16 +355,16 @@ TEST(AsyncTickets, CacheVisibilityFollowsRetirementOrder) {
     // path; submitting B while A is still in flight deterministically
     // re-evaluates (lookups happen at submission, insertions at retirement).
     Engine sequential;
-    auto a1 = sequential.submit(toy_batch(8), KernelFn(toy_kernel));
+    auto a1 = sequential.submit(toy_batch(8), per_item(toy_kernel));
     (void)sequential.wait(a1);
-    auto a2 = sequential.submit(toy_batch(8), KernelFn(toy_kernel));
+    auto a2 = sequential.submit(toy_batch(8), per_item(toy_kernel));
     (void)sequential.wait(a2);
     EXPECT_EQ(sequential.counters().evaluations, 8u);
     EXPECT_EQ(sequential.counters().cache_hits, 8u);
 
     Engine overlapped;
-    auto b1 = overlapped.submit(toy_batch(8), KernelFn(toy_kernel));
-    auto b2 = overlapped.submit(toy_batch(8), KernelFn(toy_kernel));
+    auto b1 = overlapped.submit(toy_batch(8), per_item(toy_kernel));
+    auto b2 = overlapped.submit(toy_batch(8), per_item(toy_kernel));
     (void)overlapped.wait(b1);
     (void)overlapped.wait(b2);
     EXPECT_EQ(overlapped.counters().evaluations, 16u);
@@ -327,10 +374,11 @@ TEST(AsyncTickets, CacheVisibilityFollowsRetirementOrder) {
 TEST(AsyncTickets, KernelErrorSurfacesAtTheFaultyTicketsWait) {
     Engine engine;
     auto bad = engine.submit(
-        toy_batch(4), BatchKernelFn([](const std::vector<const EvalRequest*>&) {
+        toy_batch(4),
+        ChunkKernelFn([](const std::vector<const EvalRequest*>&, std::span<Rng>) {
             return std::vector<std::vector<double>>{}; // wrong arity
         }));
-    auto good = engine.submit(toy_batch(4, 9.0), KernelFn(toy_kernel));
+    auto good = engine.submit(toy_batch(4, 9.0), per_item(toy_kernel));
     EXPECT_THROW((void)engine.wait(bad), InvalidInputError);
     // The later batch is unaffected by the earlier failure.
     const auto results = engine.wait(good);
@@ -338,24 +386,10 @@ TEST(AsyncTickets, KernelErrorSurfacesAtTheFaultyTicketsWait) {
     EXPECT_FALSE(results.front().failed());
 }
 
-TEST(AsyncTickets, ErroredEarlierBatchDoesNotPoisonLaterWait) {
-    Engine engine;
-    auto bad = engine.submit(
-        toy_batch(4), BatchKernelFn([](const std::vector<const EvalRequest*>&) {
-            return std::vector<std::vector<double>>{};
-        }));
-    auto good = engine.submit(toy_batch(4, 9.0), KernelFn(toy_kernel));
-    // Waiting the *later* ticket retires the errored batch on the way; its
-    // error stays parked on its own ticket.
-    const auto results = engine.wait(good);
-    ASSERT_EQ(results.size(), 4u);
-    EXPECT_THROW((void)engine.wait(bad), InvalidInputError);
-}
-
 TEST(AsyncTickets, TicketMisuseIsRejected) {
     Engine engine;
     EXPECT_THROW((void)engine.wait(Engine::Ticket{}), InvalidInputError);
-    auto ticket = engine.submit(toy_batch(4), KernelFn(toy_kernel));
+    auto ticket = engine.submit(toy_batch(4), per_item(toy_kernel));
     auto copy = ticket;
     (void)engine.wait(ticket);
     EXPECT_THROW((void)engine.wait(copy), InvalidInputError); // consumed
@@ -365,31 +399,16 @@ TEST(AsyncTickets, DestructorDrainsInFlightBatches) {
     std::atomic<int> calls{0};
     {
         Engine engine;
-        auto t1 = engine.submit(toy_batch(64), KernelFn([&calls](const EvalRequest& r) {
-                                    calls.fetch_add(1);
-                                    return toy_kernel(r);
-                                }));
-        auto t2 = engine.submit(toy_batch(64, 7.0), KernelFn([&calls](const EvalRequest& r) {
-                                    calls.fetch_add(1);
-                                    return toy_kernel(r);
-                                }));
+        const auto counting = per_item([&calls](const EvalRequest& r) {
+            calls.fetch_add(1);
+            return toy_kernel(r);
+        });
+        auto t1 = engine.submit(toy_batch(64), counting);
+        auto t2 = engine.submit(toy_batch(64, 7.0), counting);
         (void)t1;
         (void)t2; // dropped without wait(): the engine must drain safely
     }
     EXPECT_EQ(calls.load(), 128);
-}
-
-TEST(AsyncTickets, SerialEngineSubmitWaitMatchesBlocking) {
-    EngineConfig serial;
-    serial.parallel = false;
-    Engine blocking(serial), async(serial);
-    std::vector<std::vector<EvalResult>> a, b;
-    for (const EvalBatch& batch : batch_sequence())
-        a.push_back(blocking.evaluate(batch, KernelFn(fail_kernel)));
-    for (const EvalBatch& batch : batch_sequence())
-        b.push_back(async.wait(async.submit(batch, KernelFn(fail_kernel))));
-    expect_same_results(a, b);
-    expect_same_counters(blocking.counters(), async.counters());
 }
 
 // --------------------------------------------------- Monte Carlo bridge

@@ -1,7 +1,8 @@
 // Unit tests for src/eval: the unified batched evaluation engine - LRU
-// memoisation, within-batch dedup, deterministic stochastic child streams
-// across thread counts, NaN failure propagation, counters, and equivalence
-// of the scalar / batch / engine paths for moo problems and the MC runner.
+// memoisation, within-batch dedup, NaN failure propagation, counters, and
+// the moo / Monte Carlo bridges onto the engine. The kernel-shape matrix
+// (deterministic/stochastic x serial/parallel x cache on/off) lives in
+// test_async.cpp.
 
 #include <gtest/gtest.h>
 
@@ -15,12 +16,15 @@
 #include "moo/population_eval.hpp"
 #include "moo/test_problems.hpp"
 #include "moo/wbga.hpp"
+#include "support/kernels.hpp"
 #include "util/error.hpp"
 
 namespace {
 
 using namespace ypm;
 using namespace ypm::eval;
+using testsupport::per_item;
+using testsupport::per_sample;
 
 constexpr double nan_v = std::numeric_limits<double>::quiet_NaN();
 
@@ -106,23 +110,11 @@ TEST(LruCache, RefreshAtCapacityKeepsSizeAndEvictionOrder) {
 
 // ----------------------------------------------------------------- engine
 
-TEST(Engine, BatchMatchesScalarKernel) {
-    Engine engine;
-    const EvalBatch batch = toy_batch(33);
-    const auto results = engine.evaluate(batch, KernelFn(toy_kernel));
-    ASSERT_EQ(results.size(), 33u);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const auto direct = toy_kernel(batch.items[i]);
-        EXPECT_EQ(results[i].values, direct);
-        EXPECT_FALSE(results[i].from_cache);
-    }
-}
-
 TEST(Engine, CacheHitsOnRepeatedPoints) {
     Engine engine;
     const EvalBatch batch = toy_batch(8);
-    const auto first = engine.evaluate(batch, KernelFn(toy_kernel));
-    const auto second = engine.evaluate(batch, KernelFn(toy_kernel));
+    const auto first = engine.evaluate(batch, per_item(toy_kernel));
+    const auto second = engine.evaluate(batch, per_item(toy_kernel));
     ASSERT_EQ(second.size(), first.size());
     for (std::size_t i = 0; i < first.size(); ++i) {
         EXPECT_TRUE(second[i].from_cache);
@@ -139,7 +131,7 @@ TEST(Engine, WithinBatchDedupEvaluatesOnce) {
     for (int rep = 0; rep < 5; ++rep) batch.add({3.0, 4.0});
     std::atomic<int> calls{0};
     const auto results = engine.evaluate(
-        batch, KernelFn([&calls](const EvalRequest& r) {
+        batch, per_item([&calls](const EvalRequest& r) {
             ++calls;
             return toy_kernel(r);
         }));
@@ -155,9 +147,9 @@ TEST(Engine, TagSeparatesKernelKeySpaces) {
     a.add({1.0, 2.0});
     EvalBatch b(77); // same point, different kernel tag
     b.add({1.0, 2.0});
-    const auto ra = engine.evaluate(a, KernelFn(toy_kernel));
+    const auto ra = engine.evaluate(a, per_item(toy_kernel));
     const auto rb = engine.evaluate(
-        b, KernelFn([](const EvalRequest&) { return std::vector<double>{9.0}; }));
+        b, per_item([](const EvalRequest&) { return std::vector<double>{9.0}; }));
     EXPECT_FALSE(rb.front().from_cache);
     EXPECT_EQ(rb.front().values, std::vector<double>{9.0});
     EXPECT_NE(ra.front().values, rb.front().values);
@@ -167,8 +159,8 @@ TEST(Engine, NonCacheableItemsBypassCache) {
     Engine engine;
     EvalBatch batch;
     batch.add({1.0}, kNominalProcess, false);
-    const auto first = engine.evaluate(batch, KernelFn(toy_kernel));
-    const auto second = engine.evaluate(batch, KernelFn(toy_kernel));
+    const auto first = engine.evaluate(batch, per_item(toy_kernel));
+    const auto second = engine.evaluate(batch, per_item(toy_kernel));
     EXPECT_FALSE(second.front().from_cache);
     EXPECT_EQ(engine.counters().evaluations, 2u);
     EXPECT_EQ(engine.counters().cache_hits, 0u);
@@ -178,7 +170,7 @@ TEST(Engine, NanFailurePropagates) {
     Engine engine;
     EvalBatch batch = toy_batch(6);
     const auto results = engine.evaluate(
-        batch, KernelFn([](const EvalRequest& r) -> std::vector<double> {
+        batch, per_item([](const EvalRequest& r) -> std::vector<double> {
             if (r.params[0] >= 3.0) return {nan_v, 1.0};
             return toy_kernel(r);
         }));
@@ -201,7 +193,7 @@ TEST(Engine, DedupAliasOfFailedSourcePropagatesFailure) {
     EvalBatch batch;
     for (int rep = 0; rep < 5; ++rep) batch.add({3.0, 4.0});
     const auto results = engine.evaluate(
-        batch, KernelFn([](const EvalRequest&) -> std::vector<double> {
+        batch, per_item([](const EvalRequest&) -> std::vector<double> {
             return {nan_v, 1.0};
         }));
     ASSERT_EQ(results.size(), 5u);
@@ -216,7 +208,7 @@ TEST(Engine, CacheHitOfFailedPointCountsAsFailure) {
     // row is a request answered by a known-failed evaluation, so it must be
     // flagged and charged exactly like a within-batch alias would be.
     Engine engine;
-    const auto kernel = KernelFn(
+    const auto kernel = per_item(
         [](const EvalRequest&) -> std::vector<double> { return {nan_v, 1.0}; });
     EvalBatch batch;
     batch.add({6.0, 6.0});
@@ -237,7 +229,7 @@ TEST(Engine, DedupAliasOfEmptyRowFailurePropagates) {
     EvalBatch batch;
     for (int rep = 0; rep < 3; ++rep) batch.add({7.0});
     const auto kernel =
-        KernelFn([](const EvalRequest&) { return std::vector<double>{}; });
+        per_item([](const EvalRequest&) { return std::vector<double>{}; });
     const auto results = engine.evaluate(batch, kernel);
     for (const auto& r : results) EXPECT_TRUE(r.failed());
     EXPECT_EQ(engine.counters().failures, 3u);
@@ -253,154 +245,32 @@ TEST(Engine, DedupAliasOfEmptyRowFailurePropagates) {
     EXPECT_EQ(engine.counters().evaluations, 2u);
 }
 
-TEST(Engine, DeterministicAcrossThreadCounts) {
-    auto kernel = StochasticKernelFn([](const EvalRequest& r, Rng& rng) {
-        return std::vector<double>{rng.gauss(r.params[0], 1.0), rng.uniform01()};
-    });
-    std::vector<std::vector<EvalResult>> runs;
-    for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-        EngineConfig config;
-        config.threads = threads;
-        Engine engine(config);
-        Rng rng(42);
-        runs.push_back(engine.evaluate(toy_batch(64), kernel, rng));
-    }
-    for (std::size_t t = 1; t < runs.size(); ++t) {
-        ASSERT_EQ(runs[t].size(), runs[0].size());
-        for (std::size_t i = 0; i < runs[0].size(); ++i)
-            EXPECT_EQ(runs[t][i].values, runs[0][i].values)
-                << "thread-count run " << t << ", item " << i;
-    }
-}
-
-TEST(Engine, SerialAndParallelIdentical) {
-    auto kernel = StochasticKernelFn([](const EvalRequest&, Rng& rng) {
-        return std::vector<double>{rng.uniform01()};
-    });
-    EngineConfig serial;
-    serial.parallel = false;
-    Engine e1(serial), e2;
-    Rng r1(7), r2(7);
-    const auto a = e1.evaluate(toy_batch(32), kernel, r1);
-    const auto b = e2.evaluate(toy_batch(32), kernel, r2);
-    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].values, b[i].values);
-}
-
 TEST(Engine, LruEvictionForcesReEvaluation) {
     EngineConfig config;
     config.cache_capacity = 2;
     Engine engine(config);
     EvalBatch one;
     one.add({1.0});
-    (void)engine.evaluate(one, KernelFn(toy_kernel));
-    (void)engine.evaluate(toy_batch(4), KernelFn(toy_kernel)); // evicts {1.0}
-    const auto again = engine.evaluate(one, KernelFn(toy_kernel));
+    (void)engine.evaluate(one, per_item(toy_kernel));
+    (void)engine.evaluate(toy_batch(4), per_item(toy_kernel)); // evicts {1.0}
+    const auto again = engine.evaluate(one, per_item(toy_kernel));
     EXPECT_FALSE(again.front().from_cache);
     EXPECT_EQ(engine.counters().evaluations, 6u);
 }
 
-TEST(Engine, ChunkKernelMatchesScalar) {
-    Engine engine;
-    const EvalBatch batch = toy_batch(23);
-    const auto scalar = engine.evaluate(batch, KernelFn(toy_kernel));
-    engine.clear_cache();
-    const auto chunked = engine.evaluate(
-        batch, BatchKernelFn([](const std::vector<const EvalRequest*>& reqs) {
-            std::vector<std::vector<double>> out;
-            for (const auto* r : reqs) out.push_back(toy_kernel(*r));
-            return out;
-        }));
-    for (std::size_t i = 0; i < scalar.size(); ++i)
-        EXPECT_EQ(chunked[i].values, scalar[i].values);
-}
-
-TEST(Engine, StochasticChunkKernelMatchesScalar) {
-    // The chunked stochastic path must reproduce the scalar stochastic
-    // path sample-for-sample: same child streams, same salts, any chunking.
-    auto scalar_kernel = StochasticKernelFn([](const EvalRequest& r, Rng& rng) {
-        return std::vector<double>{rng.gauss(r.params[0], 1.0), rng.uniform01()};
-    });
-    auto chunk_kernel = StochasticBatchKernelFn(
-        [](const std::vector<const EvalRequest*>& reqs, std::span<Rng> rngs) {
-            std::vector<std::vector<double>> out;
-            for (std::size_t k = 0; k < reqs.size(); ++k)
-                out.push_back({rngs[k].gauss(reqs[k]->params[0], 1.0),
-                               rngs[k].uniform01()});
-            return out;
-        });
-    Engine e1, e2;
-    Rng r1(13), r2(13);
-    const auto scalar = e1.evaluate(toy_batch(48), scalar_kernel, r1);
-    const auto chunked = e2.evaluate(toy_batch(48), chunk_kernel, r2);
-    ASSERT_EQ(chunked.size(), scalar.size());
-    for (std::size_t i = 0; i < scalar.size(); ++i)
-        EXPECT_EQ(chunked[i].values, scalar[i].values) << "item " << i;
-}
-
-TEST(Engine, StochasticChunkKernelThreadCountInvariant) {
-    auto kernel = StochasticBatchKernelFn(
-        [](const std::vector<const EvalRequest*>& reqs, std::span<Rng> rngs) {
-            std::vector<std::vector<double>> out;
-            for (std::size_t k = 0; k < reqs.size(); ++k)
-                out.push_back({rngs[k].uniform01()});
-            return out;
-        });
-    std::vector<std::vector<EvalResult>> runs;
-    for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-        EngineConfig config;
-        config.threads = threads;
-        Engine engine(config);
-        Rng rng(99);
-        runs.push_back(engine.evaluate(toy_batch(64), kernel, rng));
-    }
-    for (std::size_t t = 1; t < runs.size(); ++t)
-        for (std::size_t i = 0; i < runs[0].size(); ++i)
-            EXPECT_EQ(runs[t][i].values, runs[0][i].values)
-                << "thread-count run " << t << ", item " << i;
-}
-
-TEST(Engine, StochasticChunkKernelArityChecked) {
-    EngineConfig config;
-    config.parallel = false;
-    Engine engine(config);
-    Rng rng(1);
-    EXPECT_THROW(
-        (void)engine.evaluate(
-            toy_batch(4),
-            StochasticBatchKernelFn(
-                [](const std::vector<const EvalRequest*>&, std::span<Rng>) {
-                    return std::vector<std::vector<double>>{};
-                }),
-            rng),
-        InvalidInputError);
-}
-
-TEST(Engine, ChunkKernelArityChecked) {
-    EngineConfig config;
-    config.parallel = false;
-    Engine engine(config);
-    EXPECT_THROW(
-        (void)engine.evaluate(
-            toy_batch(4),
-            BatchKernelFn([](const std::vector<const EvalRequest*>&) {
-                return std::vector<std::vector<double>>{};
-            })),
-        InvalidInputError);
-}
-
 TEST(Engine, EmptyBatchIsANoOp) {
     Engine engine;
-    const auto results = engine.evaluate(EvalBatch{}, KernelFn(toy_kernel));
+    const auto results = engine.evaluate(EvalBatch{}, per_item(toy_kernel));
     EXPECT_TRUE(results.empty());
     EXPECT_EQ(engine.counters().requests, 0u);
 }
 
 TEST(Engine, WallTimeAccumulates) {
     Engine engine;
-    (void)engine.evaluate(toy_batch(16), KernelFn(toy_kernel));
+    (void)engine.evaluate(toy_batch(16), per_item(toy_kernel));
     EXPECT_GE(engine.counters().wall_seconds, 0.0);
     const double after_one = engine.counters().wall_seconds;
-    (void)engine.evaluate(toy_batch(16), KernelFn(toy_kernel));
+    (void)engine.evaluate(toy_batch(16), per_item(toy_kernel));
     EXPECT_GE(engine.counters().wall_seconds, after_one);
 }
 
@@ -450,24 +320,6 @@ TEST(PopulationEval, SharedEngineDoesNotChangeWbgaResults) {
 
 // --------------------------------------------------------- MC runner bridge
 
-TEST(McBridge, EngineOverloadMatchesLegacyRunner) {
-    auto fn = [](std::size_t, Rng& rng) -> std::vector<double> {
-        return {rng.gauss(10.0, 1.0), rng.uniform01()};
-    };
-    mc::McConfig config;
-    config.samples = 48;
-
-    Rng r1(9), r2(9);
-    const auto legacy = mc::run_monte_carlo(config, r1, fn);
-    Engine engine;
-    const auto via_engine = mc::run_monte_carlo(engine, config, r2, fn);
-
-    ASSERT_EQ(via_engine.rows.size(), legacy.rows.size());
-    for (std::size_t i = 0; i < legacy.rows.size(); ++i)
-        EXPECT_EQ(via_engine.rows[i], legacy.rows[i]);
-    EXPECT_EQ(engine.counters().evaluations, 48u);
-}
-
 TEST(McBridge, FailureMaskReusedAcrossColumnQueries) {
     auto fn = [](std::size_t i, Rng&) -> std::vector<double> {
         if (i % 3 == 0) return {nan_v, nan_v};
@@ -475,8 +327,9 @@ TEST(McBridge, FailureMaskReusedAcrossColumnQueries) {
     };
     mc::McConfig config;
     config.samples = 12;
+    Engine engine;
     Rng rng(1);
-    const auto result = mc::run_monte_carlo(config, rng, fn);
+    const auto result = mc::run_monte_carlo(engine, config, rng, per_sample(fn));
     EXPECT_EQ(result.failed(), 4u);
     EXPECT_EQ(result.failure_mask().size(), 12u);
     EXPECT_EQ(result.column(0).size(), 8u);

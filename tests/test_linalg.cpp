@@ -1,19 +1,23 @@
-// Unit tests for src/linalg: dense matrix and partial-pivot LU (real and
-// complex), including property-style randomised solve checks.
+// Unit tests for src/linalg: dense matrix and the in-place partial-pivot LU
+// (real and complex), including property-style randomised solve checks and
+// bit-identity against the textbook reference LU in tests/support.
 
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <cstring>
 
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 #include "util/error.hpp"
+#include "support/oracles.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace ypm;
-using linalg::Lu;
+using linalg::InplaceLu;
+using testsupport::ReferenceLu;
 using linalg::MatrixC;
 using linalg::MatrixD;
 
@@ -73,12 +77,13 @@ TEST(Lu, DetectsSingular) {
     a(0, 1) = 2;
     a(1, 0) = 2;
     a(1, 1) = 4;
-    EXPECT_THROW((void)Lu<double>(a), NumericalError);
+    EXPECT_THROW((void)linalg::solve(a, {1.0, 1.0}), NumericalError);
 }
 
 TEST(Lu, RejectsNonSquare) {
     MatrixD a(2, 3);
-    EXPECT_THROW((void)Lu<double>(a), NumericalError);
+    InplaceLu<double> lu;
+    EXPECT_THROW(lu.factor(a), NumericalError);
 }
 
 TEST(Lu, DeterminantKnown) {
@@ -87,7 +92,7 @@ TEST(Lu, DeterminantKnown) {
     a(0, 1) = 1;
     a(1, 0) = 4;
     a(1, 1) = 2;
-    const Lu<double> lu(a);
+    const ReferenceLu<double> lu(a);
     EXPECT_NEAR(lu.determinant(), 2.0, 1e-12);
 }
 
@@ -97,7 +102,7 @@ TEST(Lu, DeterminantSignWithPermutation) {
     a(0, 1) = 1;
     a(1, 0) = 1;
     a(1, 1) = 0;
-    const Lu<double> lu(a);
+    const ReferenceLu<double> lu(a);
     EXPECT_NEAR(lu.determinant(), -1.0, 1e-12);
 }
 
@@ -110,10 +115,13 @@ TEST(Lu, MultipleRhsFromOneFactorisation) {
     a(1, 2) = 1;
     a(2, 1) = 1;
     a(2, 2) = 2;
-    const Lu<double> lu(a);
+    MatrixD packed = a;
+    InplaceLu<double> lu;
+    lu.factor(packed);
+    std::vector<double> x;
     for (const auto& rhs :
          {std::vector<double>{1, 0, 0}, {0, 1, 0}, {0, 0, 1}, {1, 2, 3}}) {
-        const auto x = lu.solve(rhs);
+        lu.solve(packed, rhs, x);
         const auto back = a.multiply(x);
         for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(back[i], rhs[i], 1e-10);
     }
@@ -134,9 +142,12 @@ TEST(Lu, ComplexSolve) {
 }
 
 TEST(Lu, RhsSizeMismatchThrows) {
-    const Lu<double> lu(MatrixD::identity(3));
-    std::vector<double> bad = {1.0, 2.0};
-    EXPECT_THROW(lu.solve_in_place(bad), NumericalError);
+    MatrixD packed = MatrixD::identity(3);
+    InplaceLu<double> lu;
+    lu.factor(packed);
+    const std::vector<double> bad = {1.0, 2.0};
+    std::vector<double> x;
+    EXPECT_THROW(lu.solve(packed, bad, x), NumericalError);
 }
 
 // Property: random well-conditioned systems solve to high accuracy.
@@ -187,7 +198,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, LuRandomComplex, ::testing::Values(2, 4, 9, 17, 
 
 TEST(Lu, PivotRatioReflectsConditioning) {
     // Identity: perfectly conditioned pivots.
-    const Lu<double> good(MatrixD::identity(5));
+    const ReferenceLu<double> good(MatrixD::identity(5));
     EXPECT_NEAR(good.pivot_ratio(), 1.0, 1e-12);
 
     MatrixD bad(2);
@@ -195,8 +206,52 @@ TEST(Lu, PivotRatioReflectsConditioning) {
     bad(0, 1) = 0.0;
     bad(1, 0) = 0.0;
     bad(1, 1) = 1e-12;
-    const Lu<double> poor(bad);
+    const ReferenceLu<double> poor(bad);
     EXPECT_LT(poor.pivot_ratio(), 1e-9);
 }
+
+// Property: the production InplaceLu is bit-identical to the textbook
+// reference on random systems that need pivoting (no diagonal dominance):
+// same pivots, same elimination arithmetic, same substitution order.
+template <typename T>
+bool bits_equal(const std::vector<T>& a, const std::vector<T>& b) {
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+class InplaceLuMatchesReference
+    : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(InplaceLuMatchesReference, Real) {
+    const std::size_t n = GetParam();
+    Rng rng(3000 + n);
+    MatrixD a(n);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.uniform(-1.0, 1.0);
+    std::vector<double> b(n);
+    for (auto& v : b) v = rng.uniform(-1.0, 1.0);
+
+    const auto reference = ReferenceLu<double>(a).solve(b);
+    EXPECT_TRUE(bits_equal(linalg::solve(a, b), reference));
+}
+
+TEST_P(InplaceLuMatchesReference, Complex) {
+    using C = std::complex<double>;
+    const std::size_t n = GetParam();
+    Rng rng(4000 + n);
+    MatrixC a(n);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+            a(i, j) = C(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+    std::vector<C> b(n);
+    for (auto& v : b) v = C(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+
+    const auto reference = ReferenceLu<C>(a).solve(b);
+    EXPECT_TRUE(bits_equal(linalg::solve(a, b), reference));
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, InplaceLuMatchesReference,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21));
 
 } // namespace

@@ -11,12 +11,14 @@
 #include "mc/monte_carlo.hpp"
 #include "mc/stats.hpp"
 #include "mc/yield.hpp"
+#include "support/kernels.hpp"
 #include "util/error.hpp"
 
 namespace {
 
 using namespace ypm;
 using namespace ypm::mc;
+using testsupport::per_sample;
 
 constexpr double nan_v = std::numeric_limits<double>::quiet_NaN();
 
@@ -194,14 +196,14 @@ TEST(McRunner, DeterministicAcrossThreadCounts) {
     auto fn = [](std::size_t, Rng& rng) -> std::vector<double> {
         return {rng.gauss(10.0, 1.0), rng.uniform(0.0, 1.0)};
     };
-    McConfig serial;
-    serial.samples = 64;
+    McConfig cfg;
+    cfg.samples = 64;
+    eval::EngineConfig serial;
     serial.parallel = false;
-    McConfig parallel = serial;
-    parallel.parallel = true;
+    eval::Engine serial_engine(serial), parallel_engine;
     Rng r1(5), r2(5);
-    const McResult a = run_monte_carlo(serial, r1, fn);
-    const McResult b = run_monte_carlo(parallel, r2, fn);
+    const McResult a = run_monte_carlo(serial_engine, cfg, r1, per_sample(fn));
+    const McResult b = run_monte_carlo(parallel_engine, cfg, r2, per_sample(fn));
     ASSERT_EQ(a.rows.size(), b.rows.size());
     for (std::size_t i = 0; i < a.rows.size(); ++i) {
         EXPECT_DOUBLE_EQ(a.rows[i][0], b.rows[i][0]);
@@ -216,8 +218,9 @@ TEST(McRunner, SuccessiveRunsDiffer) {
     McConfig cfg;
     cfg.samples = 8;
     Rng rng(9);
-    const McResult a = run_monte_carlo(cfg, rng, fn);
-    const McResult b = run_monte_carlo(cfg, rng, fn);
+    eval::Engine engine;
+    const McResult a = run_monte_carlo(engine, cfg, rng, per_sample(fn));
+    const McResult b = run_monte_carlo(engine, cfg, rng, per_sample(fn));
     EXPECT_NE(a.rows[0][0], b.rows[0][0]);
 }
 
@@ -229,7 +232,8 @@ TEST(McRunner, TracksFailures) {
     McConfig cfg;
     cfg.samples = 16;
     Rng rng(1);
-    const McResult r = run_monte_carlo(cfg, rng, fn);
+    eval::Engine engine;
+    const McResult r = run_monte_carlo(engine, cfg, rng, per_sample(fn));
     EXPECT_EQ(r.failed(), 4u);
     EXPECT_EQ(r.column(0).size(), 12u); // failed rows excluded
 }
@@ -241,7 +245,8 @@ TEST(McRunner, ColumnSummaryGaussian) {
     McConfig cfg;
     cfg.samples = 4000;
     Rng rng(21);
-    const McResult r = run_monte_carlo(cfg, rng, fn);
+    eval::Engine engine;
+    const McResult r = run_monte_carlo(engine, cfg, rng, per_sample(fn));
     const Summary s = r.column_summary(0);
     EXPECT_NEAR(s.mean, 50.0, 0.02);
     EXPECT_NEAR(s.stddev, 0.1, 0.01);
@@ -272,11 +277,12 @@ TEST(McRunner, RejectsZeroSamples) {
     McConfig cfg;
     cfg.samples = 0;
     Rng rng(1);
+    eval::Engine engine;
     EXPECT_THROW(
-        (void)run_monte_carlo(cfg, rng,
-                              [](std::size_t, Rng&) -> std::vector<double> {
-                                  return {0.0};
-                              }),
+        (void)run_monte_carlo(engine, cfg, rng,
+                              per_sample([](std::size_t, Rng&) {
+                                  return std::vector<double>{0.0};
+                              })),
         InvalidInputError);
 }
 

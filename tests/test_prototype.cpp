@@ -1,6 +1,7 @@
-// Unit tests for the prototype-reuse batch kernels: spice::CircuitPrototype
-// and the chunk measurement paths must be bit-identical to the per-point
-// rebuild paths - for OTA and filter, nominal and under process
+// Unit tests for the prototype-reuse measurement kernels: spice::
+// CircuitPrototype and every evaluator measurement (scalar one-point leases
+// and chunks alike) must be bit-identical to the per-point rebuild oracle
+// in tests/support - for OTA and filter, nominal and under process
 // realisations - safe to re-bind repeatedly, and thread-count invariant
 // when driven through the evaluation engine.
 
@@ -20,11 +21,14 @@
 #include "spice/analysis/ac_sweep.hpp"
 #include "spice/analysis/dc.hpp"
 #include "spice/prototype.hpp"
+#include "support/kernels.hpp"
+#include "support/oracles.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace ypm;
+using testsupport::rebuild_measure;
 
 bool bits_equal(double a, double b) {
     return std::memcmp(&a, &b, sizeof a) == 0;
@@ -41,13 +45,15 @@ void expect_rows_identical(const std::vector<double>& a,
     }
 }
 
-void expect_perf_identical(const circuits::OtaPerformance& scalar,
+void expect_perf_identical(const circuits::OtaPerformance& reference,
                            const circuits::OtaPerformance& chunk) {
-    ASSERT_EQ(scalar.valid, chunk.valid);
-    if (!scalar.valid) return;
-    EXPECT_TRUE(bits_equal(scalar.gain_db, chunk.gain_db));
-    EXPECT_TRUE(bits_equal(scalar.pm_deg, chunk.pm_deg));
-    EXPECT_TRUE(bits_equal(scalar.bode.unity_freq, chunk.bode.unity_freq));
+    ASSERT_EQ(reference.valid, chunk.valid);
+    if (!reference.valid) return;
+    EXPECT_TRUE(bits_equal(reference.gain_db, chunk.gain_db));
+    EXPECT_TRUE(bits_equal(reference.pm_deg, chunk.pm_deg));
+    EXPECT_TRUE(bits_equal(reference.bode.unity_freq, chunk.bode.unity_freq));
+    EXPECT_TRUE(bits_equal(reference.bode.f3db, chunk.bode.f3db));
+    EXPECT_TRUE(bits_equal(reference.bode.gbw, chunk.bode.gbw));
 }
 
 std::vector<circuits::OtaSizing> random_sizings(std::size_t n, std::uint64_t seed) {
@@ -107,9 +113,10 @@ TEST(OtaChunk, BitIdenticalToScalarAcrossRandomSizings) {
     ASSERT_EQ(chunk.size(), sizings.size());
     std::size_t valid = 0;
     for (std::size_t i = 0; i < sizings.size(); ++i) {
-        const auto scalar = evaluator.measure(sizings[i]);
-        expect_perf_identical(scalar, chunk[i]);
-        if (scalar.valid) ++valid;
+        const auto reference = rebuild_measure(evaluator.config(), sizings[i]);
+        expect_perf_identical(reference, chunk[i]);
+        expect_perf_identical(reference, evaluator.measure(sizings[i]));
+        if (reference.valid) ++valid;
     }
     // The box sampling must exercise the real path, not just failures.
     EXPECT_GT(valid, 0u);
@@ -130,8 +137,10 @@ TEST(OtaChunk, BitIdenticalUnderProcessRealizations) {
     const auto chunk = evaluator.measure_chunk(sizing, reals);
     ASSERT_EQ(chunk.size(), reals.size());
     for (std::size_t i = 0; i < reals.size(); ++i) {
-        const auto scalar = evaluator.measure(sizing, reals[i]);
-        expect_perf_identical(scalar, chunk[i]);
+        const auto reference =
+            rebuild_measure(evaluator.config(), sizing, &reals[i]);
+        expect_perf_identical(reference, chunk[i]);
+        expect_perf_identical(reference, evaluator.measure(sizing, reals[i]));
     }
 }
 
@@ -148,7 +157,8 @@ TEST(OtaChunk, PairedSizingsAndRealizations) {
     }
     const auto chunk = evaluator.measure_chunk(sizings, reals);
     for (std::size_t i = 0; i < sizings.size(); ++i)
-        expect_perf_identical(evaluator.measure(sizings[i], reals[i]), chunk[i]);
+        expect_perf_identical(
+            rebuild_measure(evaluator.config(), sizings[i], &reals[i]), chunk[i]);
 }
 
 TEST(OtaChunk, PairedChunkRejectsMismatchedSizes) {
@@ -170,8 +180,8 @@ TEST(OtaChunk, PrototypeSafeToRebindRepeatedly) {
     expect_perf_identical(chunk[0], chunk[2]);
     expect_perf_identical(chunk[0], chunk[4]);
     expect_perf_identical(chunk[1], chunk[3]);
-    expect_perf_identical(evaluator.measure(ab[0]), chunk[0]);
-    expect_perf_identical(evaluator.measure(ab[1]), chunk[1]);
+    expect_perf_identical(rebuild_measure(evaluator.config(), ab[0]), chunk[0]);
+    expect_perf_identical(rebuild_measure(evaluator.config(), ab[1]), chunk[1]);
 }
 
 // ---------------------------------------------------------- prototype pool
@@ -199,9 +209,10 @@ TEST(PrototypePool, WarmInstanceBitIdenticalToCold) {
     ASSERT_EQ(warm_rows.size(), fresh_rows.size());
     for (std::size_t i = 0; i < warm_rows.size(); ++i)
         expect_perf_identical(fresh_rows[i], warm_rows[i]);
-    // ... and the scalar rebuild path agrees too.
+    // ... and the rebuild oracle agrees too.
     for (std::size_t i = 0; i < warm_rows.size(); ++i)
-        expect_perf_identical(evaluator.measure(second[i]), warm_rows[i]);
+        expect_perf_identical(rebuild_measure(evaluator.config(), second[i]),
+                              warm_rows[i]);
     (void)cold_rows;
 }
 
@@ -229,10 +240,11 @@ TEST(PrototypePool, WarmReuseAcrossMixedChunkEntryPoints) {
     EXPECT_EQ(evaluator.prototype_pool().created(), created);
 
     // Re-binding through the warm instance leaks no process state: the
-    // nominal chunk after process-bound chunks equals the scalar path.
+    // nominal chunk after process-bound chunks equals the rebuild oracle.
     const auto after = evaluator.measure_chunk(sizings);
     for (std::size_t i = 0; i < sizings.size(); ++i)
-        expect_perf_identical(evaluator.measure(sizings[i]), after[i]);
+        expect_perf_identical(rebuild_measure(evaluator.config(), sizings[i]),
+                              after[i]);
 }
 
 TEST(PrototypePool, FilterPoolKeyedByModelKind) {
@@ -255,12 +267,12 @@ TEST(PrototypePool, FilterPoolKeyedByModelKind) {
     EXPECT_EQ(evaluator.prototype_pool().created(), 2u);
     EXPECT_EQ(evaluator.prototype_pool().idle(), 2u);
 
-    // Warm reuse stays bit-identical to the scalar path for both kinds.
+    // Warm reuse stays bit-identical to the rebuild oracle for both kinds.
     for (auto kind : {circuits::OtaModelKind::behavioural,
                       circuits::OtaModelKind::transistor}) {
         const auto warm = evaluator.measure_chunk(sizings, kind);
         for (std::size_t i = 0; i < sizings.size(); ++i) {
-            const auto scalar = evaluator.measure(sizings[i], kind);
+            const auto scalar = rebuild_measure(evaluator, sizings[i], kind);
             ASSERT_EQ(scalar.valid, warm[i].valid);
             if (!scalar.valid) continue;
             EXPECT_TRUE(bits_equal(scalar.fc, warm[i].fc));
@@ -294,9 +306,12 @@ TEST(FilterChunk, BitIdenticalToScalarBothKinds) {
         const auto chunk = evaluator.measure_chunk(sizings, kind);
         ASSERT_EQ(chunk.size(), sizings.size());
         for (std::size_t i = 0; i < sizings.size(); ++i) {
-            const auto scalar = evaluator.measure(sizings[i], kind);
+            const auto scalar = rebuild_measure(evaluator, sizings[i], kind);
+            const auto lease = evaluator.measure(sizings[i], kind);
+            ASSERT_EQ(lease.valid, chunk[i].valid);
             ASSERT_EQ(scalar.valid, chunk[i].valid);
             if (!scalar.valid) continue;
+            EXPECT_TRUE(bits_equal(lease.fc, chunk[i].fc));
             EXPECT_TRUE(bits_equal(scalar.fc, chunk[i].fc));
             EXPECT_TRUE(bits_equal(scalar.passband_gain_db,
                                    chunk[i].passband_gain_db));
@@ -360,8 +375,8 @@ TEST(ProblemBatch, EngineEvaluationThreadCountInvariant) {
 }
 
 TEST(ProblemBatch, OtaMonteCarloChunkMatchesScalarStreams) {
-    // The chunked MC path (prototype reuse) must reproduce the scalar
-    // SampleFn path sample-for-sample: same child streams, same rows.
+    // The chunked MC path (prototype reuse) must reproduce per-sample
+    // rebuild measurements sample-for-sample: same child streams, same rows.
     const circuits::OtaEvaluator evaluator;
     const circuits::OtaSizing sizing;
     const process::ProcessSampler sampler(evaluator.config().card,
@@ -373,16 +388,19 @@ TEST(ProblemBatch, OtaMonteCarloChunkMatchesScalarStreams) {
 
     mc::McConfig cfg;
     cfg.samples = 16;
+    eval::Engine engine;
     Rng r_scalar(77);
     const auto scalar = mc::run_monte_carlo(
-        cfg, r_scalar, [&](std::size_t, Rng& sample_rng) -> std::vector<double> {
-            const auto real = sampler.sample(sample_rng, geometries);
-            const auto perf = evaluator.measure(sizing, real);
-            if (!perf.valid) return moo::failed_evaluation(2);
-            return {perf.gain_db, perf.pm_deg};
-        });
+        engine, cfg, r_scalar,
+        testsupport::per_sample(
+            [&](std::size_t, Rng& sample_rng) -> std::vector<double> {
+                const auto real = sampler.sample(sample_rng, geometries);
+                const auto perf =
+                    rebuild_measure(evaluator.config(), sizing, &real);
+                if (!perf.valid) return moo::failed_evaluation(2);
+                return {perf.gain_db, perf.pm_deg};
+            }));
 
-    eval::Engine engine;
     Rng r_chunk(77);
     const auto chunked = core::run_ota_monte_carlo(engine, evaluator, sizing,
                                                    sampler, cfg.samples, r_chunk);
