@@ -16,26 +16,6 @@ using spice::Circuit;
 using spice::Mosfet;
 using spice::NodeId;
 
-namespace {
-
-/// Metric/validity tail of a measurement: Bode metrics from the transfer
-/// function, invalid when there is no unity-gain crossing.
-OtaPerformance perf_from_transfer(const std::vector<double>& freqs,
-                                  const std::vector<std::complex<double>>& h) {
-    OtaPerformance perf;
-    perf.bode = spice::bode_metrics(freqs, h);
-    perf.gain_db = perf.bode.dc_gain_db;
-    perf.pm_deg = perf.bode.phase_margin_deg;
-    if (std::isnan(perf.pm_deg) || perf.gain_db <= 0.0) {
-        perf.failure = "no unity-gain crossing (gain too low)";
-        return perf;
-    }
-    perf.valid = true;
-    return perf;
-}
-
-} // namespace
-
 OtaSizing OtaSizing::from_vector(const std::vector<double>& v) {
     if (v.size() != parameter_count)
         throw InvalidInputError("OtaSizing: expected 8 parameters");
@@ -178,7 +158,15 @@ OtaPerformance OtaPrototype::measure(const OtaSizing& sizing,
         return perf;
     }
 
-    return perf_from_transfer(freqs_, h);
+    perf.bode = spice::bode_metrics(freqs_, h);
+    perf.gain_db = perf.bode.dc_gain_db;
+    perf.pm_deg = perf.bode.phase_margin_deg;
+    if (std::isnan(perf.pm_deg) || perf.gain_db <= 0.0) {
+        perf.failure = "no unity-gain crossing (gain too low)";
+        return perf;
+    }
+    perf.valid = true;
+    return perf;
 }
 
 OtaEvaluator::OtaEvaluator(OtaConfig config)
