@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <complex>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -22,13 +23,25 @@
 #include <string_view>
 #include <vector>
 
+#include "circuits/filter.hpp"
 #include "circuits/ota.hpp"
 #include "core/flow.hpp"
 #include "core/ota_mc.hpp"
 #include "eval/engine.hpp"
 #include "mc/yield.hpp"
+#include "process/process_card.hpp"
 #include "process/sampler.hpp"
+#include "spice/analysis/ac.hpp"
+#include "spice/analysis/dc.hpp"
+#include "spice/devices/capacitor.hpp"
+#include "spice/devices/controlled.hpp"
+#include "spice/devices/diode.hpp"
+#include "spice/devices/inductor.hpp"
+#include "spice/devices/mosfet.hpp"
+#include "spice/devices/resistor.hpp"
+#include "spice/devices/sources.hpp"
 #include "util/rng.hpp"
+#include "va/behav_ota_device.hpp"
 #include "yield/estimator.hpp"
 #include "yield/scenarios.hpp"
 #include "yield/sequential.hpp"
@@ -61,6 +74,14 @@ public:
     void add(const std::vector<double>& v) {
         add(static_cast<std::uint64_t>(v.size()));
         for (double x : v) add(x);
+    }
+    void add(std::complex<double> v) {
+        add(v.real());
+        add(v.imag());
+    }
+    void add(const std::vector<std::complex<double>>& v) {
+        add(static_cast<std::uint64_t>(v.size()));
+        for (std::complex<double> x : v) add(x);
     }
     [[nodiscard]] std::uint64_t value() const { return hash_; }
 
@@ -295,6 +316,172 @@ TEST(Golden, MatrixCells) {
         EXPECT_EQ(d.value(), cell.digest) << name << " digest moved";
         EXPECT_EQ(total, cell.total_samples) << name;
     }
+}
+
+// ------------------------------------------------------------ AC consumers
+
+void add_filter_perf(Fnv1a& d, const circuits::FilterPerformance& p) {
+    d.add(p.valid);
+    d.add(p.passband_gain_db);
+    d.add(p.fc);
+    d.add(p.stopband_atten_db);
+    d.add(p.worst_passband_dev_db);
+    d.add(p.failure);
+}
+
+void add_yield(Fnv1a& d, const mc::YieldEstimate& y) {
+    d.add(u64(y.samples));
+    d.add(u64(y.passes));
+    d.add(y.yield);
+    d.add(y.ci_low);
+    d.add(y.ci_high);
+}
+
+template <typename R>
+void add_response(Fnv1a& d, const R& r) {
+    d.add(r.freqs);
+    d.add(r.h);
+}
+
+const circuits::OtaModelKind kKinds[] = {circuits::OtaModelKind::behavioural,
+                                         circuits::OtaModelKind::transistor};
+
+TEST(Golden, FilterMeasure) {
+    const circuits::FilterEvaluator ev{circuits::FilterConfig{},
+                                       circuits::FilterSpecMask{}};
+    const circuits::FilterSizing sizings[] = {{47e-12, 22e-12, 10e-12},
+                                              {48e-12, 24e-12, 8e-12},
+                                              {8e-12, 4e-12, 10e-12},
+                                              {60e-12, 2e-12, 33e-12}};
+    Fnv1a d;
+    for (auto kind : kKinds)
+        for (const auto& s : sizings) add_filter_perf(d, ev.measure(s, kind));
+    expect_digest("filter.measure", d.value(), 0x6cf584da5a50ff55ull);
+}
+
+TEST(Golden, FilterYield) {
+    const circuits::FilterEvaluator ev{circuits::FilterConfig{},
+                                       circuits::FilterSpecMask{}};
+    // fc sits just under the mask's lower edge, so both yields are
+    // fractional and every sample's verdict counts.
+    const circuits::FilterSizing sizing{48.96e-12, 24.48e-12, 8e-12};
+
+    Fnv1a behavioural;
+    Rng rng_b(5);
+    const auto yb = circuits::filter_yield_behavioural(
+        ev, sizing, circuits::FilterVariation{}, 60, rng_b);
+    add_yield(behavioural, yb);
+
+    Fnv1a transistor;
+    const process::ProcessSampler sampler(ev.config().ota_config.card,
+                                          process::VariationSpec::c35());
+    Rng rng_t(7);
+    const auto yt =
+        circuits::filter_yield_transistor(ev, sizing, sampler, 16, rng_t);
+    add_yield(transistor, yt);
+
+    expect_digest("filter.yield_behavioural", behavioural.value(),
+                  0xe4f950a02ede5b68ull);
+    expect_digest("filter.yield_transistor", transistor.value(),
+                  0x453bc35b5a5b1208ull);
+    expect_value("filter.yield_behavioural", yb.yield, 0.23333333333333334);
+    expect_value("filter.yield_transistor", yt.yield, 0.3125);
+}
+
+TEST(Golden, AcResponses) {
+    const circuits::OtaEvaluator ota;
+    const circuits::OtaSizing sizing;
+    Fnv1a ota_nominal;
+    add_response(ota_nominal, ota.ac_response(sizing));
+
+    const process::ProcessSampler sampler(ota.config().card,
+                                          process::VariationSpec::c35());
+    Rng rng(17);
+    const spice::Circuit tb =
+        circuits::build_ota_testbench(sizing, ota.config());
+    const process::Realization real = sampler.sample(rng, tb.mos_geometries());
+    Fnv1a ota_sampled;
+    add_response(ota_sampled, ota.ac_response(sizing, &real));
+
+    Fnv1a regions;
+    for (const auto& [name, region] : ota.op_regions(sizing)) {
+        regions.add(name);
+        regions.add(u64(static_cast<std::size_t>(region)));
+    }
+
+    const circuits::FilterEvaluator filter{circuits::FilterConfig{},
+                                           circuits::FilterSpecMask{}};
+    Fnv1a filter_resp;
+    for (auto kind : kKinds)
+        add_response(filter_resp,
+                     filter.ac_response(circuits::FilterSizing{}, kind));
+
+    expect_digest("ota.ac_response_nominal", ota_nominal.value(),
+                  0x43be131784a417a3ull);
+    expect_digest("ota.ac_response_sampled", ota_sampled.value(),
+                  0xcb0720ef95162b9aull);
+    expect_digest("ota.op_regions", regions.value(), 0x1ea1969a0c34696aull);
+    expect_digest("filter.ac_response", filter_resp.value(),
+                  0x581f3e5d00617af0ull);
+}
+
+TEST(Golden, RunAcEveryDeviceKind) {
+    using namespace spice;
+    Circuit c;
+    const NodeId vin = c.node("vin");
+    const NodeId n1 = c.node("n1");
+    const NodeId n2 = c.node("n2");
+    const NodeId o1 = c.node("o1");
+    const NodeId n3 = c.node("n3");
+    const NodeId n4 = c.node("n4");
+    const NodeId n5 = c.node("n5");
+    const NodeId n6 = c.node("n6");
+    const NodeId vdd = c.node("vdd");
+    const NodeId ng = c.node("ng");
+    const NodeId nd = c.node("nd");
+
+    c.add<VoltageSource>("v1", vin, ground, 1.0, 1.0, 30.0);
+    c.add<Resistor>("r1", vin, n1, 1e3);
+    c.add<Capacitor>("c1", n1, ground, 1e-9);
+    c.add<Inductor>("l1", n1, n2, 1e-3);
+    c.add<Resistor>("r2", n2, ground, 2e3);
+    // The macromodel sits mid-list: its pole stamp is interleaved with
+    // frequency-affine ones.
+    c.add<va::BehaviouralOta>("ota", n2, o1, o1,
+                              va::BehaviouralOtaSpec{60.0, 1e4, 1e3});
+    c.add<Vcvs>("e1", n3, ground, o1, ground, 2.0);
+    c.add<Resistor>("r3", n3, n4, 1e3);
+    DiodeParams dp;
+    dp.rs = 10.0;
+    dp.cj0 = 1e-12;
+    c.add<Diode>("d1", n4, ground, dp);
+    c.add<Vccs>("g1", n5, ground, n4, ground, 1e-3);
+    c.add<Resistor>("r4", n5, ground, 1e3);
+    c.add<CurrentSource>("i1", ground, n6, 1e-4, 0.5, 45.0);
+    c.add<Resistor>("r5", n6, ground, 1e3);
+    c.add<Capacitor>("c2", n6, o1, 2e-9);
+    c.add<VoltageSource>("vdd", vdd, ground, 3.3);
+    c.add<VoltageSource>("vg", ng, ground, 1.0, 0.1);
+    c.add<Resistor>("rd", vdd, nd, 10e3);
+    c.add<Mosfet>("m1", nd, ng, ground, ground, Mosfet::Type::nmos,
+                  process::ProcessCard::c35().nmos, 10e-6, 1e-6);
+    c.add<Capacitor>("cd", nd, n5, 1e-12);
+
+    const DcResult op = DcSolver().solve(c);
+    ASSERT_TRUE(op.converged);
+    const AcResult ac = run_ac(c, op.solution, log_sweep(10.0, 1e8, 5));
+    Fnv1a d;
+    d.add(ac.freqs);
+    d.add(u64(ac.points.size()));
+    for (const AcSolution& p : ac.points) {
+        d.add(u64(p.size()));
+        for (std::size_t i = 1; i <= c.node_count(); ++i)
+            d.add(p.voltage(static_cast<NodeId>(i)));
+        for (std::size_t b = 0; b < c.branch_count(); ++b)
+            d.add(p.branch_current(b));
+    }
+    expect_digest("spice.run_ac_every_device", d.value(),
+                  0xd97ca4874c0d3371ull);
 }
 
 } // namespace
