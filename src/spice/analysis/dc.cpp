@@ -44,7 +44,6 @@ bool DcSolver::newton(Circuit& circuit, Solution& x, double gmin,
 
         // Damped update with per-unknown step limiting on node voltages.
         bool converged = true;
-        double max_delta = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
             double delta = x_new[i] - x.raw()[i];
             if (!std::isfinite(delta)) return false;
@@ -55,7 +54,6 @@ bool DcSolver::newton(Circuit& circuit, Solution& x, double gmin,
                 std::max(std::fabs(x.raw()[i]), std::fabs(x_new[i]));
             const double tol = options_.vtol + options_.reltol * scale;
             if (i < n_nodes) {
-                max_delta = std::max(max_delta, std::fabs(delta));
                 if (std::fabs(delta) > tol) converged = false;
             } else {
                 // Branch currents: relative check with a loose floor.
@@ -64,7 +62,6 @@ bool DcSolver::newton(Circuit& circuit, Solution& x, double gmin,
             }
         }
         if (converged && iter > 0) return true;
-        (void)max_delta;
     }
     return false;
 }
@@ -120,13 +117,15 @@ DcResult DcSolver::solve(Circuit& circuit, const Solution& initial,
         }
     }
 
-    // Strategy 3: source stepping - ramp the supplies from zero.
+    // Strategy 3: source stepping - ramp the supplies from zero in ten
+    // steps. An integer counter makes the last step exactly 1.0 (summing
+    // 0.1 ten times stops at 0.9999999999999999).
     if (options_.source_stepping) {
         Solution x(circuit.node_count(), circuit.branch_count());
         bool ok = true;
-        for (double scale = 0.1; scale <= 1.0001; scale += 0.1) {
-            if (!newton(circuit, x, options_.gmin, std::min(scale, 1.0),
-                        result.iterations, ws)) {
+        for (int k = 1; k <= 10; ++k) {
+            if (!newton(circuit, x, options_.gmin, k / 10.0, result.iterations,
+                        ws)) {
                 ok = false;
                 break;
             }

@@ -181,6 +181,39 @@ TEST(Dc, EmptyishCircuitStillSolves) {
     EXPECT_NEAR(op.voltage(*c.find_node("a")), 0.0, 1e-6);
 }
 
+/// Stamps nothing; remembers the source scale of its last DC stamp.
+class SourceScaleProbe final : public Device {
+public:
+    using Device::Device;
+    void stamp_dc(RealStamper& s, const Solution&) const override {
+        last_scale = s.source_scale();
+    }
+    void stamp_ac(ComplexStamper&, double, const Solution&) const override {}
+    mutable double last_scale = 0.0;
+};
+
+TEST(Dc, SourceSteppingEndsAtFullSources) {
+    // A 10 V divider from a cold start: damped Newton moves node voltages
+    // at most max_step per iteration, so four iterations cannot climb to
+    // 10 V, while each 1 V source step settles within them.
+    Circuit c;
+    const NodeId in = c.node("in");
+    const NodeId mid = c.node("mid");
+    c.add<VoltageSource>("v1", in, ground, 10.0);
+    c.add<Resistor>("r1", in, mid, 1e3);
+    c.add<Resistor>("r2", mid, ground, 1e3);
+    const auto& probe = c.add<SourceScaleProbe>("probe");
+
+    DcOptions options;
+    options.gmin_stepping = false;
+    options.max_iterations = 4;
+    const DcResult r = DcSolver(options).solve(c);
+    ASSERT_TRUE(r.converged);
+    EXPECT_EQ(r.method, "source-stepping");
+    EXPECT_EQ(probe.last_scale, 1.0);
+    EXPECT_NEAR(r.solution.voltage(mid), 5.0, 1e-6);
+}
+
 // ---------------------------------------------------------------------- AC
 
 TEST(Ac, RcLowpassPole) {
