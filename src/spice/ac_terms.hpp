@@ -1,21 +1,23 @@
 #pragma once
 /// \file ac_terms.hpp
-/// \brief Recorded frequency-affine AC stamp terms.
+/// \brief Recorded AC stamp terms: the one small-signal stamp of every
+///        device.
 ///
-/// Most devices' small-signal stamps are affine in the angular frequency:
-/// every matrix/rhs contribution has the form  entry += k + j*omega*c  with
-/// k (complex) and c (real) fixed by the operating point. Such devices can
-/// record their stamp once per operating point through AcTermRecorder; an
-/// AC sweep then *replays* the term list at each frequency instead of
-/// re-running the device models (for a MOSFET that re-evaluation is the
-/// full EKV model - the single hottest call in a sweep).
+/// A device records its small-signal stamp once per operating point through
+/// AcTermRecorder; the AC sweep then *replays* the term list at each
+/// frequency instead of re-running the device models (for a MOSFET that
+/// model is the full EKV evaluation). Two term forms cover every device,
+/// with k (complex) and c (real) fixed by the operating point:
 ///
-/// Bit-identity contract: replay must reproduce the exact additions the
-/// device's stamp_ac would perform. Each recorder call therefore maps to
-/// exactly one += of the value C(k.re, k.im + omega*c) (the same product
-/// and sum the device computes), and terms are replayed in recording order,
-/// which is stamping order. The recorder mirrors Stamper's index math
-/// (ground rows/columns dropped, branch unknowns after the node block).
+///  * affine:  entry += k + j*omega*c        (R, C, L, sources, controlled
+///                                             sources, diode, MOSFET)
+///  * pole:    entry += k / (1 + j*omega/c)  (the behavioural OTA's single
+///                                             dominant pole, c = omega_p)
+///
+/// Replay performs exactly one += per recorded term, of the value
+/// C(k.re, k.im + omega*c) or k / C(1, omega/c), in recording order, which
+/// is device order. The recorder mirrors Stamper's index math (ground
+/// rows/columns dropped, branch unknowns after the node block).
 
 #include <complex>
 #include <cstdint>
@@ -27,12 +29,16 @@
 
 namespace ypm::spice {
 
-/// One recorded contribution: storage[index] += base + j*omega*sus.
+/// One recorded contribution to storage[index] (see the file comment).
 struct AcTerm {
+    enum class Kind : std::uint32_t { affine, pole };
+
     std::uint32_t index = 0;
-    std::complex<double> base;
-    double sus = 0.0;
+    Kind kind = Kind::affine; ///< fits in the padding after index
+    std::complex<double> base; ///< k
+    double c = 0.0; ///< affine: susceptance per rad/s; pole: omega_p
 };
+static_assert(sizeof(AcTerm) == 32, "AcTerm grew past 32 bytes");
 
 class AcTermRecorder {
 public:
@@ -57,15 +63,6 @@ public:
         rhs_terms_.clear();
     }
 
-    void clear() {
-        terms_.clear();
-        rhs_terms_.clear();
-    }
-    [[nodiscard]] const std::vector<AcTerm>& terms() const { return terms_; }
-    [[nodiscard]] const std::vector<AcTerm>& rhs_terms() const {
-        return rhs_terms_;
-    }
-
     /// A(row, col) += base + j*omega*sus for node/node entries.
     void mat(NodeId row, NodeId col, std::complex<double> base, double sus = 0.0) {
         if (row == ground || col == ground) return;
@@ -76,8 +73,8 @@ public:
     /// so rhs terms replay once per operating point, not per frequency).
     void rhs(NodeId row, std::complex<double> base) {
         if (row == ground) return;
-        rhs_terms_.push_back(
-            {static_cast<std::uint32_t>(idx(row)), base, 0.0});
+        rhs_terms_.push_back({static_cast<std::uint32_t>(idx(row)),
+                              AcTerm::Kind::affine, base, 0.0});
     }
 
     /// Two-terminal admittance stamp; expands to the same four mat() calls,
@@ -105,8 +102,15 @@ public:
         push(brow(br_row) * n_ + brow(br_col), base, sus);
     }
     void rhs_branch(std::size_t branch, std::complex<double> base) {
-        rhs_terms_.push_back(
-            {static_cast<std::uint32_t>(brow(branch)), base, 0.0});
+        rhs_terms_.push_back({static_cast<std::uint32_t>(brow(branch)),
+                              AcTerm::Kind::affine, base, 0.0});
+    }
+
+    /// Branch-row pole term: A(branch, col) += k / (1 + j*omega/omega_p).
+    void mat_branch_row_pole(std::size_t branch, NodeId col, double k,
+                             double omega_p) {
+        if (col == ground) return;
+        push(brow(branch) * n_ + idx(col), k, omega_p, AcTerm::Kind::pole);
     }
 
     /// Replay every matrix term at angular frequency omega into the dense
@@ -114,12 +118,12 @@ public:
     /// solve zeroes its system before stamping.
     void replay_matrix(double omega, std::complex<double>* a) const {
         for (const AcTerm& t : terms_) {
-            // sus == 0 covers -0.0 too: base alone is the exact stamp value.
-            const std::complex<double> v =
-                t.sus == 0.0
-                    ? t.base
-                    : std::complex<double>(t.base.real(),
-                                           t.base.imag() + omega * t.sus);
+            std::complex<double> v = t.base;
+            if (t.kind == AcTerm::Kind::pole)
+                v /= std::complex<double>(1.0, omega / t.c);
+            else if (t.c != 0.0) // c == 0 covers -0.0: base alone is exact
+                v = std::complex<double>(t.base.real(),
+                                         t.base.imag() + omega * t.c);
             a[t.index] += v;
         }
     }
@@ -136,8 +140,9 @@ private:
     [[nodiscard]] std::size_t brow(std::size_t branch) const {
         return n_nodes_ + branch;
     }
-    void push(std::size_t index, std::complex<double> base, double sus) {
-        terms_.push_back({static_cast<std::uint32_t>(index), base, sus});
+    void push(std::size_t index, std::complex<double> base, double c,
+              AcTerm::Kind kind = AcTerm::Kind::affine) {
+        terms_.push_back({static_cast<std::uint32_t>(index), kind, base, c});
     }
 
     std::size_t n_nodes_ = 0;

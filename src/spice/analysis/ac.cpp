@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "linalg/lu.hpp"
 #include "util/error.hpp"
 #include "util/mathx.hpp"
 
@@ -26,39 +25,6 @@ std::vector<std::complex<double>> AcResult::transfer(NodeId out, NodeId in) cons
         h.push_back(vout / vin);
     }
     return h;
-}
-
-AcResult run_ac(Circuit& circuit, const Solution& op,
-                const std::vector<double>& freqs) {
-    circuit.finalize();
-    if (op.size() != circuit.unknowns())
-        throw InvalidInputError("run_ac: operating point does not match circuit");
-
-    const std::size_t n_nodes = circuit.node_count();
-    const std::size_t n = circuit.unknowns();
-
-    AcResult result;
-    result.freqs = freqs;
-    result.points.reserve(freqs.size());
-
-    linalg::MatrixC a(n);
-    std::vector<std::complex<double>> b(n);
-
-    for (double f : freqs) {
-        if (!(f > 0.0)) throw InvalidInputError("run_ac: frequencies must be > 0");
-        const double omega = 2.0 * mathx::pi * f;
-        a.set_zero();
-        std::fill(b.begin(), b.end(), std::complex<double>{});
-        ComplexStamper stamper(a, b, n_nodes);
-        for (const auto& dev : circuit.devices()) dev->stamp_ac(stamper, omega, op);
-        // Tiny conductance floor mirrors the DC gmin and keeps isolated
-        // nodes (e.g. behind DC-blocked paths) non-singular.
-        for (std::size_t i = 0; i < n_nodes; ++i) a(i, i) += 1e-15;
-
-        auto x = linalg::solve(a, b);
-        result.points.emplace_back(n_nodes, std::move(x));
-    }
-    return result;
 }
 
 std::vector<double> log_sweep(double f_start, double f_stop,

@@ -2,6 +2,10 @@
 /// \file ac.hpp
 /// \brief Small-signal AC analysis: complex MNA solve per frequency point,
 ///        linearised about a DC operating point.
+///
+/// run_ac keeps the full complex solution at every frequency (netlists,
+/// Fig. 8, tests). It runs the one sweep loop of ac_sweep.hpp, which also
+/// serves the transfer-only ac_sweep_transfer of the batch kernels.
 
 #include <complex>
 #include <vector>
@@ -25,6 +29,7 @@ struct AcResult {
 
 /// Run an AC sweep. \param op converged DC operating point of `circuit`.
 /// \throws ypm::NumericalError if any frequency point is singular.
+/// Defined with the sweep loop in ac_sweep.cpp.
 [[nodiscard]] AcResult run_ac(Circuit& circuit, const Solution& op,
                               const std::vector<double>& freqs);
 

@@ -1,26 +1,15 @@
 #pragma once
 /// \file ac_sweep.hpp
-/// \brief Batch AC sweep: the prototype-reuse counterpart of run_ac.
+/// \brief The AC sweep: one loop behind run_ac (ac.hpp) and
+///        ac_sweep_transfer.
 ///
-/// run_ac (ac.hpp) is the reference implementation: per frequency it
-/// re-runs every device's stamp_ac - which for a MOSFET re-evaluates the
-/// whole EKV model - and pays fresh allocations. This
-/// module is the fast path used by the chunk kernels:
-///
-///  * device stamps are recorded once per operating point as
-///    frequency-affine terms (ac_terms.hpp) and replayed per frequency;
-///  * the factorisation runs in place in a caller-held workspace
-///    (linalg::InplaceLu), so the steady state allocates nothing;
-///  * the transfer function is extracted point-by-point instead of
-///    materialising an AcResult.
-///
-/// Results are bit-identical to run_ac followed by AcResult::transfer: the
-/// replay reproduces stamp_ac's additions value-for-value in the same
-/// order, and both paths factor through linalg::InplaceLu.
-/// Devices whose stamps are not affine in omega (the behavioural OTA's
-/// single-pole gain) fall back to per-frequency stamp_ac; if such a device
-/// precedes an affine one in device order the plan is abandoned entirely
-/// and every device stamps per frequency, preserving accumulation order.
+/// Every device records its small-signal stamp once per operating point
+/// (ac_terms.hpp) and the excitation vector builds once. Per frequency the
+/// loop zeroes the matrix, replays the recorded terms, adds the conductance
+/// floor and factors and solves in place with the workspace's
+/// linalg::InplaceLu, so the steady state allocates nothing. run_ac keeps
+/// every solution as an AcResult; ac_sweep_transfer keeps only
+/// V(out)/V(in), bit-identical to run_ac(...).transfer(out, in).
 
 #include <complex>
 #include <vector>
@@ -33,29 +22,21 @@
 
 namespace ypm::spice {
 
-/// Reusable storage for ac_sweep_transfer: MNA matrix, rhs, solution,
-/// factorisation scratch and the recorded stamp plan. One workspace per
+/// Reusable storage for the AC sweep: MNA matrix, rhs, solution,
+/// factorisation scratch and the recorded stamp terms. One workspace per
 /// thread; reuse it across points of a chunk.
-class AcSweepWorkspace {
-public:
-    friend std::vector<std::complex<double>>
-    ac_sweep_transfer(Circuit&, const Solution&, const std::vector<double>&,
-                      NodeId, NodeId, AcSweepWorkspace&);
-
-private:
-    linalg::MatrixC a_;
-    std::vector<std::complex<double>> b_;
-    std::vector<std::complex<double>> x_;
-    linalg::InplaceLu<std::complex<double>> lu_;
-    AcTermRecorder recorder_{0, 0};
-    std::vector<const Device*> fallback_;
+struct AcSweepWorkspace {
+    linalg::MatrixC a;
+    std::vector<std::complex<double>> b;
+    std::vector<std::complex<double>> x;
+    linalg::InplaceLu<std::complex<double>> lu;
+    AcTermRecorder recorder{0, 0};
 };
 
 /// Sweep the circuit over `freqs` about the operating point `op` and return
-/// h[i] = V(out)/V(in) at freqs[i] - bit-identical to
-/// run_ac(circuit, op, freqs).transfer(out, in), but reusing `ws`.
+/// h[i] = V(out)/V(in) at freqs[i], reusing `ws`.
 /// \throws ypm::NumericalError on a singular frequency point or a zero
-/// input response (as the reference path does).
+/// input response.
 [[nodiscard]] std::vector<std::complex<double>>
 ac_sweep_transfer(Circuit& circuit, const Solution& op,
                   const std::vector<double>& freqs, NodeId out, NodeId in,

@@ -3,8 +3,10 @@
 /// \brief Abstract circuit element.
 ///
 /// A device contributes stamps to the real DC system (re-evaluated every
-/// Newton iteration at the candidate solution) and to the complex AC system
-/// (linearised about the converged operating point). Devices that carry a
+/// Newton iteration at the candidate solution) and records its small-signal
+/// AC stamp (linearised about the converged operating point) once per
+/// operating point as terms the AC sweep replays per frequency
+/// (ac_terms.hpp). Devices that carry a
 /// branch-current unknown (voltage sources, inductors, VCVS) or private
 /// internal nodes (behavioural blocks) declare them and receive their global
 /// indices from Circuit::finalize().
@@ -56,23 +58,10 @@ public:
     /// s.source_scale().
     virtual void stamp_dc(RealStamper& s, const Solution& x) const = 0;
 
-    /// Small-signal AC stamp at angular frequency omega, linearised about
-    /// the DC operating point op.
-    virtual void stamp_ac(ComplexStamper& s, double omega,
-                          const Solution& op) const = 0;
-
-    /// Frequency-affine AC stamp: record this device's stamp_ac as
-    /// entry += k + j*omega*c terms, evaluated once per operating point and
-    /// replayed per frequency by batch sweeps (see ac_terms.hpp for the
-    /// bit-identity contract). Returns false (the default) when the stamp
-    /// is not affine in omega; the sweep then falls back to per-frequency
-    /// stamp_ac for this device.
-    [[nodiscard]] virtual bool stamp_ac_affine(AcTermRecorder& rec,
-                                               const Solution& op) const {
-        (void)rec;
-        (void)op;
-        return false;
-    }
+    /// Small-signal AC stamp, linearised about the DC operating point op:
+    /// record every contribution as an affine or pole term in omega
+    /// (ac_terms.hpp). Called once per operating point.
+    virtual void stamp_ac(AcTermRecorder& rec, const Solution& op) const = 0;
 
     /// Number of transient history slots (e.g. a capacitor stores its
     /// branch current for the trapezoidal companion model).

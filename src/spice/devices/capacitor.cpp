@@ -21,13 +21,8 @@ void Capacitor::stamp_dc(RealStamper&, const Solution&) const {
     // Open circuit at DC.
 }
 
-void Capacitor::stamp_ac(ComplexStamper& s, double omega, const Solution&) const {
-    s.conductance(a_, b_, {0.0, omega * c_});
-}
-
-bool Capacitor::stamp_ac_affine(AcTermRecorder& rec, const Solution&) const {
+void Capacitor::stamp_ac(AcTermRecorder& rec, const Solution&) const {
     rec.conductance(a_, b_, {0.0, 0.0}, c_);
-    return true;
 }
 
 void Capacitor::stamp_tran(RealStamper& s, const Solution&,

@@ -19,23 +19,13 @@ void Vcvs::stamp_dc(RealStamper& s, const Solution&) const {
     s.mat_branch_row(branch(), ctrl_n_, gain_);
 }
 
-void Vcvs::stamp_ac(ComplexStamper& s, double, const Solution&) const {
-    s.mat_branch_col(out_p_, branch(), {1.0, 0.0});
-    s.mat_branch_col(out_n_, branch(), {-1.0, 0.0});
-    s.mat_branch_row(branch(), out_p_, {1.0, 0.0});
-    s.mat_branch_row(branch(), out_n_, {-1.0, 0.0});
-    s.mat_branch_row(branch(), ctrl_p_, {-gain_, 0.0});
-    s.mat_branch_row(branch(), ctrl_n_, {gain_, 0.0});
-}
-
-bool Vcvs::stamp_ac_affine(AcTermRecorder& rec, const Solution&) const {
+void Vcvs::stamp_ac(AcTermRecorder& rec, const Solution&) const {
     rec.mat_branch_col(out_p_, branch(), {1.0, 0.0});
     rec.mat_branch_col(out_n_, branch(), {-1.0, 0.0});
     rec.mat_branch_row(branch(), out_p_, {1.0, 0.0});
     rec.mat_branch_row(branch(), out_n_, {-1.0, 0.0});
     rec.mat_branch_row(branch(), ctrl_p_, {-gain_, 0.0});
     rec.mat_branch_row(branch(), ctrl_n_, {gain_, 0.0});
-    return true;
 }
 
 // ------------------------------------------------------------------ VCCS
@@ -52,19 +42,11 @@ void Vccs::stamp_dc(RealStamper& s, const Solution&) const {
     s.mat(out_n_, ctrl_n_, gm_);
 }
 
-void Vccs::stamp_ac(ComplexStamper& s, double, const Solution&) const {
-    s.mat(out_p_, ctrl_p_, {gm_, 0.0});
-    s.mat(out_p_, ctrl_n_, {-gm_, 0.0});
-    s.mat(out_n_, ctrl_p_, {-gm_, 0.0});
-    s.mat(out_n_, ctrl_n_, {gm_, 0.0});
-}
-
-bool Vccs::stamp_ac_affine(AcTermRecorder& rec, const Solution&) const {
+void Vccs::stamp_ac(AcTermRecorder& rec, const Solution&) const {
     rec.mat(out_p_, ctrl_p_, {gm_, 0.0});
     rec.mat(out_p_, ctrl_n_, {-gm_, 0.0});
     rec.mat(out_n_, ctrl_p_, {-gm_, 0.0});
     rec.mat(out_n_, ctrl_n_, {gm_, 0.0});
-    return true;
 }
 
 } // namespace ypm::spice

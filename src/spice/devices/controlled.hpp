@@ -16,9 +16,7 @@ public:
     [[nodiscard]] std::size_t branch_count() const override { return 1; }
 
     void stamp_dc(RealStamper& s, const Solution& x) const override;
-    void stamp_ac(ComplexStamper& s, double omega, const Solution& op) const override;
-    [[nodiscard]] bool stamp_ac_affine(AcTermRecorder& rec,
-                                       const Solution& op) const override;
+    void stamp_ac(AcTermRecorder& rec, const Solution& op) const override;
 
     [[nodiscard]] double gain() const { return gain_; }
     void set_gain(double gain) { gain_ = gain; }
@@ -36,9 +34,7 @@ public:
          double gm);
 
     void stamp_dc(RealStamper& s, const Solution& x) const override;
-    void stamp_ac(ComplexStamper& s, double omega, const Solution& op) const override;
-    [[nodiscard]] bool stamp_ac_affine(AcTermRecorder& rec,
-                                       const Solution& op) const override;
+    void stamp_ac(AcTermRecorder& rec, const Solution& op) const override;
 
     [[nodiscard]] double gm() const { return gm_; }
     void set_gm(double gm) { gm_ = gm; }

@@ -74,19 +74,11 @@ void Diode::stamp_dc(RealStamper& s, const Solution& x) const {
     if (params_.rs > 0.0) s.conductance(a_, j, 1.0 / params_.rs);
 }
 
-bool Diode::stamp_ac_affine(AcTermRecorder& rec, const Solution& x) const {
+void Diode::stamp_ac(AcTermRecorder& rec, const Solution& x) const {
     const NodeId j = junction();
     const OpInfo op = op_info(x);
     rec.conductance(j, k_, {op.gd, 0.0}, op.cj);
     if (params_.rs > 0.0) rec.conductance(a_, j, {1.0 / params_.rs, 0.0});
-    return true;
-}
-
-void Diode::stamp_ac(ComplexStamper& s, double omega, const Solution& x) const {
-    const NodeId j = junction();
-    const OpInfo op = op_info(x);
-    s.conductance(j, k_, {op.gd, omega * op.cj});
-    if (params_.rs > 0.0) s.conductance(a_, j, {1.0 / params_.rs, 0.0});
 }
 
 } // namespace ypm::spice

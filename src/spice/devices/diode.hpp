@@ -29,9 +29,7 @@ public:
     }
 
     void stamp_dc(RealStamper& s, const Solution& x) const override;
-    void stamp_ac(ComplexStamper& s, double omega, const Solution& op) const override;
-    [[nodiscard]] bool stamp_ac_affine(AcTermRecorder& rec,
-                                       const Solution& op) const override;
+    void stamp_ac(AcTermRecorder& rec, const Solution& op) const override;
 
     /// Junction current and small-signal conductance at a junction voltage.
     struct OpInfo {

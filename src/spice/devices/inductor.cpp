@@ -20,22 +20,12 @@ void Inductor::stamp_dc(RealStamper& s, const Solution&) const {
     s.mat_branch_row(branch(), b_, -1.0);
 }
 
-void Inductor::stamp_ac(ComplexStamper& s, double omega, const Solution&) const {
-    s.mat_branch_col(a_, branch(), {1.0, 0.0});
-    s.mat_branch_col(b_, branch(), {-1.0, 0.0});
-    // V(a) - V(b) - j*omega*L * i = 0.
-    s.mat_branch_row(branch(), a_, {1.0, 0.0});
-    s.mat_branch_row(branch(), b_, {-1.0, 0.0});
-    s.mat_branch_branch(branch(), branch(), {0.0, -omega * l_});
-}
-
-bool Inductor::stamp_ac_affine(AcTermRecorder& rec, const Solution&) const {
+void Inductor::stamp_ac(AcTermRecorder& rec, const Solution&) const {
     rec.mat_branch_col(a_, branch(), {1.0, 0.0});
     rec.mat_branch_col(b_, branch(), {-1.0, 0.0});
     rec.mat_branch_row(branch(), a_, {1.0, 0.0});
     rec.mat_branch_row(branch(), b_, {-1.0, 0.0});
     rec.mat_branch_branch(branch(), branch(), {0.0, 0.0}, -l_);
-    return true;
 }
 
 void Inductor::stamp_tran(RealStamper& s, const Solution&,

@@ -16,9 +16,7 @@ public:
     [[nodiscard]] std::size_t branch_count() const override { return 1; }
 
     void stamp_dc(RealStamper& s, const Solution& x) const override;
-    void stamp_ac(ComplexStamper& s, double omega, const Solution& op) const override;
-    [[nodiscard]] bool stamp_ac_affine(AcTermRecorder& rec,
-                                       const Solution& op) const override;
+    void stamp_ac(AcTermRecorder& rec, const Solution& op) const override;
     void stamp_tran(RealStamper& s, const Solution& x,
                     const TranContext& ctx) const override;
 

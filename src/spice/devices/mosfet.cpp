@@ -248,30 +248,9 @@ void Mosfet::stamp_tran(RealStamper& s, const Solution& x,
     stamp_cap(s_, b_, prev_op.csb);
 }
 
-void Mosfet::stamp_ac(ComplexStamper& s, double omega, const Solution& op_sol) const {
-    const OpInfo op = op_info(op_sol);
-
-    // Resistive small-signal part (same terminal partial structure).
-    s.mat(d_, g_, {op.g_dg, 0.0});
-    s.mat(d_, d_, {op.g_dd, 0.0});
-    s.mat(d_, s_, {op.g_ds, 0.0});
-    s.mat(d_, b_, {op.g_db, 0.0});
-    s.mat(s_, g_, {-op.g_dg, 0.0});
-    s.mat(s_, d_, {-op.g_dd, 0.0});
-    s.mat(s_, s_, {-op.g_ds, 0.0});
-    s.mat(s_, b_, {-op.g_db, 0.0});
-
-    // Reactive part: two-terminal capacitors.
-    s.conductance(g_, s_, {0.0, omega * op.cgs});
-    s.conductance(g_, d_, {0.0, omega * op.cgd});
-    s.conductance(g_, b_, {0.0, omega * op.cgb});
-    s.conductance(d_, b_, {0.0, omega * op.cdb});
-    s.conductance(s_, b_, {0.0, omega * op.csb});
-}
-
-bool Mosfet::stamp_ac_affine(AcTermRecorder& rec, const Solution& op_sol) const {
-    // The payoff term: the EKV model evaluates once per operating point
-    // here, instead of once per frequency in stamp_ac.
+void Mosfet::stamp_ac(AcTermRecorder& rec, const Solution& op_sol) const {
+    // The EKV model evaluates once per operating point; the sweep replays
+    // the recorded terms at every frequency.
     const OpInfo op = op_info(op_sol);
 
     rec.mat(d_, g_, {op.g_dg, 0.0});
@@ -288,7 +267,6 @@ bool Mosfet::stamp_ac_affine(AcTermRecorder& rec, const Solution& op_sol) const 
     rec.conductance(g_, b_, {0.0, 0.0}, op.cgb);
     rec.conductance(d_, b_, {0.0, 0.0}, op.cdb);
     rec.conductance(s_, b_, {0.0, 0.0}, op.csb);
-    return true;
 }
 
 } // namespace ypm::spice

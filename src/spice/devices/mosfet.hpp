@@ -54,9 +54,7 @@ public:
     [[nodiscard]] bool nonlinear() const override { return true; }
 
     void stamp_dc(RealStamper& s, const Solution& x) const override;
-    void stamp_ac(ComplexStamper& s, double omega, const Solution& op) const override;
-    [[nodiscard]] bool stamp_ac_affine(AcTermRecorder& rec,
-                                       const Solution& op) const override;
+    void stamp_ac(AcTermRecorder& rec, const Solution& op) const override;
 
     /// Transient: resistive part as in DC plus the five Meyer/junction
     /// capacitances as backward-Euler companions, evaluated at the previous

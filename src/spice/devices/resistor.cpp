@@ -20,13 +20,8 @@ void Resistor::stamp_dc(RealStamper& s, const Solution&) const {
     s.conductance(a_, b_, 1.0 / r_);
 }
 
-void Resistor::stamp_ac(ComplexStamper& s, double, const Solution&) const {
-    s.conductance(a_, b_, {1.0 / r_, 0.0});
-}
-
-bool Resistor::stamp_ac_affine(AcTermRecorder& rec, const Solution&) const {
+void Resistor::stamp_ac(AcTermRecorder& rec, const Solution&) const {
     rec.conductance(a_, b_, {1.0 / r_, 0.0});
-    return true;
 }
 
 } // namespace ypm::spice

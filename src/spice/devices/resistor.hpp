@@ -12,9 +12,7 @@ public:
     Resistor(std::string name, NodeId a, NodeId b, double r);
 
     void stamp_dc(RealStamper& s, const Solution& x) const override;
-    void stamp_ac(ComplexStamper& s, double omega, const Solution& op) const override;
-    [[nodiscard]] bool stamp_ac_affine(AcTermRecorder& rec,
-                                       const Solution& op) const override;
+    void stamp_ac(AcTermRecorder& rec, const Solution& op) const override;
 
     [[nodiscard]] double resistance() const { return r_; }
     void set_resistance(double r);

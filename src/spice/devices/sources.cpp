@@ -63,21 +63,12 @@ void VoltageSource::stamp_tran(RealStamper& s, const Solution&,
     s.rhs_branch(branch(), tran_value(ctx.time));
 }
 
-void VoltageSource::stamp_ac(ComplexStamper& s, double, const Solution&) const {
-    s.mat_branch_col(a_, branch(), {1.0, 0.0});
-    s.mat_branch_col(b_, branch(), {-1.0, 0.0});
-    s.mat_branch_row(branch(), a_, {1.0, 0.0});
-    s.mat_branch_row(branch(), b_, {-1.0, 0.0});
-    s.rhs_branch(branch(), ac_phasor());
-}
-
-bool VoltageSource::stamp_ac_affine(AcTermRecorder& rec, const Solution&) const {
+void VoltageSource::stamp_ac(AcTermRecorder& rec, const Solution&) const {
     rec.mat_branch_col(a_, branch(), {1.0, 0.0});
     rec.mat_branch_col(b_, branch(), {-1.0, 0.0});
     rec.mat_branch_row(branch(), a_, {1.0, 0.0});
     rec.mat_branch_row(branch(), b_, {-1.0, 0.0});
     rec.rhs_branch(branch(), ac_phasor());
-    return true;
 }
 
 // --------------------------------------------------------- CurrentSource
@@ -93,19 +84,11 @@ void CurrentSource::stamp_dc(RealStamper& s, const Solution&) const {
     s.rhs(b_, i);
 }
 
-void CurrentSource::stamp_ac(ComplexStamper& s, double, const Solution&) const {
-    const double ph = mathx::rad_from_deg(ac_phase_deg_);
-    const std::complex<double> i{ac_mag_ * std::cos(ph), ac_mag_ * std::sin(ph)};
-    s.rhs(a_, -i);
-    s.rhs(b_, i);
-}
-
-bool CurrentSource::stamp_ac_affine(AcTermRecorder& rec, const Solution&) const {
+void CurrentSource::stamp_ac(AcTermRecorder& rec, const Solution&) const {
     const double ph = mathx::rad_from_deg(ac_phase_deg_);
     const std::complex<double> i{ac_mag_ * std::cos(ph), ac_mag_ * std::sin(ph)};
     rec.rhs(a_, -i);
     rec.rhs(b_, i);
-    return true;
 }
 
 } // namespace ypm::spice

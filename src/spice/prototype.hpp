@@ -99,8 +99,8 @@ public:
             return solver.solve(proto_->circuit(), dc_ws_);
         }
 
-        /// AC transfer sweep h[i] = V(out)/V(in); bit-identical to
-        /// run_ac + AcResult::transfer on a fresh build.
+        /// AC transfer sweep h[i] = V(out)/V(in) through the instance's
+        /// sweep workspace; bit-identical to a fresh build's sweep.
         [[nodiscard]] std::vector<std::complex<double>>
         ac_transfer(const Solution& op, const std::vector<double>& freqs,
                     NodeId out, NodeId in) {

@@ -6,8 +6,8 @@
 /// plain node ids and never special-case ground. Branch unknowns (voltage
 /// sources, inductors) occupy rows/columns after the node block.
 
-#include <complex>
 #include <cstddef>
+#include <vector>
 
 #include "linalg/matrix.hpp"
 #include "spice/solution.hpp"
@@ -76,6 +76,5 @@ private:
 };
 
 using RealStamper = Stamper<double>;
-using ComplexStamper = Stamper<std::complex<double>>;
 
 } // namespace ypm::spice

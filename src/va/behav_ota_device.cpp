@@ -1,7 +1,5 @@
 #include "va/behav_ota_device.hpp"
 
-#include <complex>
-
 #include "util/error.hpp"
 #include "util/mathx.hpp"
 
@@ -50,17 +48,16 @@ void BehaviouralOta::stamp_tran(spice::RealStamper& s, const spice::Solution&,
     s.conductance(u, out_, 1.0 / spec_.rout);
 }
 
-void BehaviouralOta::stamp_ac(spice::ComplexStamper& s, double omega,
+void BehaviouralOta::stamp_ac(spice::AcTermRecorder& rec,
                               const spice::Solution&) const {
     const spice::NodeId u = internal_node();
     // Single dominant pole: A(jw) = A0 / (1 + j w/wp).
     const double wp = 2.0 * mathx::pi * spec_.f3db;
-    const std::complex<double> a = a0_ / std::complex<double>(1.0, omega / wp);
-    s.mat_branch_col(u, branch(), {1.0, 0.0});
-    s.mat_branch_row(branch(), u, {1.0, 0.0});
-    s.mat_branch_row(branch(), inp_, -a);
-    s.mat_branch_row(branch(), inn_, a);
-    s.conductance(u, out_, {1.0 / spec_.rout, 0.0});
+    rec.mat_branch_col(u, branch(), {1.0, 0.0});
+    rec.mat_branch_row(branch(), u, {1.0, 0.0});
+    rec.mat_branch_row_pole(branch(), inp_, -a0_, wp);
+    rec.mat_branch_row_pole(branch(), inn_, a0_, wp);
+    rec.conductance(u, out_, {1.0 / spec_.rout, 0.0});
 }
 
 } // namespace ypm::va

@@ -34,7 +34,8 @@ public:
     [[nodiscard]] std::size_t branch_count() const override { return 1; }
 
     void stamp_dc(spice::RealStamper& s, const spice::Solution& x) const override;
-    void stamp_ac(spice::ComplexStamper& s, double omega,
+    /// The single pole records as pole terms (ac_terms.hpp).
+    void stamp_ac(spice::AcTermRecorder& rec,
                   const spice::Solution& op) const override;
     /// Transient: the dominant pole becomes a first-order ODE on the
     /// internal node, integrated with backward Euler.

@@ -5,10 +5,10 @@
 #include <numeric>
 #include <string>
 
+#include "spice/ac_terms.hpp"
 #include "spice/analysis/ac.hpp"
 #include "spice/analysis/dc.hpp"
 #include "spice/measure.hpp"
-#include "spice/stamper.hpp"
 #include "util/error.hpp"
 #include "util/mathx.hpp"
 
@@ -16,10 +16,11 @@ namespace ypm::testsupport {
 
 namespace {
 
-/// The AC sweep of the per-point rebuild path: per frequency, re-stamp
-/// every device from scratch, add the gmin floor and solve a fresh copy with
-/// the textbook ReferenceLu - spice::run_ac's arithmetic on the reference
-/// LU. Returns V(out)/V(in) per frequency.
+/// The AC sweep of the per-point rebuild path: per frequency, re-record
+/// every device's stamp into a fresh AcTermRecorder (so the device models,
+/// the full EKV evaluation for a MOSFET, run at every frequency), replay it
+/// into a fresh matrix, add the gmin floor and solve with the textbook
+/// ReferenceLu. Returns V(out)/V(in) per frequency.
 std::vector<std::complex<double>>
 reference_transfer(spice::Circuit& ckt, const spice::Solution& op,
                    const std::vector<double>& freqs, spice::NodeId out,
@@ -30,11 +31,12 @@ reference_transfer(spice::Circuit& ckt, const spice::Solution& op,
     std::vector<C> h;
     h.reserve(freqs.size());
     for (double f : freqs) {
+        spice::AcTermRecorder rec(n_nodes, n);
+        for (const auto& dev : ckt.devices()) dev->stamp_ac(rec, op);
         linalg::MatrixC a(n);
         std::vector<C> b(n);
-        spice::ComplexStamper stamper(a, b, n_nodes);
-        const double omega = 2.0 * mathx::pi * f;
-        for (const auto& dev : ckt.devices()) dev->stamp_ac(stamper, omega, op);
+        rec.replay_matrix(2.0 * mathx::pi * f, a.data().data());
+        rec.replay_rhs(b.data());
         for (std::size_t i = 0; i < n_nodes; ++i) a(i, i) += 1e-15;
         const spice::AcSolution x(n_nodes,
                                   ReferenceLu<C>(std::move(a)).solve(b));

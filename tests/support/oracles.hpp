@@ -19,9 +19,9 @@ namespace ypm::testsupport {
 
 /// OTA measurement on a freshly built testbench: build, apply the process
 /// realisation (nullptr = nominal), DC operating point, an AC sweep that
-/// re-stamps every device per frequency and solves with ReferenceLu, Bode
-/// metrics. The per-point rebuild path that OtaPrototype (and with it every
-/// OtaEvaluator measurement) must reproduce bit for bit.
+/// re-records every device's stamp per frequency and solves with
+/// ReferenceLu, Bode metrics. The per-point rebuild path that OtaPrototype
+/// (and with it every OtaEvaluator measurement) must reproduce bit for bit.
 [[nodiscard]] circuits::OtaPerformance
 rebuild_measure(const circuits::OtaConfig& config,
                 const circuits::OtaSizing& sizing,

@@ -188,7 +188,7 @@ public:
     void stamp_dc(RealStamper& s, const Solution&) const override {
         last_scale = s.source_scale();
     }
-    void stamp_ac(ComplexStamper&, double, const Solution&) const override {}
+    void stamp_ac(AcTermRecorder&, const Solution&) const override {}
     mutable double last_scale = 0.0;
 };
 
