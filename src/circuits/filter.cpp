@@ -120,30 +120,6 @@ FilterPerformance FilterEvaluator::metrics_from_transfer(
     return perf;
 }
 
-FilterPerformance FilterEvaluator::measure_circuit(Circuit& ckt) const {
-    FilterPerformance perf;
-
-    const spice::DcSolver solver;
-    const spice::DcResult op = solver.solve(ckt);
-    if (!op.converged) {
-        perf.failure = "dc operating point did not converge";
-        return perf;
-    }
-
-    const auto freqs =
-        spice::log_sweep(config_.f_start, config_.f_stop, config_.points_per_decade);
-    spice::AcResult ac;
-    try {
-        ac = spice::run_ac(ckt, op.solution, freqs);
-    } catch (const NumericalError& e) {
-        perf.failure = std::string("ac analysis failed: ") + e.what();
-        return perf;
-    }
-
-    const auto h = ac.transfer(*ckt.find_node("vout"), *ckt.find_node("vin"));
-    return metrics_from_transfer(freqs, h);
-}
-
 FilterPrototype::FilterPrototype(const FilterEvaluator& evaluator,
                                  OtaModelKind kind)
     : evaluator_(&evaluator),
@@ -152,18 +128,39 @@ FilterPrototype::FilterPrototype(const FilterEvaluator& evaluator,
       c1_(&proto_.device<spice::Capacitor>("c1")),
       c2_(&proto_.device<spice::Capacitor>("c2")),
       c3_(&proto_.device<spice::Capacitor>("c3")),
+      ota1_(kind == OtaModelKind::behavioural
+                ? &proto_.device<va::BehaviouralOta>("ota1")
+                : nullptr),
+      ota2_(kind == OtaModelKind::behavioural
+                ? &proto_.device<va::BehaviouralOta>("ota2")
+                : nullptr),
       vout_(proto_.node("vout")), vin_(proto_.node("vin")),
       freqs_(spice::log_sweep(evaluator.config().f_start,
                               evaluator.config().f_stop,
                               evaluator.config().points_per_decade)) {}
 
-FilterPerformance FilterPrototype::measure(const FilterSizing& sizing) {
+spice::DcResult
+FilterPrototype::bind_and_solve(const FilterSizing& sizing,
+                                const FilterOtaSpecs* specs,
+                                const process::Realization* realization) {
     c1_->set_capacitance(sizing.c1);
     c2_->set_capacitance(sizing.c2);
     c3_->set_capacitance(sizing.c3);
+    if (ota1_ != nullptr) {
+        const va::BehaviouralOtaSpec& nominal = evaluator_->config().ota_spec;
+        ota1_->set_spec(specs != nullptr ? specs->ota1 : nominal);
+        ota2_->set_spec(specs != nullptr ? specs->ota2 : nominal);
+    }
+    inst_.bind_process(realization);
+    return inst_.solve_op();
+}
 
+FilterPerformance
+FilterPrototype::measure(const FilterSizing& sizing,
+                         const FilterOtaSpecs* specs,
+                         const process::Realization* realization) {
     FilterPerformance perf;
-    const spice::DcResult op = inst_.solve_op();
+    const spice::DcResult op = bind_and_solve(sizing, specs, realization);
     if (!op.converged) {
         perf.failure = "dc operating point did not converge";
         return perf;
@@ -179,10 +176,19 @@ FilterPerformance FilterPrototype::measure(const FilterSizing& sizing) {
     return evaluator_->metrics_from_transfer(freqs_, h);
 }
 
+std::vector<std::complex<double>>
+FilterPrototype::transfer(const FilterSizing& sizing) {
+    const spice::DcResult op = bind_and_solve(sizing, nullptr, nullptr);
+    if (!op.converged)
+        throw NumericalError(
+            "FilterPrototype::transfer: DC operating point did not converge");
+    return inst_.ac_transfer(op.solution, freqs_, vout_, vin_);
+}
+
 std::vector<FilterPerformance>
 FilterEvaluator::measure_chunk(std::span<const FilterSizing> sizings,
                                OtaModelKind kind) const {
-    const auto proto = pool_->acquire(static_cast<std::uint64_t>(kind));
+    const auto proto = lease(kind);
     std::vector<FilterPerformance> out;
     out.reserve(sizings.size());
     for (const FilterSizing& s : sizings) out.push_back(proto->measure(s));
@@ -191,47 +197,30 @@ FilterEvaluator::measure_chunk(std::span<const FilterSizing> sizings,
 
 FilterPerformance FilterEvaluator::measure(const FilterSizing& sizing,
                                            OtaModelKind kind) const {
-    return pool_->acquire(static_cast<std::uint64_t>(kind))->measure(sizing);
-}
-
-FilterPerformance
-FilterEvaluator::measure_behavioural(const FilterSizing& sizing,
-                                     const va::BehaviouralOtaSpec& ota1,
-                                     const va::BehaviouralOtaSpec& ota2) const {
-    Circuit ckt = build_filter(sizing, config_, OtaModelKind::behavioural);
-    dynamic_cast<va::BehaviouralOta*>(ckt.find_device("ota1"))->set_spec(ota1);
-    dynamic_cast<va::BehaviouralOta*>(ckt.find_device("ota2"))->set_spec(ota2);
-    return measure_circuit(ckt);
-}
-
-FilterPerformance
-FilterEvaluator::measure_transistor(const FilterSizing& sizing,
-                                    const process::Realization& realization) const {
-    Circuit ckt = build_filter(sizing, config_, OtaModelKind::transistor);
-    ckt.apply_process(realization);
-    return measure_circuit(ckt);
+    return lease(kind)->measure(sizing);
 }
 
 FilterEvaluator::Response
 FilterEvaluator::ac_response(const FilterSizing& sizing, OtaModelKind kind) const {
-    Circuit ckt = build_filter(sizing, config_, kind);
-    const spice::Solution op = spice::solve_op(ckt);
-    const auto freqs =
-        spice::log_sweep(config_.f_start, config_.f_stop, config_.points_per_decade);
-    const spice::AcResult ac = spice::run_ac(ckt, op, freqs);
+    const auto proto = lease(kind);
     Response r;
-    r.freqs = freqs;
-    r.h = ac.transfer(*ckt.find_node("vout"), *ckt.find_node("vin"));
+    r.h = proto->transfer(sizing);
+    r.freqs = proto->freqs();
     return r;
 }
 
 namespace {
 
-/// Yield of `samples` pass/fail draws: `pass` judges one sample from its
-/// child stream. Runs as a chunk kernel on a private cache-less engine (one
-/// stream per sample, so the estimate is the same for any thread count).
-mc::YieldEstimate sampled_yield(std::size_t samples, Rng& rng,
-                                const std::function<bool(Rng&)>& pass) {
+/// Yield of `samples` pass/fail draws of the filter of one model kind:
+/// `measure` draws one sample from its child stream and measures it through
+/// the chunk's leased prototype. Runs as a chunk kernel on a private
+/// cache-less engine (one stream per sample, so the estimate is the same
+/// for any thread count).
+mc::YieldEstimate
+sampled_yield(const FilterEvaluator& evaluator, OtaModelKind kind,
+              std::size_t samples, Rng& rng,
+              const std::function<FilterPerformance(FilterPrototype&, Rng&)>&
+                  measure) {
     eval::EngineConfig engine_config;
     engine_config.cache_capacity = 0; // nothing to memoise in a one-shot run
     eval::Engine engine(engine_config);
@@ -239,12 +228,16 @@ mc::YieldEstimate sampled_yield(std::size_t samples, Rng& rng,
     mc_cfg.samples = samples;
     const auto result = mc::run_monte_carlo(
         engine, mc_cfg, rng,
-        mc::ChunkSampleFn([&pass](std::span<const std::size_t>,
-                                  std::span<Rng> rngs) {
+        mc::ChunkSampleFn([&](std::span<const std::size_t>,
+                              std::span<Rng> rngs) {
+            const auto proto = evaluator.lease(kind);
             std::vector<std::vector<double>> rows;
             rows.reserve(rngs.size());
-            for (Rng& sample_rng : rngs)
-                rows.push_back({pass(sample_rng) ? 1.0 : 0.0});
+            for (Rng& sample_rng : rngs) {
+                const bool pass =
+                    measure(*proto, sample_rng).meets(evaluator.mask());
+                rows.push_back({pass ? 1.0 : 0.0});
+            }
             return rows;
         }));
 
@@ -262,36 +255,44 @@ mc::YieldEstimate filter_yield_behavioural(const FilterEvaluator& evaluator,
                                            const FilterVariation& var,
                                            std::size_t samples, Rng& rng) {
     const va::BehaviouralOtaSpec nominal = evaluator.config().ota_spec;
-    return sampled_yield(samples, rng, [&](Rng& sample_rng) {
-        auto draw_spec = [&]() {
-            va::BehaviouralOtaSpec spec = nominal;
-            // Delta values are 3-sigma percentages (paper Table 2).
-            spec.gain_db *=
-                1.0 + sample_rng.gauss(0.0, var.gain_delta_pct / 300.0);
-            spec.f3db *= 1.0 + sample_rng.gauss(0.0, var.pm_delta_pct / 300.0);
-            return spec;
-        };
-        FilterSizing varied = sizing;
-        varied.c1 *= 1.0 + sample_rng.gauss(0.0, var.cap_sigma_rel);
-        varied.c2 *= 1.0 + sample_rng.gauss(0.0, var.cap_sigma_rel);
-        varied.c3 *= 1.0 + sample_rng.gauss(0.0, var.cap_sigma_rel);
-        return evaluator.measure_behavioural(varied, draw_spec(), draw_spec())
-            .meets(evaluator.mask());
-    });
+    return sampled_yield(
+        evaluator, OtaModelKind::behavioural, samples, rng,
+        [&](FilterPrototype& proto, Rng& sample_rng) {
+            auto draw_spec = [&]() {
+                va::BehaviouralOtaSpec spec = nominal;
+                // Delta values are 3-sigma percentages (paper Table 2).
+                spec.gain_db *=
+                    1.0 + sample_rng.gauss(0.0, var.gain_delta_pct / 300.0);
+                spec.f3db *=
+                    1.0 + sample_rng.gauss(0.0, var.pm_delta_pct / 300.0);
+                return spec;
+            };
+            FilterSizing varied = sizing;
+            varied.c1 *= 1.0 + sample_rng.gauss(0.0, var.cap_sigma_rel);
+            varied.c2 *= 1.0 + sample_rng.gauss(0.0, var.cap_sigma_rel);
+            varied.c3 *= 1.0 + sample_rng.gauss(0.0, var.cap_sigma_rel);
+            // OTA2's spec draws before OTA1's: the order GCC gave the
+            // earlier unsequenced call, now fixed for every compiler.
+            FilterOtaSpecs specs;
+            specs.ota2 = draw_spec();
+            specs.ota1 = draw_spec();
+            return proto.measure(varied, &specs);
+        });
 }
 
 mc::YieldEstimate filter_yield_transistor(const FilterEvaluator& evaluator,
                                           const FilterSizing& sizing,
                                           const process::ProcessSampler& sampler,
                                           std::size_t samples, Rng& rng) {
-    // Geometry inventory for mismatch scaling: build one throwaway circuit.
-    const Circuit proto =
-        build_filter(sizing, evaluator.config(), OtaModelKind::transistor);
-    const auto geometries = proto.mos_geometries();
-    return sampled_yield(samples, rng, [&](Rng& sample_rng) {
-        const process::Realization real = sampler.sample(sample_rng, geometries);
-        return evaluator.measure_transistor(sizing, real).meets(evaluator.mask());
-    });
+    // Geometry inventory for mismatch scaling (the OTA sizing is fixed).
+    const auto geometries =
+        evaluator.lease(OtaModelKind::transistor)->mos_geometries();
+    return sampled_yield(evaluator, OtaModelKind::transistor, samples, rng,
+                         [&](FilterPrototype& proto, Rng& sample_rng) {
+                             const process::Realization real =
+                                 sampler.sample(sample_rng, geometries);
+                             return proto.measure(sizing, nullptr, &real);
+                         });
 }
 
 } // namespace ypm::circuits

@@ -103,12 +103,20 @@ struct FilterPerformance {
 
 class FilterEvaluator; // below
 
+/// Macromodel specs of the behavioural filter's two OTAs.
+struct FilterOtaSpecs {
+    va::BehaviouralOtaSpec ota1;
+    va::BehaviouralOtaSpec ota2;
+};
+
 /// Prototype-backed filter measurement kernel: builds the filter once for a
-/// fixed OTA model kind and re-binds the designable capacitors per point,
-/// reusing the MNA factorisation workspaces across the chunk. Results are
-/// bit-identical to measuring a freshly built filter (the rebuild oracle in
-/// tests/support checks this). Stateful - one per thread; FilterEvaluator
-/// leases warm instances from its pool.
+/// fixed OTA model kind and re-binds every varying value per point - the
+/// designable capacitors, both macromodel specs (behavioural kind) and the
+/// process realisation (transistor kind) - reusing the MNA factorisation
+/// workspaces across the chunk. Results are bit-identical to measuring a
+/// freshly built filter (the rebuild oracle in tests/support checks this).
+/// Stateful - one per thread; FilterEvaluator leases warm instances from
+/// its pool.
 class FilterPrototype {
 public:
     FilterPrototype(const FilterEvaluator& evaluator, OtaModelKind kind);
@@ -116,14 +124,37 @@ public:
     FilterPrototype(const FilterPrototype&) = delete;
     FilterPrototype& operator=(const FilterPrototype&) = delete;
 
-    /// Re-bind C1/C2/C3 and measure.
-    [[nodiscard]] FilterPerformance measure(const FilterSizing& sizing);
+    /// Re-bind one point and measure. `specs` nullptr means the config's
+    /// nominal ota_spec for both OTAs, `realization` nullptr the nominal
+    /// process.
+    [[nodiscard]] FilterPerformance
+    measure(const FilterSizing& sizing, const FilterOtaSpecs* specs = nullptr,
+            const process::Realization* realization = nullptr);
+
+    /// Re-bind the nominal point at `sizing` and return V(vout)/V(vin)
+    /// over freqs().
+    /// \throws ypm::NumericalError if the DC operating point does not
+    /// converge or the AC solve fails.
+    [[nodiscard]] std::vector<std::complex<double>>
+    transfer(const FilterSizing& sizing);
+
+    [[nodiscard]] const std::vector<double>& freqs() const { return freqs_; }
+
+    /// Geometry of every MOSFET (transistor kind), for mismatch sampling.
+    [[nodiscard]] std::vector<process::MosGeometry> mos_geometries() const {
+        return proto_.mos_geometries();
+    }
 
 private:
+    [[nodiscard]] spice::DcResult
+    bind_and_solve(const FilterSizing& sizing, const FilterOtaSpecs* specs,
+                   const process::Realization* realization);
+
     const FilterEvaluator* evaluator_;
     spice::CircuitPrototype proto_;
     spice::CircuitPrototype::Instance inst_;
     spice::Capacitor *c1_, *c2_, *c3_;
+    va::BehaviouralOta *ota1_, *ota2_; ///< nullptr for the transistor kind
     spice::NodeId vout_, vin_;
     std::vector<double> freqs_;
 };
@@ -147,9 +178,15 @@ public:
     [[nodiscard]] std::vector<FilterPerformance>
     measure_chunk(std::span<const FilterSizing> sizings, OtaModelKind kind) const;
 
-    /// The persistent prototype pool behind measure and measure_chunk.
+    /// The persistent prototype pool behind every measurement.
     [[nodiscard]] const spice::PrototypePool<FilterPrototype>& prototype_pool() const {
         return *pool_;
+    }
+
+    /// Lease a warm prototype of the given OTA model kind from the pool.
+    [[nodiscard]] spice::PrototypePool<FilterPrototype>::Lease
+    lease(OtaModelKind kind) const {
+        return pool_->acquire(static_cast<std::uint64_t>(kind));
     }
 
     /// Response metrics from a computed transfer function (shared by every
@@ -158,20 +195,9 @@ public:
     metrics_from_transfer(const std::vector<double>& freqs,
                           const std::vector<std::complex<double>>& h) const;
 
-    /// Measure with explicit per-OTA macromodel specs on a freshly built
-    /// circuit (used by yield MC).
-    [[nodiscard]] FilterPerformance
-    measure_behavioural(const FilterSizing& sizing,
-                        const va::BehaviouralOtaSpec& ota1,
-                        const va::BehaviouralOtaSpec& ota2) const;
-
-    /// Measure at transistor level under a process realisation, on a
-    /// freshly built circuit.
-    [[nodiscard]] FilterPerformance
-    measure_transistor(const FilterSizing& sizing,
-                       const process::Realization& realization) const;
-
-    /// Full AC response (Fig. 11 curve).
+    /// Full AC response (Fig. 11 curve) at the nominal point (a one-point
+    /// lease). \throws ypm::NumericalError if the DC operating point does
+    /// not converge.
     struct Response {
         std::vector<double> freqs;
         std::vector<std::complex<double>> h;
@@ -183,7 +209,6 @@ public:
     [[nodiscard]] const FilterSpecMask& mask() const { return mask_; }
 
 private:
-    [[nodiscard]] FilterPerformance measure_circuit(spice::Circuit& ckt) const;
     [[nodiscard]] std::shared_ptr<spice::PrototypePool<FilterPrototype>>
     make_pool() const;
 

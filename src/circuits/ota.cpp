@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "spice/analysis/ac.hpp"
-#include "spice/analysis/dc.hpp"
 #include "spice/devices/capacitor.hpp"
 #include "spice/devices/inductor.hpp"
 #include "spice/devices/sources.hpp"
@@ -126,7 +125,8 @@ OtaPrototype::OtaPrototype(const OtaConfig& config)
       freqs_(spice::log_sweep(config.f_start, config.f_stop,
                               config.points_per_decade)) {}
 
-void OtaPrototype::bind_sizing(const OtaSizing& s) {
+spice::DcResult OtaPrototype::bind_and_solve(const OtaSizing& s,
+                                             const process::Realization* real) {
     // Same designable-slot assignment as add_ota_core.
     m3_->set_geometry(s.w4, s.l4);
     m6_->set_geometry(s.w4, s.l4);
@@ -136,15 +136,14 @@ void OtaPrototype::bind_sizing(const OtaSizing& s) {
     m7_->set_geometry(s.w2, s.l2);
     m10_->set_geometry(s.w3, s.l3);
     m8_->set_geometry(s.w3, s.l3);
+    inst_.bind_process(real);
+    return inst_.solve_op();
 }
 
 OtaPerformance OtaPrototype::measure(const OtaSizing& sizing,
                                      const process::Realization* real) {
-    bind_sizing(sizing);
-    inst_.bind_process(real);
-
     OtaPerformance perf;
-    const spice::DcResult op = inst_.solve_op();
+    const spice::DcResult op = bind_and_solve(sizing, real);
     if (!op.converged) {
         perf.failure = "dc operating point did not converge";
         return perf;
@@ -167,6 +166,28 @@ OtaPerformance OtaPrototype::measure(const OtaSizing& sizing,
     }
     perf.valid = true;
     return perf;
+}
+
+std::vector<std::complex<double>>
+OtaPrototype::transfer(const OtaSizing& sizing,
+                       const process::Realization* real) {
+    const spice::DcResult op = bind_and_solve(sizing, real);
+    if (!op.converged)
+        throw NumericalError(
+            "OtaPrototype::transfer: DC operating point did not converge");
+    return inst_.ac_transfer(op.solution, freqs_, out_, inp_);
+}
+
+std::vector<std::pair<std::string, Mosfet::Region>>
+OtaPrototype::op_regions(const OtaSizing& sizing) {
+    const spice::DcResult op = bind_and_solve(sizing, nullptr);
+    if (!op.converged)
+        throw NumericalError(
+            "OtaPrototype::op_regions: DC operating point did not converge");
+    std::vector<std::pair<std::string, Mosfet::Region>> out;
+    for (const Mosfet* mos : proto_.mosfets())
+        out.emplace_back(mos->name(), mos->op_info(op.solution).region);
+    return out;
 }
 
 OtaEvaluator::OtaEvaluator(OtaConfig config)
@@ -223,29 +244,16 @@ OtaEvaluator::measure_chunk(const OtaSizing& sizing,
 OtaEvaluator::Response
 OtaEvaluator::ac_response(const OtaSizing& sizing,
                           const process::Realization* real) const {
-    Circuit ckt = build_ota_testbench(sizing, config_);
-    if (real != nullptr) ckt.apply_process(*real);
-    const spice::Solution op = spice::solve_op(ckt);
-    const auto freqs =
-        spice::log_sweep(config_.f_start, config_.f_stop, config_.points_per_decade);
-    const spice::AcResult ac = spice::run_ac(ckt, op, freqs);
+    const auto proto = pool_->acquire();
     Response r;
-    r.freqs = freqs;
-    r.h = ac.transfer(*ckt.find_node("out"), *ckt.find_node("inp"));
+    r.h = proto->transfer(sizing, real);
+    r.freqs = proto->freqs();
     return r;
 }
 
 std::vector<std::pair<std::string, Mosfet::Region>>
 OtaEvaluator::op_regions(const OtaSizing& sizing) const {
-    Circuit ckt = build_ota_testbench(sizing, config_);
-    const spice::Solution op = spice::solve_op(ckt);
-    std::vector<std::pair<std::string, Mosfet::Region>> out;
-    for (const auto& dev : ckt.devices()) {
-        const auto* mos = dynamic_cast<const Mosfet*>(dev.get());
-        if (mos == nullptr) continue;
-        out.emplace_back(mos->name(), mos->op_info(op).region);
-    }
-    return out;
+    return pool_->acquire()->op_regions(sizing);
 }
 
 } // namespace ypm::circuits

@@ -104,8 +104,27 @@ public:
     measure(const OtaSizing& sizing,
             const process::Realization* realization = nullptr);
 
+    /// Re-bind one point and return V(out)/V(inp) over freqs().
+    /// \throws ypm::NumericalError if the DC operating point does not
+    /// converge or the AC solve fails.
+    [[nodiscard]] std::vector<std::complex<double>>
+    transfer(const OtaSizing& sizing,
+             const process::Realization* realization = nullptr);
+
+    /// Operating region of each transistor, in device order, at the
+    /// nominal-process operating point of `sizing`.
+    /// \throws ypm::NumericalError if the DC operating point does not
+    /// converge.
+    [[nodiscard]] std::vector<std::pair<std::string, spice::Mosfet::Region>>
+    op_regions(const OtaSizing& sizing);
+
+    [[nodiscard]] const std::vector<double>& freqs() const { return freqs_; }
+
 private:
-    void bind_sizing(const OtaSizing& sizing);
+    /// Re-bind sizing and process, then solve the DC operating point.
+    [[nodiscard]] spice::DcResult
+    bind_and_solve(const OtaSizing& sizing,
+                   const process::Realization* realization);
 
     spice::CircuitPrototype proto_;
     spice::CircuitPrototype::Instance inst_;
@@ -147,7 +166,9 @@ public:
     measure_chunk(const OtaSizing& sizing,
                   std::span<const process::Realization> realizations) const;
 
-    /// Full AC response of V(out)/V(inp) - Fig. 8's curve.
+    /// Full AC response of V(out)/V(inp) - Fig. 8's curve (a one-point
+    /// lease). \throws ypm::NumericalError if the DC operating point does
+    /// not converge.
     struct Response {
         std::vector<double> freqs;
         std::vector<std::complex<double>> h;
@@ -157,7 +178,7 @@ public:
                 const process::Realization* realization = nullptr) const;
 
     /// Operating region of each transistor at the nominal OP (testbench
-    /// sanity assertions).
+    /// sanity assertions; a one-point lease).
     [[nodiscard]] std::vector<std::pair<std::string, spice::Mosfet::Region>>
     op_regions(const OtaSizing& sizing) const;
 

@@ -7,13 +7,6 @@
 
 namespace ypm::spice {
 
-std::vector<std::complex<double>> AcResult::node_response(NodeId node) const {
-    std::vector<std::complex<double>> out;
-    out.reserve(points.size());
-    for (const auto& p : points) out.push_back(p.voltage(node));
-    return out;
-}
-
 std::vector<std::complex<double>> AcResult::transfer(NodeId out, NodeId in) const {
     std::vector<std::complex<double>> h;
     h.reserve(points.size());

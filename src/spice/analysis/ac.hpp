@@ -19,9 +19,6 @@ struct AcResult {
     std::vector<double> freqs;      ///< Hz
     std::vector<AcSolution> points; ///< one complex solution per frequency
 
-    /// Complex response of one node across the sweep.
-    [[nodiscard]] std::vector<std::complex<double>> node_response(NodeId node) const;
-
     /// Transfer function out/in (in typically the AC-driven input node).
     [[nodiscard]] std::vector<std::complex<double>>
     transfer(NodeId out, NodeId in) const;

@@ -74,7 +74,8 @@ ac_sweep_transfer(Circuit& circuit, const Solution& op,
     sweep("ac_sweep_transfer", circuit, op, freqs, ws,
           [&](const std::vector<std::complex<double>>& x) {
               if (std::abs(x[in_idx]) == 0.0)
-                  throw NumericalError("AcResult::transfer: zero input response");
+                  throw NumericalError(
+                      "AcResult::transfer: zero input response");
               h.push_back(x[out_idx] / x[in_idx]);
           });
     return h;

@@ -24,9 +24,6 @@ public:
     [[nodiscard]] double capacitance() const { return c_; }
     void set_capacitance(double c);
 
-    [[nodiscard]] NodeId node_a() const { return a_; }
-    [[nodiscard]] NodeId node_b() const { return b_; }
-
 private:
     NodeId a_, b_;
     double c_;

@@ -18,9 +18,6 @@ public:
     void stamp_dc(RealStamper& s, const Solution& x) const override;
     void stamp_ac(AcTermRecorder& rec, const Solution& op) const override;
 
-    [[nodiscard]] double gain() const { return gain_; }
-    void set_gain(double gain) { gain_ = gain; }
-
 private:
     NodeId out_p_, out_n_, ctrl_p_, ctrl_n_;
     double gain_;
@@ -35,9 +32,6 @@ public:
 
     void stamp_dc(RealStamper& s, const Solution& x) const override;
     void stamp_ac(AcTermRecorder& rec, const Solution& op) const override;
-
-    [[nodiscard]] double gm() const { return gm_; }
-    void set_gm(double gm) { gm_ = gm; }
 
 private:
     NodeId out_p_, out_n_, ctrl_p_, ctrl_n_;

@@ -10,12 +10,6 @@ Resistor::Resistor(std::string name, NodeId a, NodeId b, double r)
         throw InvalidInputError("Resistor " + this->name() + ": resistance must be > 0");
 }
 
-void Resistor::set_resistance(double r) {
-    if (!(r > 0.0))
-        throw InvalidInputError("Resistor " + name() + ": resistance must be > 0");
-    r_ = r;
-}
-
 void Resistor::stamp_dc(RealStamper& s, const Solution&) const {
     s.conductance(a_, b_, 1.0 / r_);
 }

@@ -15,10 +15,6 @@ public:
     void stamp_ac(AcTermRecorder& rec, const Solution& op) const override;
 
     [[nodiscard]] double resistance() const { return r_; }
-    void set_resistance(double r);
-
-    [[nodiscard]] NodeId node_a() const { return a_; }
-    [[nodiscard]] NodeId node_b() const { return b_; }
 
 private:
     NodeId a_, b_;

@@ -6,6 +6,16 @@
 
 namespace ypm::spice {
 
+namespace {
+
+/// AC excitation phasor of magnitude `mag` at `phase_deg` degrees.
+std::complex<double> phasor(double mag, double phase_deg) {
+    const double ph = mathx::rad_from_deg(phase_deg);
+    return {mag * std::cos(ph), mag * std::sin(ph)};
+}
+
+} // namespace
+
 double pulse_value(const PulseWave& w, double t) {
     double tau = t - w.delay;
     if (tau < 0.0) return w.v1;
@@ -27,15 +37,6 @@ VoltageSource::VoltageSource(std::string name, NodeId a, NodeId b, double dc,
     : Device(std::move(name)), a_(a), b_(b), dc_(dc), ac_mag_(ac_magnitude),
       ac_phase_deg_(ac_phase_deg) {}
 
-void VoltageSource::set_ac(double magnitude, double phase_deg) {
-    ac_mag_ = magnitude;
-    ac_phase_deg_ = phase_deg;
-}
-
-std::complex<double> VoltageSource::ac_phasor() const {
-    const double ph = mathx::rad_from_deg(ac_phase_deg_);
-    return {ac_mag_ * std::cos(ph), ac_mag_ * std::sin(ph)};
-}
 
 void VoltageSource::stamp_dc(RealStamper& s, const Solution&) const {
     s.mat_branch_col(a_, branch(), 1.0);
@@ -68,7 +69,7 @@ void VoltageSource::stamp_ac(AcTermRecorder& rec, const Solution&) const {
     rec.mat_branch_col(b_, branch(), {-1.0, 0.0});
     rec.mat_branch_row(branch(), a_, {1.0, 0.0});
     rec.mat_branch_row(branch(), b_, {-1.0, 0.0});
-    rec.rhs_branch(branch(), ac_phasor());
+    rec.rhs_branch(branch(), phasor(ac_mag_, ac_phase_deg_));
 }
 
 // --------------------------------------------------------- CurrentSource
@@ -85,8 +86,7 @@ void CurrentSource::stamp_dc(RealStamper& s, const Solution&) const {
 }
 
 void CurrentSource::stamp_ac(AcTermRecorder& rec, const Solution&) const {
-    const double ph = mathx::rad_from_deg(ac_phase_deg_);
-    const std::complex<double> i{ac_mag_ * std::cos(ph), ac_mag_ * std::sin(ph)};
+    const std::complex<double> i = phasor(ac_mag_, ac_phase_deg_);
     rec.rhs(a_, -i);
     rec.rhs(b_, i);
 }

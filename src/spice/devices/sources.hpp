@@ -49,7 +49,6 @@ public:
     [[nodiscard]] double dc() const { return dc_; }
     void set_dc(double dc) { dc_ = dc; }
     [[nodiscard]] double ac_magnitude() const { return ac_mag_; }
-    void set_ac(double magnitude, double phase_deg = 0.0);
 
     /// Attach a transient waveform (transient value; DC keeps dc()).
     void set_sine(const SineWave& w) { sine_ = w; pulse_.reset(); }
@@ -63,8 +62,6 @@ public:
     [[nodiscard]] std::size_t current_branch() const { return branch(0); }
 
 private:
-    [[nodiscard]] std::complex<double> ac_phasor() const;
-
     NodeId a_, b_;
     double dc_;
     double ac_mag_;

@@ -87,12 +87,6 @@ std::vector<double> phase_deg_unwrapped(const std::vector<std::complex<double>>&
     return out;
 }
 
-double gain_db_at(const std::vector<double>& freqs,
-                  const std::vector<std::complex<double>>& h, double f) {
-    check_sweep(freqs, h);
-    return value_at_logf(freqs, magnitude_db(h), f);
-}
-
 BodeMetrics bode_metrics(const std::vector<double>& freqs,
                          const std::vector<std::complex<double>>& h) {
     check_sweep(freqs, h);

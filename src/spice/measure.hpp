@@ -34,11 +34,6 @@ magnitude_db(const std::vector<std::complex<double>>& h);
 [[nodiscard]] std::vector<double>
 phase_deg_unwrapped(const std::vector<std::complex<double>>& h);
 
-/// |H| in dB interpolated at frequency f (log-frequency interpolation).
-[[nodiscard]] double gain_db_at(const std::vector<double>& freqs,
-                                const std::vector<std::complex<double>>& h,
-                                double f);
-
 /// Filter-style measurements on a lowpass response.
 struct LowpassMetrics {
     double passband_gain_db = 0.0; ///< gain at the lowest swept frequency

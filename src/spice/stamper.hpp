@@ -1,6 +1,8 @@
 #pragma once
 /// \file stamper.hpp
-/// \brief MNA stamping interface handed to devices.
+/// \brief Real MNA stamping interface handed to devices for DC and
+///        transient analysis (AC stamps record through AcTermRecorder,
+///        ac_terms.hpp).
 ///
 /// Ground (node 0) rows/columns are silently dropped, so devices stamp with
 /// plain node ids and never special-case ground. Branch unknowns (voltage
@@ -14,33 +16,32 @@
 
 namespace ypm::spice {
 
-template <typename T>
-class Stamper {
+class RealStamper {
 public:
     /// \param n_nodes number of non-ground nodes
     /// \param source_scale multiplier applied by independent sources to
     ///        their values (used by source-stepping homotopy; 1.0 normally)
-    Stamper(linalg::Matrix<T>& a, std::vector<T>& rhs, std::size_t n_nodes,
-            double source_scale = 1.0)
+    RealStamper(linalg::MatrixD& a, std::vector<double>& rhs,
+                std::size_t n_nodes, double source_scale = 1.0)
         : a_(a), rhs_(rhs), n_nodes_(n_nodes), source_scale_(source_scale) {}
 
     [[nodiscard]] double source_scale() const { return source_scale_; }
     [[nodiscard]] std::size_t n_nodes() const { return n_nodes_; }
 
     /// A(row, col) += v for node/node entries.
-    void mat(NodeId row, NodeId col, T v) {
+    void mat(NodeId row, NodeId col, double v) {
         if (row == ground || col == ground) return;
         a_(idx(row), idx(col)) += v;
     }
 
     /// rhs(row) += v for a node row.
-    void rhs(NodeId row, T v) {
+    void rhs(NodeId row, double v) {
         if (row == ground) return;
         rhs_[idx(row)] += v;
     }
 
     /// Two-terminal conductance stamp between nodes a and b.
-    void conductance(NodeId a, NodeId b, T g) {
+    void conductance(NodeId a, NodeId b, double g) {
         mat(a, a, g);
         mat(b, b, g);
         mat(a, b, -g);
@@ -48,18 +49,18 @@ public:
     }
 
     /// Branch-row entries (equation owned by a branch device).
-    void mat_branch_row(std::size_t branch, NodeId col, T v) {
+    void mat_branch_row(std::size_t branch, NodeId col, double v) {
         if (col == ground) return;
         a_(brow(branch), idx(col)) += v;
     }
-    void mat_branch_col(NodeId row, std::size_t branch, T v) {
+    void mat_branch_col(NodeId row, std::size_t branch, double v) {
         if (row == ground) return;
         a_(idx(row), brow(branch)) += v;
     }
-    void mat_branch_branch(std::size_t br_row, std::size_t br_col, T v) {
+    void mat_branch_branch(std::size_t br_row, std::size_t br_col, double v) {
         a_(brow(br_row), brow(br_col)) += v;
     }
-    void rhs_branch(std::size_t branch, T v) { rhs_[brow(branch)] += v; }
+    void rhs_branch(std::size_t branch, double v) { rhs_[brow(branch)] += v; }
 
 private:
     [[nodiscard]] std::size_t idx(NodeId n) const {
@@ -69,12 +70,10 @@ private:
         return n_nodes_ + branch;
     }
 
-    linalg::Matrix<T>& a_;
-    std::vector<T>& rhs_;
+    linalg::MatrixD& a_;
+    std::vector<double>& rhs_;
     std::size_t n_nodes_;
     double source_scale_;
 };
-
-using RealStamper = Stamper<double>;
 
 } // namespace ypm::spice
