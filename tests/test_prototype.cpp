@@ -323,6 +323,57 @@ TEST(FilterChunk, BitIdenticalToScalarBothKinds) {
     }
 }
 
+void expect_filter_identical(const circuits::FilterPerformance& reference,
+                             const circuits::FilterPerformance& warm) {
+    ASSERT_EQ(reference.valid, warm.valid);
+    EXPECT_EQ(reference.failure, warm.failure);
+    EXPECT_TRUE(bits_equal(reference.passband_gain_db, warm.passband_gain_db));
+    EXPECT_TRUE(bits_equal(reference.fc, warm.fc));
+    EXPECT_TRUE(bits_equal(reference.stopband_atten_db,
+                           warm.stopband_atten_db));
+    EXPECT_TRUE(bits_equal(reference.worst_passband_dev_db,
+                           warm.worst_passband_dev_db));
+}
+
+TEST(FilterChunk, WarmLeaseAfterVariedPointMeasuresNominalLikeColdBuild) {
+    // A prototype that last measured varied macromodel specs or a process
+    // realisation must re-bind the nominal point completely.
+    const circuits::FilterEvaluator evaluator{circuits::FilterConfig{},
+                                              circuits::FilterSpecMask{}};
+    const circuits::FilterSizing sizing{48e-12, 24e-12, 8e-12};
+
+    circuits::FilterOtaSpecs varied{evaluator.config().ota_spec,
+                                    evaluator.config().ota_spec};
+    varied.ota1.gain_db *= 0.9;
+    varied.ota2.f3db *= 0.5;
+    varied.ota2.rout *= 2.0;
+    {
+        const auto proto = evaluator.lease(circuits::OtaModelKind::behavioural);
+        const auto moved = proto->measure(sizing, &varied);
+        const auto nominal = proto->measure(sizing);
+        ASSERT_TRUE(moved.valid);
+        EXPECT_FALSE(bits_equal(moved.fc, nominal.fc));
+        expect_filter_identical(
+            rebuild_measure(evaluator, sizing,
+                            circuits::OtaModelKind::behavioural),
+            nominal);
+    }
+
+    const process::ProcessSampler sampler(evaluator.config().ota_config.card,
+                                          process::VariationSpec::c35());
+    const auto proto = evaluator.lease(circuits::OtaModelKind::transistor);
+    Rng rng(29);
+    const process::Realization real =
+        sampler.sample(rng, proto->mos_geometries());
+    const auto moved = proto->measure(sizing, nullptr, &real);
+    const auto nominal = proto->measure(sizing);
+    ASSERT_TRUE(moved.valid);
+    EXPECT_FALSE(bits_equal(moved.fc, nominal.fc));
+    expect_filter_identical(
+        rebuild_measure(evaluator, sizing, circuits::OtaModelKind::transistor),
+        nominal);
+}
+
 // --------------------------------------------------- problem batch + engine
 
 TEST(ProblemBatch, OtaEvaluateBatchMatchesScalar) {

@@ -1,12 +1,17 @@
 // Unit tests for the simulator substrate: MNA stamps via known linear
 // circuits, the Newton DC solver, AC analysis against closed-form transfer
-// functions, DC sweeps and the Bode/lowpass measurement helpers.
+// functions (every device's recorded AC stamp is pinned here or in its own
+// device suite), DC sweeps and the Bode/lowpass measurement helpers.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <vector>
 
+#include "process/process_card.hpp"
+#include "spice/ac_terms.hpp"
 #include "spice/analysis/ac.hpp"
 #include "spice/analysis/dc.hpp"
 #include "spice/analysis/dc_sweep.hpp"
@@ -281,6 +286,100 @@ TEST(Ac, AcMagnitudeAndPhaseOfSource) {
     const auto v = ac.points[0].voltage(in);
     EXPECT_NEAR(v.real(), 0.0, 1e-9);
     EXPECT_NEAR(v.imag(), 2.0, 1e-9);
+}
+
+/// |H| and arg(H) (degrees) of `h` against the closed form `expected`.
+void expect_response(std::complex<double> h, std::complex<double> expected) {
+    EXPECT_NEAR(std::abs(h), std::abs(expected), 1e-9 * std::abs(expected));
+    EXPECT_NEAR(mathx::deg_from_rad(std::arg(h)),
+                mathx::deg_from_rad(std::arg(expected)), 1e-6);
+}
+
+TEST(Ac, VcvsDrivingRcLoad) {
+    // H = gain / (1 + j f/fp) with fp = 1/(2 pi R C).
+    Circuit c;
+    const NodeId in = c.node("in");
+    const NodeId x = c.node("x");
+    const NodeId out = c.node("out");
+    c.add<VoltageSource>("v1", in, ground, 0.0, 1.0);
+    c.add<Vcvs>("e1", x, ground, in, ground, 2.0);
+    c.add<Resistor>("r1", x, out, 1e3);
+    c.add<Capacitor>("c1", out, ground, 1e-9);
+    const Solution op = solve_op(c);
+    const double fp = 1.0 / (2.0 * mathx::pi * 1e3 * 1e-9);
+    const std::vector<double> freqs = {fp / 10.0, fp, fp * 10.0};
+    const auto h = run_ac(c, op, freqs).transfer(out, in);
+    for (std::size_t i = 0; i < freqs.size(); ++i)
+        expect_response(h[i], 2.0 / std::complex<double>(1.0, freqs[i] / fp));
+}
+
+TEST(Ac, VccsDrivingRcLoad) {
+    // gm * v(in) leaves the output node into R || C:
+    // H = -gm R / (1 + j f/fp) with fp = 1/(2 pi R C).
+    Circuit c;
+    const NodeId in = c.node("in");
+    const NodeId out = c.node("out");
+    c.add<VoltageSource>("v1", in, ground, 0.0, 1.0);
+    c.add<Vccs>("g1", out, ground, in, ground, 1e-3);
+    c.add<Resistor>("r1", out, ground, 2e3);
+    c.add<Capacitor>("c1", out, ground, 1e-9);
+    const Solution op = solve_op(c);
+    const double fp = 1.0 / (2.0 * mathx::pi * 2e3 * 1e-9);
+    const std::vector<double> freqs = {fp / 10.0, fp, fp * 10.0};
+    const auto h = run_ac(c, op, freqs).transfer(out, in);
+    for (std::size_t i = 0; i < freqs.size(); ++i)
+        expect_response(h[i], -2.0 / std::complex<double>(1.0, freqs[i] / fp));
+}
+
+TEST(Ac, CurrentSourcePhasor) {
+    // 2 mA at 60 degrees pushed into 1 kOhm: V(a) = 2 V at 60 degrees.
+    Circuit c;
+    const NodeId a = c.node("a");
+    c.add<CurrentSource>("i1", ground, a, 0.0, 2e-3, 60.0);
+    c.add<Resistor>("r1", a, ground, 1e3);
+    const Solution op = solve_op(c);
+    const auto v = run_ac(c, op, {1e3}).points[0].voltage(a);
+    expect_response(v, std::polar(2.0, mathx::rad_from_deg(60.0)));
+}
+
+TEST(Ac, MosfetCommonSourceGain) {
+    // Low-frequency gain of a resistively loaded common-source stage:
+    // -gm / (gds + 1/RD), with gm and gds from the operating point.
+    Circuit c;
+    const NodeId vdd = c.node("vdd");
+    const NodeId g = c.node("g");
+    const NodeId d = c.node("d");
+    c.add<VoltageSource>("vsup", vdd, ground, 3.3);
+    c.add<VoltageSource>("vg", g, ground, 1.0, 1.0);
+    c.add<Resistor>("rd", vdd, d, 10e3);
+    const auto& m1 =
+        c.add<Mosfet>("m1", d, g, ground, ground, Mosfet::Type::nmos,
+                      process::ProcessCard::c35().nmos, 10e-6, 1e-6);
+    const Solution op = solve_op(c);
+    const Mosfet::OpInfo info = m1.op_info(op);
+    ASSERT_EQ(info.region, Mosfet::Region::saturation);
+    const double gain = -info.gm() / (info.gds() + 1.0 / 10e3);
+    ASSERT_LT(gain, -1.0);
+
+    const auto h = run_ac(c, op, {1.0}).transfer(d, g);
+    EXPECT_NEAR(h[0].real(), gain, 1e-6 * std::fabs(gain));
+    EXPECT_NEAR(h[0].imag(), 0.0, 1e-6 * std::fabs(gain));
+}
+
+TEST(AcTerms, PoleTermReplaysTheDirectDivision) {
+    // One branch row over one node: the pole term lands at A(1, 0).
+    const double a0 = 707.9457843841379;
+    const double wp = 2.0 * mathx::pi * 1e4;
+    AcTermRecorder rec(1, 2);
+    rec.mat_branch_row_pole(0, 1, -a0, wp);
+    for (double omega : {1.0, 1e3, wp, 3.7e5, 1e9}) {
+        std::complex<double> a[4] = {};
+        rec.replay_matrix(omega, a);
+        const std::complex<double> direct =
+            -(a0 / std::complex<double>(1.0, omega / wp));
+        EXPECT_EQ(std::memcmp(&a[2], &direct, sizeof direct), 0)
+            << "omega " << omega;
+    }
 }
 
 TEST(Ac, RejectsNonPositiveFrequency) {
