@@ -6,10 +6,9 @@
 /// Newton iteration at the candidate solution) and records its small-signal
 /// AC stamp (linearised about the converged operating point) once per
 /// operating point as terms the AC sweep replays per frequency
-/// (ac_terms.hpp). Devices that carry a
-/// branch-current unknown (voltage sources, inductors, VCVS) or private
-/// internal nodes (behavioural blocks) declare them and receive their global
-/// indices from Circuit::finalize().
+/// (ac_terms.hpp). Devices that carry a branch-current unknown (voltage
+/// sources, inductors, VCVS) or private internal nodes (behavioural blocks)
+/// declare them and receive their global indices from Circuit::finalize().
 
 #include <string>
 #include <vector>

@@ -37,7 +37,6 @@ VoltageSource::VoltageSource(std::string name, NodeId a, NodeId b, double dc,
     : Device(std::move(name)), a_(a), b_(b), dc_(dc), ac_mag_(ac_magnitude),
       ac_phase_deg_(ac_phase_deg) {}
 
-
 void VoltageSource::stamp_dc(RealStamper& s, const Solution&) const {
     s.mat_branch_col(a_, branch(), 1.0);
     s.mat_branch_col(b_, branch(), -1.0);
