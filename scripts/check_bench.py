@@ -42,7 +42,7 @@ THRESHOLDS = {
     # rather than scheduler noise.
     "mc_overlap_min_ratio": 1.1,
     # Rare-spec scenario: plain sequential MC and the single-shift IS
-    # driver run to the same CI half-width target; IS must need at most a
+    # estimator run to the same CI half-width target; IS must need at most a
     # third of the plain-MC samples (pilot included). Deterministic in its
     # seeds, so this gates estimator efficiency, not runner speed.
     "is_rare_min_ratio": 3.0,
