@@ -43,6 +43,7 @@
 #include "util/rng.hpp"
 #include "va/behav_ota_device.hpp"
 #include "yield/estimator.hpp"
+#include "yield/probe.hpp"
 #include "yield/scenarios.hpp"
 #include "yield/sequential.hpp"
 
@@ -260,6 +261,160 @@ TEST(Golden, ReducedFlow) {
                  0.21219108651418928);
 
     fs::remove_all(dir);
+}
+
+TEST(Golden, ReducedFlowWithProbes) {
+    // The same reduced flow with mixture_ce probes in the GA loop: the
+    // probes reshape the archive through the fitness, and their warm start
+    // carries a proposal from the first probed generation to the next.
+    const circuits::OtaConfig ota;
+    core::FlowConfig cfg;
+    cfg.ga.population = 20;
+    cfg.ga.generations = 5;
+    cfg.mc_samples = 32;
+    cfg.max_mc_points = 8;
+    cfg.seed = 1;
+    cfg.yield_specs = {mc::Spec::at_least("gain_db", 60.0),
+                       mc::Spec::at_least("pm_deg", 86.5)};
+    cfg.yield_sequential.pilot_samples = 24;
+    cfg.yield_sequential.chunk_samples = 24;
+    cfg.yield_sequential.max_samples = 48;
+    cfg.yield_sequential.min_samples = 24;
+    cfg.yield_probe.budget = 96;
+    cfg.yield_probe.activation_generation = 2;
+    cfg.yield_probe.max_points = 6;
+    cfg.yield_probe.estimator = "mixture_ce";
+    const core::FlowResult r = core::YieldFlow(ota, cfg).run();
+    ASSERT_FALSE(r.yields.empty());
+
+    Fnv1a archive;
+    archive.add(u64(r.optimisation.archive.size()));
+    archive.add(u64(r.pareto_indices.size()));
+    for (std::size_t idx : r.pareto_indices) {
+        const auto& e = r.optimisation.archive[idx];
+        archive.add(u64(idx));
+        archive.add(e.params);
+        archive.add(e.objectives);
+        archive.add(e.robustness);
+    }
+
+    Fnv1a certificates;
+    for (const auto& y : r.yields) {
+        certificates.add(u64(y.design_id));
+        certificates.add(y.probe_yield);
+        add_certificate(certificates, y.result);
+    }
+
+    expect_digest("probe_flow.archive_front", archive.value(),
+                  0x57216ee26065c865ull);
+    expect_digest("probe_flow.certificates", certificates.value(),
+                  0x195c212eb2ea3b3bull);
+    expect_value("probe_flow.probe_points",
+                 static_cast<double>(r.timings.probe_points), 18.0);
+    expect_value("probe_flow.probe_samples",
+                 static_cast<double>(r.timings.probe_samples), 1656.0);
+}
+
+// ------------------------------------------------------ multi-point yield
+
+TEST(Golden, MultiPointYieldWithRefits) {
+    // Three synthetic points driven together on one engine, with CE refits
+    // and early stop, two chunks in flight per point. Only folded outputs
+    // are digested: the drained overshoot depends on scheduling by design.
+    std::vector<yield::YieldPoint> points(3);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        points[i].specs = {mc::Spec::at_most("v", 3.0)};
+        points[i].factory = yield::synthetic_factory(0.1 * double(i), 1.0);
+        points[i].dimension = 1;
+    }
+    yield::SequentialConfig seq;
+    seq.pilot_samples = 256;
+    seq.pilot_scale = 2.5;
+    seq.chunk_samples = 64;
+    seq.max_samples = 4096;
+    seq.min_samples = 256;
+    seq.target_half_width = 5e-4;
+    seq.inflight = 2;
+    seq.refine_after_chunks = 2;
+    seq.max_refits = 2;
+    seq.refit_min_failures = 4;
+    yield::AdaptiveYieldConfig config;
+    config.sequential = seq;
+
+    eval::EngineConfig engine_config;
+    engine_config.cache_capacity = 0;
+    eval::Engine engine(engine_config);
+    const auto results =
+        yield::run_adaptive_yield(engine, config, points, Rng(2029));
+    ASSERT_EQ(results.size(), points.size());
+
+    Fnv1a d;
+    for (const auto& r : results) {
+        add_certificate(d, r);
+        d.add(u64(r.trajectory.size()));
+        for (const auto& [samples, half_width] : r.trajectory) {
+            d.add(u64(samples));
+            d.add(half_width);
+        }
+    }
+    expect_value("multi_point.samples_0",
+                 static_cast<double>(results[0].samples_used), 256.0);
+    expect_value("multi_point.samples_1",
+                 static_cast<double>(results[1].samples_used), 320.0);
+    expect_value("multi_point.samples_2",
+                 static_cast<double>(results[2].samples_used), 576.0);
+    expect_value("multi_point.refinements_2",
+                 static_cast<double>(results[2].refinements), 2.0);
+    expect_digest("multi_point.certificates", d.value(), 0xf99584ab90f29c42ull);
+}
+
+// ------------------------------------------------------------- yield probe
+
+void add_probe_result(Fnv1a& d, const yield::ProbeResult& r) {
+    add_estimate(d, r.estimate);
+    d.add(u64(r.samples_used));
+    d.add(r.warm_started);
+    d.add(r.reached_target);
+}
+
+TEST(Golden, ProbeColdThenWarm) {
+    // A single_shift probe: the cold call fits pilots and hands its
+    // proposal on, the warm call skips the pilots and runs from it.
+    const yield::Scenario sc = yield::make_scenario("synthetic_bimodal");
+    yield::ProbeConfig config;
+    config.sequential = sc.config;
+    config.estimator = "single_shift";
+    config.budget = 768;
+    config.target_half_width = 0.08;
+    yield::YieldProbe probe(
+        config, sc.specs, [&](const std::vector<double>&) { return sc.factory; },
+        sc.dimension);
+    const std::vector<std::vector<double>> points = {{0.0}, {1.0}, {2.0}};
+
+    eval::EngineConfig engine_config;
+    engine_config.cache_capacity = 0;
+    eval::Engine engine(engine_config);
+    const auto cold = probe.probe(engine, points, Rng(81).child(1), 0);
+    const process::ProposalMixture warm_proposal = probe.warm_proposal();
+    const auto warm = probe.probe(engine, points, Rng(81).child(2), 1);
+    ASSERT_FALSE(warm_proposal.components.empty());
+
+    Fnv1a results;
+    for (const auto& r : cold) add_probe_result(results, r);
+    for (const auto& r : warm) add_probe_result(results, r);
+    Fnv1a proposal;
+    proposal.add(u64(warm_proposal.components.size()));
+    for (const auto& c : warm_proposal.components) {
+        proposal.add(c.mu);
+        proposal.add(c.scale);
+        proposal.add(c.sigma);
+        proposal.add(c.weight);
+    }
+    expect_digest("probe.results", results.value(), 0x948e07f660a5327eull);
+    expect_digest("probe.warm_proposal", proposal.value(),
+                  0xd2bf8a266fd46976ull);
+    expect_value("probe.total_samples",
+                 static_cast<double>(probe.total_samples()), 2304.0);
 }
 
 // ------------------------------------------------------------ matrix cells
