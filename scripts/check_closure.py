@@ -18,10 +18,15 @@ Gates:
                 nominal arm's by the ratio floor (measured at the committed
                 seed: 1.000 vs 0.822 -> 1.22x; floor 1.05x), and strictly.
 
-Usage: check_closure.py <yield_closure.csv>
+Usage:
+  check_closure.py <yield_closure.csv>
+  check_closure.py --fixtures <dir>
+      Self-test: <dir>/yield_closure.pass.csv must pass every gate and
+      <dir>/yield_closure.fail.csv must trip at least one.
 """
 
 import csv
+import os
 import sys
 
 RATIO_FLOOR = 1.05
@@ -35,7 +40,7 @@ def gate(ok, message):
         failures.append(message)
 
 
-def main(path):
+def check(path):
     with open(path, newline="") as f:
         rows = {r["arm"]: r for r in csv.DictReader(f)}
 
@@ -76,11 +81,38 @@ def main(path):
          f"nominal {nom_min:.4f}")
 
 
+def run(path):
+    """Run every gate on one CSV; True when all of them passed."""
+    failures.clear()
+    check(path)
+    return not failures
+
+
+def self_test(directory):
+    """The .pass fixture must pass and the .fail fixture must fail."""
+    wrong = []
+    for kind, expected in (("pass", True), ("fail", False)):
+        name = f"yield_closure.{kind}.csv"
+        print(f"--- {name}")
+        if run(os.path.join(directory, name)) != expected:
+            wrong.append(name)
+    for name in wrong:
+        print(f"FIXTURE MISMATCH {name}")
+    return not wrong
+
+
+def main(argv):
+    if len(argv) == 3 and argv[1] == "--fixtures":
+        return 0 if self_test(argv[2]) else 1
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    if run(argv[1]):
+        print("\nall closure gates passed")
+        return 0
+    print(f"\n{len(failures)} closure gate(s) FAILED")
+    return 1
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit(__doc__)
-    main(sys.argv[1])
-    if failures:
-        print(f"\n{len(failures)} closure gate(s) FAILED")
-        sys.exit(1)
-    print("\nall closure gates passed")
+    sys.exit(main(sys.argv))

@@ -26,10 +26,15 @@ Gates:
   clean_sweep  all estimators report the identical unweighted Wilson
                estimate - the zero-failure reduction, zoo-wide.
 
-Usage: check_matrix.py <yield_matrix.csv>
+Usage:
+  check_matrix.py <yield_matrix.csv>
+  check_matrix.py --fixtures <dir>
+      Self-test: <dir>/yield_matrix.pass.csv must pass every gate and
+      <dir>/yield_matrix.fail.csv must trip at least one.
 """
 
 import csv
+import os
 import sys
 
 IS_FAMILY = [
@@ -49,7 +54,7 @@ def gate(ok, message):
         failures.append(message)
 
 
-def main(path):
+def check(path):
     with open(path, newline="") as f:
         rows = list(csv.DictReader(f))
     cells = {(r["estimator"], r["scenario"]): r for r in rows}
@@ -120,11 +125,38 @@ def main(path):
         gate(same, f"clean_sweep: {e} matches the plain-MC Wilson numbers")
 
 
+def run(path):
+    """Run every gate on one CSV; True when all of them passed."""
+    failures.clear()
+    check(path)
+    return not failures
+
+
+def self_test(directory):
+    """The .pass fixture must pass and the .fail fixture must fail."""
+    wrong = []
+    for kind, expected in (("pass", True), ("fail", False)):
+        name = f"yield_matrix.{kind}.csv"
+        print(f"--- {name}")
+        if run(os.path.join(directory, name)) != expected:
+            wrong.append(name)
+    for name in wrong:
+        print(f"FIXTURE MISMATCH {name}")
+    return not wrong
+
+
+def main(argv):
+    if len(argv) == 3 and argv[1] == "--fixtures":
+        return 0 if self_test(argv[2]) else 1
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    if run(argv[1]):
+        print("\nall matrix gates passed")
+        return 0
+    print(f"\n{len(failures)} matrix gate(s) FAILED")
+    return 1
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit(__doc__)
-    main(sys.argv[1])
-    if failures:
-        print(f"\n{len(failures)} matrix gate(s) FAILED")
-        sys.exit(1)
-    print("\nall matrix gates passed")
+    sys.exit(main(sys.argv))
