@@ -202,10 +202,7 @@ void BM_YieldBimodalReference(benchmark::State& state) {
 }
 BENCHMARK(BM_YieldBimodalReference)->Iterations(1)->Unit(benchmark::kMillisecond);
 
-/// Shared counter block of the two bimodal drivers. `pilot_skipped` is
-/// logged for the artifact record; these drivers run their own pilots
-/// directly, so it is 0 here - the flag is set by run_adaptive_yield when
-/// a cross-point budget starves a pilot.
+/// Shared counter block of the two bimodal drivers.
 void bimodal_counters(benchmark::State& state,
                       const yield::SequentialYieldResult& result) {
     state.counters["samples"] =
@@ -223,7 +220,6 @@ void bimodal_counters(benchmark::State& state,
         static_cast<double>(result.proposal.components.size());
     state.counters["refinements"] = static_cast<double>(result.refinements);
     state.counters["reached_target"] = result.reached_target ? 1.0 : 0.0;
-    state.counters["pilot_skipped"] = result.pilot_skipped ? 1.0 : 0.0;
 }
 
 void BM_YieldBimodalSingleShift(benchmark::State& state) {

@@ -12,7 +12,6 @@
 #include "util/clock.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
-#include "yield/estimator.hpp"
 #include "yield/probe.hpp"
 
 namespace ypm::core {
@@ -114,11 +113,6 @@ FlowResult YieldFlow::run() const {
             throw InvalidInputError(
                 "YieldFlow: yield_sequential.shift_fit.defensive_weight must "
                 "be in [0, 1)");
-        // Resolve the estimator-zoo selection up front: an unknown name
-        // must fail before the expensive MOO/MC stages, not after them.
-        if (!config_.yield_estimator.empty())
-            (void)yield::EstimatorRegistry::instance().create(
-                config_.yield_estimator);
     }
     const FlowConfig::ProbeKnobs& probe_knobs = config_.yield_probe;
     if (probe_knobs.budget > 0) {
@@ -185,7 +179,6 @@ FlowResult YieldFlow::run() const {
         probe_config.estimator = probe_knobs.estimator;
         probe_config.budget = probe_knobs.budget;
         probe_config.target_half_width = probe_knobs.target_half_width;
-        probe_config.warm_start = probe_knobs.warm_start;
         // The u-record dimension is a topology property, identical for
         // every sizing (see ota_yield_dimension) - probe it at the box
         // midpoint without running any simulation.
@@ -261,14 +254,22 @@ FlowResult YieldFlow::run() const {
     if (config_.max_mc_points > 0 && mc_points.size() > config_.max_mc_points) {
         std::vector<std::size_t> picked;
         picked.reserve(config_.max_mc_points);
-        const double step = static_cast<double>(mc_points.size() - 1) /
-                            static_cast<double>(config_.max_mc_points - 1);
-        for (std::size_t k = 0; k < config_.max_mc_points; ++k) {
-            const auto idx = static_cast<std::size_t>(
-                static_cast<double>(k) * step + 0.5);
-            picked.push_back(mc_points[std::min(idx, mc_points.size() - 1)]);
+        if (config_.max_mc_points == 1) {
+            // One point: the middle of the front (the even spacing below
+            // would divide by zero).
+            picked.push_back(mc_points[(mc_points.size() - 1) / 2]);
+        } else {
+            const double step = static_cast<double>(mc_points.size() - 1) /
+                                static_cast<double>(config_.max_mc_points - 1);
+            for (std::size_t k = 0; k < config_.max_mc_points; ++k) {
+                const auto idx = static_cast<std::size_t>(
+                    static_cast<double>(k) * step + 0.5);
+                picked.push_back(
+                    mc_points[std::min(idx, mc_points.size() - 1)]);
+            }
+            picked.erase(std::unique(picked.begin(), picked.end()),
+                         picked.end());
         }
-        picked.erase(std::unique(picked.begin(), picked.end()), picked.end());
         mc_points = std::move(picked);
     }
 
@@ -388,25 +389,12 @@ FlowResult YieldFlow::run() const {
                   static_cast<double>(config_.mc_samples)}});
 
         // Yield certification: importance-sampled sequential estimation per
-        // surviving point, remaining budget allocated adaptively to the
-        // points with the widest confidence intervals. Rides the same
+        // surviving point, all points driven together. Rides the same
         // engine (streamed chunks, warm prototypes, one ledger).
         if (!config_.yield_specs.empty() && !result.front.empty()) {
             obs::Span yield_span("flow.yield", "flow");
             yield_span.arg("points", static_cast<double>(result.front.size()));
             const util::TickNs t1 = util::now_ns();
-            yield::AdaptiveYieldConfig yield_config;
-            yield_config.sequential = config_.yield_sequential;
-            if (!config_.yield_estimator.empty()) {
-                const auto estimator =
-                    yield::EstimatorRegistry::instance().create(
-                        config_.yield_estimator);
-                yield_config.sequential =
-                    estimator->configure(yield_config.sequential);
-                log::info("flow: yield estimator '", config_.yield_estimator,
-                          "'");
-            }
-            yield_config.total_samples = config_.yield_total_samples;
             const std::size_t dimension =
                 ota_yield_dimension(evaluator, result.front.front().sizing);
             std::vector<yield::YieldPoint> points;
@@ -419,8 +407,8 @@ FlowResult YieldFlow::run() const {
                 yp.dimension = dimension;
                 points.push_back(std::move(yp));
             }
-            auto estimates = yield::run_adaptive_yield(engine, yield_config,
-                                                       points, rng.child(3));
+            auto estimates = yield::run_yield_points(
+                engine, config_.yield_sequential, points, rng.child(3));
             result.yields.reserve(estimates.size());
             for (std::size_t i = 0; i < estimates.size(); ++i) {
                 log::info("flow: design ", result.front[i].design_id, " yield ",

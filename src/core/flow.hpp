@@ -8,7 +8,7 @@
 ///        3. performance model from Pareto front (moo::pareto + sort)
 ///        4. variation model from Monte Carlo    (core::run_ota_monte_carlo)
 ///           + optional yield certification via the variance-reduction
-///           yield engine (yield::run_adaptive_yield)
+///           yield engine (yield::run_yield_points)
 ///        5. table model generation              (core::write_artifacts)
 ///
 /// With probes enabled the pipeline is *two-tier*: cheap coarse-CI yield
@@ -37,6 +37,7 @@ struct FlowConfig {
     std::size_t mc_samples = 200;   ///< paper: 200 per Pareto point
     std::size_t max_mc_points = 0;  ///< cap MC to N front points (0 = all),
                                     ///< evenly subsampled along the front
+                                    ///< (1 = the middle point)
     std::uint64_t seed = 1;
     std::string artifact_dir;       ///< empty = skip file output
     process::VariationSpec variation = process::VariationSpec::c35();
@@ -61,19 +62,11 @@ struct FlowConfig {
     /// Per-point pilot/chunk/early-stop settings for the yield stage,
     /// including the proposal-family knobs: `mixture_proposal` (defensive
     /// mixture vs legacy single shift), `refine_after_chunks`/`max_refits`
-    /// (cross-entropy refinement) and `shift_fit.defensive_weight`.
+    /// (cross-entropy refinement) and `shift_fit.defensive_weight`. To
+    /// certify with an estimator-zoo member, specialize it first:
+    /// `yield_sequential = EstimatorRegistry::instance().create(name)
+    /// ->configure(yield_sequential)` (yield/estimator.hpp).
     yield::SequentialConfig yield_sequential;
-    /// Cross-point sample budget, allocated adaptively to the points with
-    /// the widest confidence intervals (0 = per-point caps only).
-    std::size_t yield_total_samples = 0;
-    /// Estimator-zoo selection by registry name (yield/estimator.hpp):
-    /// when non-empty, the named estimator's configure() specializes
-    /// `yield_sequential`'s method knobs before the yield stage runs -
-    /// one of "plain_mc", "single_shift", "mixture_ce", "mixture_ce_scale".
-    /// Empty keeps `yield_sequential` exactly as given (the legacy
-    /// behaviour). Unknown names throw
-    /// ypm::InvalidInputError at flow construction, listing the registry.
-    std::string yield_estimator;
     /// Yield-in-the-loop probes (step 2): when `budget` > 0, every WBGA
     /// generation at or past `activation_generation` runs a low-budget
     /// yield probe per (selected) individual against `yield_specs`, and the
@@ -97,11 +90,12 @@ struct FlowConfig {
         /// Probe only the K nominally-fittest individuals per generation
         /// (0 = whole population) - the tiered budget control.
         std::size_t max_points = 0;
-        /// Carry fitted proposals across generations (skip later pilots).
-        bool warm_start = true;
         /// Estimator-zoo member the probes run (empty = plain_mc). Must be
         /// probe-compatible with `budget`: a pilot that leaves no main-stage
-        /// sample fails fast, listing the compatible zoo members.
+        /// sample fails fast, listing the compatible zoo members. Probes
+        /// always carry fitted proposals across generations (warm start),
+        /// so an importance-sampling member skips the pilots of later
+        /// generations.
         std::string estimator;
     };
     ProbeKnobs yield_probe;

@@ -1,9 +1,9 @@
 #include "yield/estimator.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace ypm::yield {
 
@@ -18,26 +18,6 @@ YieldEstimator::estimate(eval::Engine& engine, const SequentialConfig& base,
 }
 
 namespace {
-
-/// The whole built-in zoo shares one implementation: a name plus a config
-/// transform. Estimators needing real state can subclass YieldEstimator
-/// directly; none of the built-ins do.
-class PolicyEstimator final : public YieldEstimator {
-public:
-    using Transform = SequentialConfig (*)(SequentialConfig);
-    PolicyEstimator(std::string_view name, Transform transform)
-        : name_(name), transform_(transform) {}
-
-    [[nodiscard]] std::string_view name() const override { return name_; }
-    [[nodiscard]] SequentialConfig
-    configure(SequentialConfig base) const override {
-        return transform_(std::move(base));
-    }
-
-private:
-    std::string_view name_;
-    Transform transform_;
-};
 
 /// Every estimator starts from a clean method slate: the scenario-level
 /// base keeps its problem knobs, the family knobs are reset here and then
@@ -80,63 +60,36 @@ SequentialConfig mixture_ce_scale(SequentialConfig c) {
     return c;
 }
 
+/// The built-in zoo, sorted by name.
+struct Builtin {
+    std::string_view name;
+    YieldEstimator::Transform transform;
+};
+constexpr Builtin kBuiltins[] = {{"mixture_ce", mixture_ce},
+                                 {"mixture_ce_scale", mixture_ce_scale},
+                                 {"plain_mc", plain_mc},
+                                 {"single_shift", single_shift}};
+
 } // namespace
 
-EstimatorRegistry& EstimatorRegistry::instance() {
-    static EstimatorRegistry registry;
+const EstimatorRegistry& EstimatorRegistry::instance() {
+    static const EstimatorRegistry registry{};
     return registry;
-}
-
-EstimatorRegistry::EstimatorRegistry() {
-    const auto builtin = [this](std::string_view name,
-                                PolicyEstimator::Transform transform) {
-        add(std::string(name), [name, transform] {
-            return std::make_unique<PolicyEstimator>(name, transform);
-        });
-    };
-    builtin("plain_mc", plain_mc);
-    builtin("single_shift", single_shift);
-    builtin("mixture_ce", mixture_ce);
-    builtin("mixture_ce_scale", mixture_ce_scale);
-}
-
-void EstimatorRegistry::add(std::string name, EstimatorFactory factory) {
-    if (name.empty())
-        throw InvalidInputError("EstimatorRegistry: empty estimator name");
-    if (!factory)
-        throw InvalidInputError("EstimatorRegistry: null factory for '" +
-                                name + "'");
-    if (contains(name))
-        throw InvalidInputError("EstimatorRegistry: duplicate estimator '" +
-                                name + "'");
-    entries_.emplace_back(std::move(name), std::move(factory));
-}
-
-bool EstimatorRegistry::contains(std::string_view name) const {
-    for (const auto& [n, f] : entries_)
-        if (n == name) return true;
-    return false;
 }
 
 std::unique_ptr<YieldEstimator>
 EstimatorRegistry::create(std::string_view name) const {
-    for (const auto& [n, factory] : entries_)
-        if (n == name) return factory();
-    std::string known;
-    for (const std::string& n : names()) {
-        if (!known.empty()) known += ", ";
-        known += n;
-    }
+    for (const Builtin& b : kBuiltins)
+        if (b.name == name)
+            return std::make_unique<YieldEstimator>(b.name, b.transform);
     throw InvalidInputError("EstimatorRegistry: unknown estimator '" +
-                            std::string(name) + "' (registered: " + known +
-                            ")");
+                            std::string(name) + "' (registered: " +
+                            str::join(names(), ", ") + ")");
 }
 
 std::vector<std::string> EstimatorRegistry::names() const {
     std::vector<std::string> out;
-    out.reserve(entries_.size());
-    for (const auto& [n, f] : entries_) out.push_back(n);
-    std::sort(out.begin(), out.end());
+    for (const Builtin& b : kBuiltins) out.emplace_back(b.name);
     return out;
 }
 

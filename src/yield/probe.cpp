@@ -1,7 +1,6 @@
 #include "yield/probe.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -28,6 +27,10 @@ struct ProbeMetrics {
         return metrics;
     }
 };
+
+/// A pilot fit backed by fewer failing samples than this is too noisy to
+/// carry forward; keep probing cold until one qualifies.
+constexpr std::size_t kMinWarmFailures = 4;
 
 /// Clamp the per-point caps of an already-specialized config to the probe
 /// budget left after its pilot.
@@ -104,46 +107,21 @@ YieldProbe::probe(eval::Engine& engine,
     std::vector<ProbeResult> results(n);
     if (n == 0) return results;
 
-    const bool warm = config_.warm_start && !warm_.components.empty();
+    const bool warm = !warm_.components.empty();
     const SequentialConfig cfg = warm ? warm_config() : cold_config_;
 
-    // Point i derives its RNG from its submission position (child(i + 1),
-    // matching run_adaptive_yield), so the batch is invariant to scheduling.
-    std::vector<std::unique_ptr<SequentialYieldRunner>> runners;
-    runners.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        runners.push_back(std::make_unique<SequentialYieldRunner>(
-            engine, cfg, specs_, factory_(points[i]), dimension_,
-            rng.child(i + 1)));
-
-    // Pilots streamed together: every pilot is in flight before the first
-    // is waited on, so they overlap on the engine's pool.
-    for (auto& r : runners) r->submit_pilot();
-    for (auto& r : runners) r->finish_pilot();
-
-    // Main stage, round-robin: keep each unfinished runner's window full,
-    // retire one chunk per runner per sweep. Each runner's folded estimate
-    // is window-invariant (overshoot drains, never folds), so the sweep
-    // order affects only overlap, never results.
-    const std::size_t window = std::max<std::size_t>(cfg.inflight, 1);
-    bool progressed = true;
-    while (progressed) {
-        progressed = false;
-        for (auto& r : runners) {
-            if (r->done()) continue;
-            while (r->in_flight() < window && r->submit_chunk() > 0) {
-            }
-        }
-        for (auto& r : runners) {
-            if (r->done()) continue;
-            if (r->retire_chunk()) progressed = true;
-            if (r->done()) (void)r->drain_overshoot();
-        }
-    }
+    // Point i runs on rng.child(i + 1), its submission position, so the
+    // batch is invariant to scheduling.
+    std::vector<YieldPoint> batch;
+    batch.reserve(n);
+    for (const std::vector<double>& params : points)
+        batch.push_back({specs_, factory_(params), dimension_});
+    const std::vector<SequentialYieldResult> runs =
+        run_yield_points(engine, cfg, batch, rng);
 
     std::size_t call_samples = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        SequentialYieldResult res = runners[i]->finish();
+        const SequentialYieldResult& res = runs[i];
         results[i].estimate = res.estimate;
         results[i].samples_used = res.samples_used + res.pilot_samples;
         results[i].warm_started = warm;
@@ -153,8 +131,7 @@ YieldProbe::probe(eval::Engine& engine,
         // Warm-start hand-off: the last cold point this call whose pilot
         // located enough failures donates its fitted proposal. Advances in
         // point order on folded results only - deterministic.
-        if (config_.warm_start && !warm &&
-            res.shift_pilot_failures >= config_.min_warm_failures &&
+        if (!warm && res.shift_pilot_failures >= kMinWarmFailures &&
             res.proposal.active())
             warm_ = res.proposal;
     }

@@ -6,12 +6,12 @@
 ///
 /// A probe is the *lower tier* of the two-tier recipe core::YieldFlow runs:
 /// during the GA, every probed individual gets a low-budget, coarse-CI
-/// estimate from the same estimator zoo and the same SequentialYieldRunner
-/// the certification tier uses - only the configuration differs (a hard
-/// per-point sample budget, a loose half-width target, and warm-started
-/// proposals instead of a fresh pilot per point). Near the front, the full
-/// sequential certification run (run_adaptive_yield) remains the authority;
-/// the probe's job is steering selection, not certifying yield.
+/// estimate from the same estimator zoo and the same drive loop
+/// (run_yield_points) the certification tier uses - only the configuration
+/// differs (a hard per-point sample budget, a loose half-width target, and
+/// warm-started proposals instead of a fresh pilot per point). Near the
+/// front, the full certification run remains the authority; the probe's job
+/// is steering selection, not certifying yield.
 ///
 /// Determinism contract (matches the rest of the yield stack):
 ///  * point i of a probe call derives its RNG as rng.child(i + 1) - from
@@ -22,11 +22,12 @@
 ///  * warm-start state advances only on folded results, in point order, so
 ///    the generation-to-generation proposal hand-off is deterministic too.
 ///
-/// Warm start: the first cold probe whose pilot actually located failures
-/// donates its fitted mixture; later probe calls (higher generations) skip
-/// the pilot and spend the whole budget on main-stage chunks drawn from the
-/// carried proposal. Importance weights stay exact under any proposal, so a
-/// stale warm proposal costs variance, never bias.
+/// Warm start (always on): in the first cold probe call where some pilot
+/// located at least four failures, the last such point donates its fitted
+/// mixture; later probe calls (higher generations) skip the pilot and spend the
+/// whole budget on main-stage chunks drawn from the carried proposal.
+/// Importance weights stay exact under any proposal, so a stale warm
+/// proposal costs variance, never bias.
 
 #include <cstddef>
 #include <functional>
@@ -60,13 +61,6 @@ struct ProbeConfig {
     /// Coarse early-stop CI half-width (0 spends the full budget). Probes
     /// steer selection, so ~0.08 is plenty; certification tightens later.
     double target_half_width = 0.08;
-    /// Carry fitted proposals across probe calls (generations): once a cold
-    /// pilot has located failures, later points skip their pilots and spend
-    /// the whole budget on main-stage chunks.
-    bool warm_start = true;
-    /// A pilot fit backed by fewer failing samples than this is too noisy
-    /// to carry forward; keep probing cold until one qualifies.
-    std::size_t min_warm_failures = 4;
 };
 
 /// One probed individual.
@@ -90,9 +84,8 @@ configure_probe_estimator(const std::string& name, SequentialConfig base,
                           std::size_t budget, double target_half_width);
 
 /// Batched low-budget yield estimation for one cohort of design points,
-/// streamed through a shared engine (pilots together, then main chunks
-/// round-robin with each runner's configured inflight window) so probe
-/// chunks overlap on the engine's pool exactly like certification chunks.
+/// driven through run_yield_points on a shared engine, so probe chunks
+/// overlap on the engine's pool exactly like certification chunks.
 /// Stateful across calls: warm-start proposals carry from one generation's
 /// probe call to the next.
 class YieldProbe {
@@ -116,10 +109,6 @@ public:
     /// qualifies).
     [[nodiscard]] const process::ProposalMixture& warm_proposal() const {
         return warm_;
-    }
-
-    [[nodiscard]] const SequentialConfig& cold_config() const {
-        return cold_config_;
     }
 
 private:

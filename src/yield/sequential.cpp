@@ -1,13 +1,11 @@
 #include "yield/sequential.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 
 namespace ypm::yield {
 
@@ -71,8 +69,7 @@ SequentialYieldRunner::SequentialYieldRunner(eval::Engine& engine,
     }
     if (config_.refit_min_failures == 0) config_.refit_min_failures = 1;
     // Zero retired samples must report the vacuous interval [0, 1], not a
-    // default-constructed point interval [0, 0] pretending certainty (a
-    // budget-starved point in a multi-point campaign hits this).
+    // default-constructed point interval [0, 0] pretending certainty.
     estimate_ = weighted_yield_from_flags({}, {});
     pilot_estimate_ = estimate_;
 }
@@ -148,21 +145,18 @@ bool SequentialYieldRunner::target_met() const {
            (!estimate_.weighted || estimate_.ess > 0.0);
 }
 
-std::size_t SequentialYieldRunner::submit_chunk(std::size_t limit) {
-    if (!pilot_finished_)
-        throw InvalidInputError(
-            "SequentialYieldRunner: finish_pilot() must run before chunks");
+bool SequentialYieldRunner::submit_chunk() {
     const std::size_t left = config_.max_samples - std::min(submitted_samples_,
                                                             config_.max_samples);
-    const std::size_t size = std::min({config_.chunk_samples, left, limit});
-    if (size == 0) return 0;
+    const std::size_t size = std::min(config_.chunk_samples, left);
+    if (size == 0) return false;
     InflightChunk chunk{mc::McTicket{}, size, rng_};
     mc::McConfig cfg;
     cfg.samples = size;
     chunk.ticket = mc::submit_monte_carlo(engine_, cfg, rng_, main_kernel_);
     tickets_.push_back(std::move(chunk));
     submitted_samples_ += size;
-    return size;
+    return true;
 }
 
 bool SequentialYieldRunner::retire_chunk() {
@@ -265,12 +259,6 @@ std::size_t SequentialYieldRunner::drain_overshoot() {
     return drained;
 }
 
-std::size_t SequentialYieldRunner::take_refund() {
-    const std::size_t refund = discarded_samples_ - refunded_samples_;
-    refunded_samples_ = discarded_samples_;
-    return refund;
-}
-
 SequentialYieldResult SequentialYieldRunner::finish() {
     // Drain the overshoot: chunks submitted past the stop decision stay out
     // of the estimate so the result is identical for any inflight window.
@@ -290,104 +278,54 @@ SequentialYieldResult SequentialYieldRunner::finish() {
     result.pilot_samples = pilot_submitted_ ? config_.pilot_samples : 0;
     result.discarded_samples = discarded_samples_;
     result.reached_target = target_met();
-    result.pilot_skipped = pilot_skipped_;
     result.trajectory = std::move(trajectory_);
     return result;
 }
 
-SequentialYieldResult SequentialYieldRunner::run() {
-    submit_pilot();
-    finish_pilot();
-    while (!done()) {
-        while (tickets_.size() < config_.inflight && submit_chunk() > 0) {
+void SequentialYieldRunner::drive(std::span<SequentialYieldRunner> runners) {
+    // Pilots streamed together: every pilot is in flight before the first
+    // is waited on, so they overlap on the engine's pool.
+    for (SequentialYieldRunner& r : runners) r.submit_pilot();
+    for (SequentialYieldRunner& r : runners) r.finish_pilot();
+
+    // Main stage, round-robin: keep each unfinished runner's window full,
+    // retire one chunk per runner per sweep. Each runner's folded estimate
+    // is window-invariant (overshoot drains, never folds), so the sweep
+    // order affects only overlap, never results.
+    bool progressed = true;
+    while (progressed) {
+        progressed = false;
+        for (SequentialYieldRunner& r : runners) {
+            if (r.done()) continue;
+            while (r.tickets_.size() < r.config_.inflight && r.submit_chunk()) {
+            }
         }
-        if (!retire_chunk()) break;
+        for (SequentialYieldRunner& r : runners) {
+            if (r.done()) continue;
+            if (r.retire_chunk()) progressed = true;
+            if (r.done()) (void)r.drain_overshoot();
+        }
     }
+}
+
+SequentialYieldResult SequentialYieldRunner::run() {
+    drive(std::span(this, 1));
     return finish();
 }
 
 std::vector<SequentialYieldResult>
-run_adaptive_yield(eval::Engine& engine, const AdaptiveYieldConfig& config,
-                   const std::vector<YieldPoint>& points, Rng rng) {
-    std::vector<std::unique_ptr<SequentialYieldRunner>> runners;
+run_yield_points(eval::Engine& engine, const SequentialConfig& config,
+                 const std::vector<YieldPoint>& points, Rng rng) {
+    std::vector<SequentialYieldRunner> runners;
     runners.reserve(points.size());
     for (std::size_t i = 0; i < points.size(); ++i)
-        runners.push_back(std::make_unique<SequentialYieldRunner>(
-            engine, config.sequential, points[i].specs, points[i].factory,
-            points[i].dimension, rng.child(i + 1)));
-
-    std::size_t used = 0;
-    const auto remaining = [&]() -> std::size_t {
-        if (config.total_samples == 0) return static_cast<std::size_t>(-1);
-        return config.total_samples > used ? config.total_samples - used : 0;
-    };
-
-    // Pilots first, streamed together: every pilot chunk is in flight before
-    // the first is retired, so they overlap on the engine's pool. A point
-    // whose pilot no longer fits the budget is flagged, not silently
-    // degraded to plain MC.
-    for (std::size_t i = 0; i < runners.size(); ++i) {
-        if (config.sequential.pilot_samples == 0) continue;
-        if (remaining() >= config.sequential.pilot_samples) {
-            runners[i]->submit_pilot();
-            used += config.sequential.pilot_samples;
-        } else {
-            runners[i]->mark_pilot_skipped();
-            log::warn("adaptive yield: budget cannot cover the pilot of "
-                      "point ", i, " - it runs on plain MC (pilot_skipped)");
-        }
-    }
-    for (auto& r : runners) r->finish_pilot();
-
-    // One initial chunk each (streamed the same way), so every point has an
-    // estimate for the adaptive ranking.
-    for (auto& r : runners) used += r->submit_chunk(remaining());
-    for (auto& r : runners) {
-        (void)r->retire_chunk();
-        used -= std::min(used, r->take_refund());
-    }
-
-    // Adaptive rounds: each round the single unfinished point with the
-    // widest confidence interval gets the next `inflight` chunks (streamed,
-    // then retired, then re-ranked) - giving one chunk each to the top-K
-    // would degenerate to round-robin whenever K covers the candidates.
-    // Deterministic: ties break toward the lower point index.
-    while (true) {
-        std::size_t widest = runners.size();
-        for (std::size_t i = 0; i < runners.size(); ++i) {
-            if (runners[i]->done() || runners[i]->exhausted() || remaining() == 0)
-                continue;
-            if (widest == runners.size() ||
-                runners[i]->estimate().half_width() >
-                    runners[widest]->estimate().half_width())
-                widest = i;
-        }
-        if (widest == runners.size()) break;
-        SequentialYieldRunner& runner = *runners[widest];
-        const std::size_t window =
-            std::max<std::size_t>(config.sequential.inflight, 1);
-        for (std::size_t k = 0; k < window && !runner.exhausted(); ++k) {
-            const std::size_t submitted = runner.submit_chunk(remaining());
-            if (submitted == 0) break;
-            used += submitted;
-        }
-        // Stop folding the moment the runner is done, and refund the
-        // drained overshoot to the budget (total_samples caps useful
-        // samples; overshoot - from stop decisions and mid-run CE refits
-        // alike - is wasted compute, not budget). Note the window is also
-        // the allocation granularity: a pick folds up to `inflight` chunks
-        // before the next re-ranking, so unlike the single-point runner the
-        // *allocation* is only deterministic per configuration, not
-        // invariant across window sizes.
-        while (!runner.done() && runner.retire_chunk()) {
-        }
-        if (runner.done()) (void)runner.drain_overshoot();
-        used -= std::min(used, runner.take_refund());
-    }
+        runners.emplace_back(engine, config, points[i].specs, points[i].factory,
+                             points[i].dimension, rng.child(i + 1));
+    SequentialYieldRunner::drive(runners);
 
     std::vector<SequentialYieldResult> results;
     results.reserve(runners.size());
-    for (auto& r : runners) results.push_back(r->finish());
+    for (SequentialYieldRunner& r : runners) results.push_back(r.finish());
     return results;
 }
 

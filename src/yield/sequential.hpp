@@ -33,13 +33,16 @@
 /// shift and one chunk the sampled rows are bit-identical to
 /// mc::run_monte_carlo.
 ///
-/// run_adaptive_yield() drives many design points at once, allocating the
-/// remaining sample budget to whichever point currently has the widest
-/// confidence interval - the Pareto-front yield stage of core::YieldFlow.
+/// run_yield_points() drives many design points through the same loop on
+/// one engine - the certification stage of core::YieldFlow and the
+/// optimiser-side yield::YieldProbe. Each point's estimate depends only on
+/// its own RNG stream, so driving points together changes the overlap of
+/// their chunks, never their results.
 
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -74,10 +77,9 @@ struct SequentialConfig {
     /// 0 runs to max_samples unconditionally.
     double target_half_width = 0.0;
     /// Chunks submitted ahead of retirement (>= 1). 1 is the blocking path;
-    /// larger windows overlap chunk evaluation with the stop decision. In a
-    /// single-point run the window never changes the estimate (see file
-    /// comment), only the overshoot; in run_adaptive_yield it is also the
-    /// per-pick allocation granularity (see its contract).
+    /// larger windows overlap chunk evaluation with the stop decision. The
+    /// window never changes the estimate (see file comment), only the
+    /// overshoot.
     std::size_t inflight = 2;
     /// Main-stage proposal family: the defensive mixture fitted by the
     /// pilot (default - covers disjoint multi-spec failure regions) or the
@@ -114,8 +116,7 @@ struct SequentialYieldResult {
     process::SampleShift shift;     ///< combined single shift of the last fit
     process::ProposalMixture proposal; ///< final main-stage proposal
     /// One estimate per proposal stage (a single entry when no refinement
-    /// ran; empty for a budget-starved point that never got a chunk). The
-    /// `estimate` above is their combination.
+    /// ran). The `estimate` above is their combination.
     std::vector<WeightedYieldEstimate> stage_estimates;
     std::size_t refinements = 0;    ///< CE refits actually applied
     std::size_t shift_pilot_failures = 0; ///< failing pilot samples behind the fit
@@ -123,20 +124,29 @@ struct SequentialYieldResult {
     std::size_t pilot_samples = 0;
     std::size_t discarded_samples = 0; ///< drained overshoot past stop/refit
     bool reached_target = false;
-    /// True when the allocator skipped this point's pilot because the
-    /// cross-point budget could not cover it: the point ran (if at all) on
-    /// plain MC with no failure-directed proposal. Size the budget above
-    /// points * (pilot + min_samples) to avoid it.
-    bool pilot_skipped = false;
     /// (cumulative samples, CI half-width) after each retired chunk - the
     /// convergence trajectory the bench artifact plots.
     std::vector<std::pair<std::size_t, double>> trajectory;
 };
 
+/// One design point of a multi-point yield campaign.
+struct YieldPoint {
+    std::vector<mc::Spec> specs;
+    KernelFactory factory;
+    std::size_t dimension = 0;
+};
+
+/// Estimate every point's yield on one engine through the runner's drive
+/// loop (pilots together, then round-robin windows). Point i runs on
+/// rng.child(i + 1), so each result is bit-identical to
+/// SequentialYieldRunner(engine, config, ..., rng.child(i + 1)).run() for
+/// any inflight window.
+[[nodiscard]] std::vector<SequentialYieldResult>
+run_yield_points(eval::Engine& engine, const SequentialConfig& config,
+                 const std::vector<YieldPoint>& points, Rng rng);
+
 /// Streams one design point's yield estimation through a shared engine.
-/// Single-threaded driver (the engine parallelises the chunks underneath);
-/// the incremental submit/retire API exists so a multi-point allocator can
-/// interleave several runners on one engine.
+/// Single-threaded driver (the engine parallelises the chunks underneath).
 class SequentialYieldRunner {
 public:
     /// \param dimension standardized process-space dimension of the kernel's
@@ -149,56 +159,8 @@ public:
                           std::vector<mc::Spec> specs, KernelFactory factory,
                           std::size_t dimension, Rng rng);
 
-    /// Pilot stage. submit_pilot() enqueues the pilot chunk (no-op when
-    /// pilot_samples == 0); finish_pilot() blocks on it and fits the
-    /// proposal. Both must be called (in order) before any main-stage call.
-    void submit_pilot();
-    void finish_pilot();
-
-    /// Record that the allocator skipped this point's pilot for budget
-    /// reasons (surfaced as SequentialYieldResult::pilot_skipped).
-    void mark_pilot_skipped() { pilot_skipped_ = true; }
-
-    /// True once the run should stop: early-stop criterion met (target > 0,
-    /// >= min_samples retired, half-width <= target) or max_samples retired.
-    [[nodiscard]] bool done() const;
-
-    /// True once max_samples has been submitted (nothing left to enqueue).
-    [[nodiscard]] bool exhausted() const {
-        return submitted_samples_ >= config_.max_samples;
-    }
-
-    /// Enqueue the next main-stage chunk, at most `limit` samples (budget
-    /// caps of a multi-point campaign). Returns the number of samples
-    /// submitted; 0 when max_samples is already in flight or limit is 0.
-    std::size_t submit_chunk(std::size_t limit = static_cast<std::size_t>(-1));
-
-    /// Block on the oldest in-flight chunk and fold it into the estimate;
-    /// false when nothing is in flight. May trigger a CE refit (see
-    /// SequentialConfig::refine_after_chunks), which drains the remaining
-    /// in-flight chunks as discarded overshoot.
-    bool retire_chunk();
-
-    /// Block on every in-flight chunk *without* folding it (counted as
-    /// discarded overshoot); returns the number of samples drained. Used
-    /// once the stop decision is made, so the folded prefix - and with it
-    /// the estimate - is invariant to the inflight window.
-    std::size_t drain_overshoot();
-
-    /// Discarded samples since the last call - the overshoot drained by
-    /// stop decisions *and* mid-run refits. A budgeted allocator refunds
-    /// these (they are wasted compute, not useful samples).
-    [[nodiscard]] std::size_t take_refund();
-
-    [[nodiscard]] const WeightedYieldEstimate& estimate() const { return estimate_; }
-    [[nodiscard]] std::size_t samples_used() const { return retired_samples_; }
-    [[nodiscard]] std::size_t in_flight() const { return tickets_.size(); }
-
-    /// Drain any in-flight overshoot (discarding it) and build the result.
-    [[nodiscard]] SequentialYieldResult finish();
-
-    /// The one-call blocking driver: pilot, then submit/retire chunks with
-    /// config.inflight chunks in the air, then finish().
+    /// Run to completion: pilot, then main-stage chunks with
+    /// config.inflight chunks in the air until the early stop or the cap.
     [[nodiscard]] SequentialYieldResult run();
 
 private:
@@ -210,6 +172,35 @@ private:
                         ///< state so the post-refit stream is
                         ///< window-invariant
     };
+
+    /// The one drive loop, shared by run() and run_yield_points(): pilots
+    /// streamed together, then round-robin sweeps that keep every
+    /// unfinished runner's inflight window full and retire one chunk per
+    /// runner per sweep. A runner stops folding the moment it is done and
+    /// drains its overshoot; results are then built by finish().
+    static void drive(std::span<SequentialYieldRunner> runners);
+    friend std::vector<SequentialYieldResult>
+    run_yield_points(eval::Engine& engine, const SequentialConfig& config,
+                     const std::vector<YieldPoint>& points, Rng rng);
+
+    /// Pilot stage: submit_pilot() enqueues the pilot chunk (no-op when
+    /// pilot_samples == 0); finish_pilot() blocks on it and binds the
+    /// main-stage proposal.
+    void submit_pilot();
+    void finish_pilot();
+    /// True once the run should stop: early stop met or max_samples retired.
+    [[nodiscard]] bool done() const;
+    /// Enqueue the next main-stage chunk; false once max_samples is in
+    /// flight.
+    bool submit_chunk();
+    /// Block on the oldest in-flight chunk and fold it (may trigger a CE
+    /// refit); false when nothing is in flight.
+    bool retire_chunk();
+    /// Block on every in-flight chunk without folding it (discarded
+    /// overshoot); returns the samples drained.
+    std::size_t drain_overshoot();
+    /// Drain any remaining overshoot and build the result.
+    [[nodiscard]] SequentialYieldResult finish();
 
     void bind_main_kernel(const ShiftFit& fit);
     void fold_rows(const mc::McResult& result);
@@ -232,7 +223,6 @@ private:
 
     bool pilot_submitted_ = false;
     bool pilot_finished_ = false;
-    bool pilot_skipped_ = false;
     mc::McTicket pilot_ticket_;
     WeightedYieldEstimate pilot_estimate_;
     ShiftFit fit_;
@@ -246,7 +236,6 @@ private:
     std::size_t submitted_samples_ = 0;
     std::size_t retired_samples_ = 0;
     std::size_t discarded_samples_ = 0;
-    std::size_t refunded_samples_ = 0;
     std::vector<bool> flags_;            ///< current stage accumulators
     std::vector<double> log_weights_;
     std::size_t stage_chunks_ = 0;
@@ -256,39 +245,5 @@ private:
     WeightedYieldEstimate estimate_;
     std::vector<std::pair<std::size_t, double>> trajectory_;
 };
-
-/// One design point of a multi-point yield campaign.
-struct YieldPoint {
-    std::vector<mc::Spec> specs;
-    KernelFactory factory;
-    std::size_t dimension = 0;
-};
-
-struct AdaptiveYieldConfig {
-    SequentialConfig sequential;
-    /// Cross-point budget of *useful* samples: pilots plus main-stage
-    /// samples folded into an estimate. Overshoot drained past a point's
-    /// stop or refit decision is wasted compute but refunded, so the
-    /// allocation (and every estimate) stays invariant to the inflight
-    /// window. 0 = only the per-point caps apply. Points whose budget runs
-    /// out before their pilot run on plain MC and are flagged
-    /// (SequentialYieldResult::pilot_skipped); points that never get a
-    /// chunk report a 0-sample estimate - size the budget above
-    /// points * (pilot + min_samples).
-    std::size_t total_samples = 0;
-};
-
-/// Estimate every point's yield on one engine, streaming pilots and chunks
-/// together and allocating the remaining budget adaptively: each round
-/// gives the next window of chunks (up to sequential.inflight, the
-/// allocation granularity) to the unfinished point with the widest
-/// confidence interval, ties broken by point index. Fully deterministic
-/// for a fixed configuration; across *different* inflight settings the
-/// per-point sample split may differ by up to a window (each runner's
-/// folded prefix is still chunk-ordered, and drained overshoot is
-/// refunded to the budget). Point i derives its RNG as rng.child(i + 1).
-[[nodiscard]] std::vector<SequentialYieldResult>
-run_adaptive_yield(eval::Engine& engine, const AdaptiveYieldConfig& config,
-                   const std::vector<YieldPoint>& points, Rng rng);
 
 } // namespace ypm::yield

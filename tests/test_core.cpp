@@ -213,14 +213,27 @@ TEST(Flow, RejectsMalformedYieldSpecs) {
     bad_dw.yield_specs = good_specs;
     bad_dw.yield_sequential.shift_fit.defensive_weight = 1.0;
     EXPECT_THROW((void)YieldFlow(ota, bad_dw).run(), InvalidInputError);
+}
 
-    // And for a yield-estimator name the registry does not know: the yield
-    // stage resolves the name only after the MOO stage, so the fail-fast
-    // check up front is what keeps a typo from wasting the whole run.
-    FlowConfig bad_estimator = cfg;
-    bad_estimator.yield_specs = good_specs;
-    bad_estimator.yield_estimator = "no_such_estimator";
-    EXPECT_THROW((void)YieldFlow(ota, bad_estimator).run(), InvalidInputError);
+TEST(Flow, SingleMonteCarloPointIsTheMiddleOfTheFront) {
+    // Regression: max_mc_points = 1 used to space the picks by (n - 1) / 0,
+    // cast the resulting NaN to an index and silently take the last point.
+    // One point is the middle of the front: index 4 of this 10-point front.
+    circuits::OtaConfig ota;
+    FlowConfig cfg;
+    cfg.ga.population = 20;
+    cfg.ga.generations = 5;
+    cfg.mc_samples = 8;
+    cfg.max_mc_points = 1;
+    cfg.seed = 1;
+    const FlowResult r = YieldFlow(ota, cfg).run();
+    ASSERT_EQ(r.pareto_indices.size(), 10u);
+    ASSERT_EQ(r.front.size(), 1u);
+    const auto& middle = r.optimisation.archive[r.pareto_indices[4]];
+    EXPECT_EQ(r.front[0].gain_db, middle.objectives[0]);
+    EXPECT_EQ(r.front[0].pm_deg, middle.objectives[1]);
+    EXPECT_NEAR(r.front[0].gain_db, 60.88, 0.01);
+    EXPECT_EQ(r.timings.mc_evaluations, cfg.mc_samples);
 }
 
 TEST(Artifacts, YieldTableWrittenWithProbeDeltas) {

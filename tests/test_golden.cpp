@@ -338,14 +338,12 @@ TEST(Golden, MultiPointYieldWithRefits) {
     seq.refine_after_chunks = 2;
     seq.max_refits = 2;
     seq.refit_min_failures = 4;
-    yield::AdaptiveYieldConfig config;
-    config.sequential = seq;
 
     eval::EngineConfig engine_config;
     engine_config.cache_capacity = 0;
     eval::Engine engine(engine_config);
     const auto results =
-        yield::run_adaptive_yield(engine, config, points, Rng(2029));
+        yield::run_yield_points(engine, seq, points, Rng(2029));
     ASSERT_EQ(results.size(), points.size());
 
     Fnv1a d;

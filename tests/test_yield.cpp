@@ -3,7 +3,7 @@
 // estimator, ISLE-style shift fitting, and the sequential streaming driver
 // (zero-shift bit-identity with plain MC, early-stop determinism across
 // inflight windows, importance sampling beating plain MC on a rare spec,
-// adaptive multi-point budget allocation).
+// the multi-point driver matching single-point runs bit for bit).
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,6 @@
 #include "process/sampler.hpp"
 #include "process/variation.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "yield/scenarios.hpp"
 #include "yield/sequential.hpp"
@@ -690,45 +689,10 @@ TEST(SequentialYield, ImportanceSamplingBeatsPlainMcOnRareSpec) {
     EXPECT_GT(is.estimate.ess, 10.0);
 }
 
-TEST(SequentialYield, AdaptiveAllocatorFocusesBudgetOnWidestCi) {
-    // Point 0: p ~ 0.5 (high per-sample variance). Point 1: p ~ 0.98.
-    // Under one shared budget the allocator must spend more on point 0.
-    std::vector<yield::YieldPoint> points(2);
-    points[0].specs = {mc::Spec::at_least("v", 50.0)};
-    points[0].factory = synthetic_factory(50.0, 2.0);
-    points[0].dimension = 1;
-    points[1].specs = {mc::Spec::at_least("v", 45.9)};
-    points[1].factory = synthetic_factory(50.0, 2.0);
-    points[1].dimension = 1;
-
-    yield::AdaptiveYieldConfig config;
-    config.sequential.pilot_samples = 64;
-    config.sequential.chunk_samples = 64;
-    config.sequential.max_samples = 100000;
-    config.sequential.min_samples = 64;
-    config.sequential.target_half_width = 1e-4; // unreachable in budget
-    config.total_samples = 4096;
-
-    eval::Engine engine = make_engine();
-    const auto results = yield::run_adaptive_yield(engine, config, points, Rng(3));
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_GT(results[0].samples_used, results[1].samples_used);
-    // total_samples caps the useful samples (pilots + folded chunks);
-    // drained overshoot is refunded.
-    std::size_t charged = 0;
-    for (const auto& r : results) charged += r.samples_used + r.pilot_samples;
-    EXPECT_LE(charged, config.total_samples);
-    // Both points got at least one chunk despite the skew.
-    EXPECT_GT(results[1].samples_used, 0u);
-}
-
-TEST(SequentialYield, AdaptiveAllocatorDeterministicAndNeverFoldsPastDone) {
-    // The multi-point contract: fully deterministic for a fixed
-    // configuration (rerun equality), stop decisions never fold a window's
-    // overshoot (regression: retire_chunk used to be called unconditionally
-    // past done()), and refunded overshoot keeps the useful-sample budget
-    // honest. Cross-window invariance is deliberately NOT claimed - the
-    // window is the allocation granularity (see run_adaptive_yield's doc).
+TEST(SequentialYield, MultiPointDriverDeterministicAndNeverFoldsPastDone) {
+    // The multi-point contract: deterministic across reruns, and stop
+    // decisions never fold a window's overshoot (regression: retire_chunk
+    // used to be called unconditionally past done()).
     auto run_once = [](std::size_t inflight) {
         std::vector<yield::YieldPoint> points(2);
         for (std::size_t i = 0; i < points.size(); ++i) {
@@ -736,33 +700,118 @@ TEST(SequentialYield, AdaptiveAllocatorDeterministicAndNeverFoldsPastDone) {
             points[i].factory = synthetic_factory(50.0, 2.0);
             points[i].dimension = 1;
         }
-        yield::AdaptiveYieldConfig config;
-        config.sequential.pilot_samples = 32;
-        config.sequential.chunk_samples = 32;
-        config.sequential.max_samples = 8192;
-        config.sequential.min_samples = 64;
-        config.sequential.target_half_width = 0.03;
-        config.sequential.inflight = inflight;
-        config.total_samples = 6144;
+        yield::SequentialConfig config;
+        config.pilot_samples = 32;
+        config.chunk_samples = 32;
+        config.max_samples = 8192;
+        config.min_samples = 64;
+        config.target_half_width = 0.03;
+        config.inflight = inflight;
         eval::Engine engine = make_engine();
-        return yield::run_adaptive_yield(engine, config, points, Rng(41));
+        return yield::run_yield_points(engine, config, points, Rng(41));
     };
     const auto a = run_once(4);
     const auto b = run_once(4);
     ASSERT_EQ(a.size(), b.size());
-    std::size_t charged = 0;
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].samples_used, b[i].samples_used);
         EXPECT_EQ(a[i].estimate.yield, b[i].estimate.yield);
         EXPECT_EQ(a[i].estimate.ci_low, b[i].estimate.ci_low);
         EXPECT_EQ(a[i].estimate.ci_high, b[i].estimate.ci_high);
         EXPECT_TRUE(a[i].reached_target);
+        EXPECT_LT(a[i].samples_used, 8192u);
         // No window chunk may be folded past the stop: the folded samples
         // stay a multiple of the chunk size reached at or before done.
         EXPECT_EQ(a[i].samples_used % 32, 0u);
-        charged += a[i].samples_used + a[i].pilot_samples;
     }
-    EXPECT_LE(charged, 6144u);
+}
+
+void expect_same_estimate(const yield::WeightedYieldEstimate& a,
+                          const yield::WeightedYieldEstimate& b) {
+    EXPECT_EQ(a.samples, b.samples);
+    EXPECT_EQ(a.passes, b.passes);
+    EXPECT_EQ(a.yield, b.yield);
+    EXPECT_EQ(a.ci_low, b.ci_low);
+    EXPECT_EQ(a.ci_high, b.ci_high);
+    EXPECT_EQ(a.ess, b.ess);
+    EXPECT_EQ(a.max_weight_share, b.max_weight_share);
+    EXPECT_EQ(a.weighted, b.weighted);
+    EXPECT_EQ(a.fail_weight_sum, b.fail_weight_sum);
+    EXPECT_EQ(a.fail_weight_sq_sum, b.fail_weight_sq_sum);
+    EXPECT_EQ(a.fail_weight_max, b.fail_weight_max);
+}
+
+TEST(SequentialYield, MultiPointDriverMatchesSingleRunsBitForBit) {
+    // The driver contract: point i of run_yield_points is exactly the
+    // single-point run on rng.child(i + 1), for any inflight window - with
+    // CE refits (which rewind past drained chunks) and early stop (which
+    // drains the window) both in play.
+    std::vector<yield::YieldPoint> points(3);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        points[i].specs = {mc::Spec::at_most("v", 3.0)};
+        points[i].factory = synthetic_factory(0.1 * double(i), 1.0);
+        points[i].dimension = 1;
+    }
+    yield::SequentialConfig config;
+    config.pilot_samples = 256;
+    config.pilot_scale = 2.5;
+    config.chunk_samples = 64;
+    config.max_samples = 4096;
+    config.min_samples = 256;
+    config.target_half_width = 5e-4;
+    config.refine_after_chunks = 2;
+    config.max_refits = 4;
+    config.refit_min_failures = 4;
+    const Rng rng(2029);
+
+    for (std::size_t inflight : {1u, 2u, 4u}) {
+        SCOPED_TRACE(inflight);
+        config.inflight = inflight;
+        eval::Engine engine = make_engine();
+        const auto multi = yield::run_yield_points(engine, config, points, rng);
+        ASSERT_EQ(multi.size(), points.size());
+        std::size_t refits = 0;
+        std::size_t drained = 0;
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            SCOPED_TRACE(i);
+            yield::SequentialYieldRunner runner(
+                engine, config, points[i].specs, points[i].factory,
+                points[i].dimension, rng.child(i + 1));
+            const yield::SequentialYieldResult single = runner.run();
+            const yield::SequentialYieldResult& m = multi[i];
+            expect_same_estimate(m.estimate, single.estimate);
+            expect_same_estimate(m.pilot, single.pilot);
+            ASSERT_EQ(m.stage_estimates.size(), single.stage_estimates.size());
+            for (std::size_t s = 0; s < m.stage_estimates.size(); ++s)
+                expect_same_estimate(m.stage_estimates[s],
+                                     single.stage_estimates[s]);
+            ASSERT_EQ(m.proposal.components.size(),
+                      single.proposal.components.size());
+            for (std::size_t c = 0; c < m.proposal.components.size(); ++c) {
+                EXPECT_EQ(m.proposal.components[c].mu,
+                          single.proposal.components[c].mu);
+                EXPECT_EQ(m.proposal.components[c].sigma,
+                          single.proposal.components[c].sigma);
+                EXPECT_EQ(m.proposal.components[c].weight,
+                          single.proposal.components[c].weight);
+            }
+            EXPECT_EQ(m.shift.mu, single.shift.mu);
+            EXPECT_EQ(m.refinements, single.refinements);
+            EXPECT_EQ(m.shift_pilot_failures, single.shift_pilot_failures);
+            EXPECT_EQ(m.samples_used, single.samples_used);
+            EXPECT_EQ(m.pilot_samples, single.pilot_samples);
+            EXPECT_EQ(m.reached_target, single.reached_target);
+            EXPECT_EQ(m.trajectory, single.trajectory);
+            EXPECT_TRUE(m.reached_target);
+            refits += m.refinements;
+            drained += m.discarded_samples;
+        }
+        EXPECT_GE(refits, points.size()); // the CE path ran on every point
+        // Wider windows really drained overshoot past refits and stops.
+        if (inflight > 1) {
+            EXPECT_GT(drained, 0u);
+        }
+    }
 }
 
 TEST(SequentialYield, MixtureRecoversEssWhereSingleShiftCollapses) {
@@ -852,93 +901,26 @@ TEST(SequentialYield, CeRefinementDeterministicAcrossInflightWindows) {
     EXPECT_NEAR(1.0 - a.estimate.yield, 1.349898e-3, 3.0 * 5e-4);
 }
 
-TEST(SequentialYield, StarvedBudgetSkipsPilotAndFlagsIt) {
-    // Regression: when total_samples cannot cover every pilot, the late
-    // points used to fall back to plain MC *silently*. Contract: the
-    // starved points are flagged via SequentialYieldResult::pilot_skipped.
-    std::vector<yield::YieldPoint> points(3);
-    for (auto& p : points) {
-        p.specs = {mc::Spec::at_least("v", 45.0)};
-        p.factory = synthetic_factory(50.0, 2.0);
-        p.dimension = 1;
-    }
-    yield::AdaptiveYieldConfig config;
-    config.sequential.pilot_samples = 32;
-    config.sequential.chunk_samples = 32;
-    config.sequential.max_samples = 256;
-    config.sequential.min_samples = 32;
-    config.total_samples = 64; // two pilots fit, the third cannot
-    eval::Engine engine = make_engine();
-    // The starvation must also be *loud*: capture the structured log and
-    // assert the warning fires exactly once, for the third point.
-    std::vector<std::string> log_lines;
-    log::set_sink(log::json_lines_sink(log_lines));
-    const auto results = yield::run_adaptive_yield(engine, config, points, Rng(8));
-    log::set_sink(nullptr);
-    ASSERT_EQ(log_lines.size(), 1u) << "expected exactly one warning";
-    EXPECT_NE(log_lines[0].find("\"level\":\"warn\""), std::string::npos)
-        << log_lines[0];
-    EXPECT_NE(log_lines[0].find("pilot_skipped"), std::string::npos)
-        << log_lines[0];
-    EXPECT_NE(log_lines[0].find("point 2"), std::string::npos) << log_lines[0];
-    ASSERT_EQ(results.size(), 3u);
-    EXPECT_FALSE(results[0].pilot_skipped);
-    EXPECT_EQ(results[0].pilot_samples, 32u);
-    EXPECT_FALSE(results[1].pilot_skipped);
-    EXPECT_TRUE(results[2].pilot_skipped);
-    EXPECT_EQ(results[2].pilot_samples, 0u);
-    // The starved point still reports the vacuous interval, not [0, 0].
-    EXPECT_EQ(results[2].samples_used, 0u);
-    EXPECT_EQ(results[2].estimate.ci_low, 0.0);
-    EXPECT_EQ(results[2].estimate.ci_high, 1.0);
-}
-
-TEST(SequentialYield, BudgetStarvedPointReportsVacuousInterval) {
-    // Regression: a point whose budget ran out before its first chunk used
-    // to report the default point interval [0, 0] - certain 0 % yield on no
-    // evidence. Contract: the vacuous interval [0, 1] and 0 samples.
-    std::vector<yield::YieldPoint> points(2);
-    for (auto& p : points) {
-        p.specs = {mc::Spec::at_least("v", 45.0)};
-        p.factory = synthetic_factory(50.0, 2.0);
-        p.dimension = 1;
-    }
-    yield::AdaptiveYieldConfig config;
-    config.sequential.pilot_samples = 32;
-    config.sequential.chunk_samples = 32;
-    config.sequential.max_samples = 256;
-    config.sequential.min_samples = 32;
-    config.total_samples = 64; // both pilots fit, no chunk ever does
-    eval::Engine engine = make_engine();
-    const auto results = yield::run_adaptive_yield(engine, config, points, Rng(8));
-    ASSERT_EQ(results.size(), 2u);
-    for (const auto& r : results) {
-        EXPECT_EQ(r.samples_used, 0u);
-        EXPECT_EQ(r.estimate.samples, 0u);
-        EXPECT_EQ(r.estimate.ci_low, 0.0);
-        EXPECT_EQ(r.estimate.ci_high, 1.0); // never a point interval
-    }
-}
-
 TEST(SequentialYield, StreamingDriverOnParallelEngine) {
     // Concurrency smoke for the TSan leg: several points, chunks in flight
-    // on the shared pool, adaptive retirement.
+    // on the shared pool, round-robin retirement.
     std::vector<yield::YieldPoint> points(3);
     for (std::size_t i = 0; i < points.size(); ++i) {
         points[i].specs = {mc::Spec::at_least("v", 44.0 + double(i))};
         points[i].factory = synthetic_factory(50.0, 2.0);
         points[i].dimension = 1;
     }
-    yield::AdaptiveYieldConfig config;
-    config.sequential.pilot_samples = 32;
-    config.sequential.chunk_samples = 32;
-    config.sequential.max_samples = 512;
-    config.sequential.min_samples = 64;
-    config.sequential.target_half_width = 0.02;
-    config.sequential.inflight = 3;
+    yield::SequentialConfig config;
+    config.pilot_samples = 32;
+    config.chunk_samples = 32;
+    config.max_samples = 512;
+    config.min_samples = 64;
+    config.target_half_width = 0.02;
+    config.inflight = 3;
 
     eval::Engine engine = make_engine(true);
-    const auto results = yield::run_adaptive_yield(engine, config, points, Rng(9));
+    const auto results =
+        yield::run_yield_points(engine, config, points, Rng(9));
     ASSERT_EQ(results.size(), 3u);
     for (const auto& r : results) {
         EXPECT_GT(r.samples_used, 0u);
