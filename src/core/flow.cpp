@@ -267,9 +267,8 @@ FlowResult YieldFlow::run() const {
                 picked.push_back(
                     mc_points[std::min(idx, mc_points.size() - 1)]);
             }
-            picked.erase(std::unique(picked.begin(), picked.end()),
-                         picked.end());
         }
+        picked.erase(std::unique(picked.begin(), picked.end()), picked.end());
         mc_points = std::move(picked);
     }
 
