@@ -26,7 +26,9 @@ void BM_CornerSweep(benchmark::State& state) {
     const process::ProcessSampler sampler(ev.config().card,
                                           process::VariationSpec::c35());
     for (auto _ : state) {
-        auto sweep = core::run_corner_sweep(ev, circuits::OtaSizing{}, sampler);
+        eval::Engine engine; // fresh per sweep: a warm cache would time nothing
+        auto sweep =
+            core::run_corner_sweep(engine, ev, circuits::OtaSizing{}, sampler);
         benchmark::DoNotOptimize(sweep);
     }
 }
@@ -38,8 +40,10 @@ void experiment() {
     const process::ProcessSampler sampler(ev.config().card,
                                           process::VariationSpec::c35());
     const circuits::OtaSizing sizing;
+    eval::Engine engine;
 
-    const core::CornerSweep sweep = core::run_corner_sweep(ev, sizing, sampler);
+    const core::CornerSweep sweep =
+        core::run_corner_sweep(engine, ev, sizing, sampler);
     TextTable c({"corner", "gain (dB)", "pm (deg)"});
     for (const auto& p : sweep.points)
         c.add_row({process::to_string(p.corner), benchx::fmt2(p.gain_db),
@@ -47,7 +51,8 @@ void experiment() {
     std::printf("%s", c.to_string().c_str());
 
     Rng rng(5);
-    const auto mc = core::run_ota_monte_carlo(ev, sizing, sampler, 200, rng);
+    const auto mc =
+        core::run_ota_monte_carlo(engine, ev, sizing, sampler, 200, rng);
     const auto gv = mc.column_variation(0);
     const auto pv = mc.column_variation(1);
 
@@ -62,7 +67,8 @@ void experiment() {
                 "1/40th of the simulations but cannot see mismatch; the paper's\n"
                 "MC-per-Pareto-point is what the variation tables need.\n");
 
-    const core::SensitivityReport sens = core::compute_sensitivities(ev, sizing);
+    const core::SensitivityReport sens =
+        core::compute_sensitivities(engine, ev, sizing);
     TextTable s({"param", "value", "gain elasticity", "pm elasticity"});
     for (const auto& p : sens.parameters)
         s.add_row({p.name, units::format_eng(p.value, 3) + "m",

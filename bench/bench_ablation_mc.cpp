@@ -23,11 +23,12 @@ void BM_McBatch50(benchmark::State& state) {
     const circuits::OtaEvaluator evaluator;
     const process::ProcessSampler sampler(evaluator.config().card,
                                           process::VariationSpec::c35());
+    eval::Engine engine;
     std::uint64_t seed = 1;
     for (auto _ : state) {
         Rng rng(seed++);
-        auto result =
-            core::run_ota_monte_carlo(evaluator, circuits::OtaSizing{}, sampler, 50, rng);
+        auto result = core::run_ota_monte_carlo(
+            engine, evaluator, circuits::OtaSizing{}, sampler, 50, rng);
         benchmark::DoNotOptimize(result);
     }
 }
@@ -39,11 +40,12 @@ void experiment() {
     const process::ProcessSampler sampler(evaluator.config().card,
                                           process::VariationSpec::c35());
     const circuits::OtaSizing sizing;
+    eval::Engine engine;
 
     // Reference Δ from a large run.
     Rng ref_rng(99);
-    const auto ref =
-        core::run_ota_monte_carlo(evaluator, sizing, sampler, 2000, ref_rng);
+    const auto ref = core::run_ota_monte_carlo(engine, evaluator, sizing,
+                                               sampler, 2000, ref_rng);
     const double ref_dgain = ref.column_variation(0).delta_3sigma_pct;
     const double ref_dpm = ref.column_variation(1).delta_3sigma_pct;
     std::printf("reference (2000 samples): dGain %.3f%%  dPM %.3f%%\n\n", ref_dgain,
@@ -56,7 +58,8 @@ void experiment() {
         constexpr int reps = 3;
         for (int r = 0; r < reps; ++r) {
             Rng rng(1000 + 17 * static_cast<std::uint64_t>(n) + r);
-            const auto mc = core::run_ota_monte_carlo(evaluator, sizing, sampler, n, rng);
+            const auto mc = core::run_ota_monte_carlo(engine, evaluator, sizing,
+                                                      sampler, n, rng);
             const double dg = mc.column_variation(0).delta_3sigma_pct;
             const double dp = mc.column_variation(1).delta_3sigma_pct;
             dgain += dg / reps;

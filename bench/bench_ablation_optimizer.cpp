@@ -77,7 +77,8 @@ void compare_on(const moo::Problem& problem, const std::vector<double>& ref,
     });
     const Score sr = run_scored(problem, ref, [&] {
         Rng rng(13);
-        return moo::random_search(problem, pop * gens, rng).archive;
+        eval::Engine engine;
+        return moo::random_search(engine, problem, pop * gens, rng).archive;
     });
 
     TextTable t({"optimiser", "hypervolume", "front size", "seconds"});

@@ -46,8 +46,9 @@ void experiment() {
     const core::SizingResult sized = model.size_for_spec(req_gain, req_pm);
 
     const circuits::OtaEvaluator evaluator;
+    eval::Engine engine;
     const core::ModelVsTransistor cmp =
-        core::compare_model_vs_transistor(evaluator, sized);
+        core::compare_model_vs_transistor(engine, evaluator, sized);
 
     TextTable t({"Performance", "Transistor model", "Behavioural model", "% error",
                  "paper % error"});
@@ -65,7 +66,7 @@ void experiment() {
                                           process::VariationSpec::c35());
     Rng rng(500);
     const core::YieldVerification v = core::verify_ota_yield(
-        evaluator, sized.sizing, sampler, req_gain, req_pm, 500, rng);
+        engine, evaluator, sized.sizing, sampler, req_gain, req_pm, 500, rng);
     TextTable y({"quantity", "paper", "measured"});
     y.add_row({"MC samples", "500", std::to_string(v.yield.samples)});
     y.add_row({"yield", "100%", benchx::fmt2(v.yield.yield * 100.0) + "%"});

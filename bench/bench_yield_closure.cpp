@@ -111,11 +111,11 @@ core::FlowConfig closure_config(const ClosureScale& s, bool yield_aware) {
     cfg.yield_sequential.target_half_width = 0.02;
     if (yield_aware) {
         cfg.yield_probe.budget = s.probe_budget;
-        cfg.yield_probe.activation_generation = s.probe_activation;
-        cfg.yield_probe.max_points = s.probe_points;
         cfg.yield_probe.target_half_width = 0.0; // spend the exact budget
-        cfg.yield_probe.mode = moo::RobustnessMode::weight;
-        cfg.yield_probe.yield_weight = 0.5;
+        cfg.ga.robustness.activation_generation = s.probe_activation;
+        cfg.ga.robustness.max_points = s.probe_points;
+        cfg.ga.robustness.mode = moo::RobustnessMode::weight;
+        cfg.ga.robustness.yield_weight = 0.5;
     }
     return cfg;
 }

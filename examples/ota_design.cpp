@@ -85,8 +85,9 @@ int main(int argc, char** argv) {
 
     // Table 4 analogue: verify the proposed sizing at transistor level.
     const circuits::OtaEvaluator evaluator(ota);
+    eval::Engine engine;
     const core::ModelVsTransistor cmp =
-        core::compare_model_vs_transistor(evaluator, sized);
+        core::compare_model_vs_transistor(engine, evaluator, sized);
     TextTable t4({"Performance", "Transistor", "Behavioural", "% error"});
     t4.add_row({"Gain (dB)", str::fmt_fixed(cmp.transistor_gain_db, 2),
                 str::fmt_fixed(cmp.model_gain_db, 2),
@@ -101,7 +102,7 @@ int main(int argc, char** argv) {
     const process::ProcessSampler sampler(ota.card, process::VariationSpec::c35());
     Rng rng(500);
     const core::YieldVerification v = core::verify_ota_yield(
-        evaluator, sized.sizing, sampler, req_gain, req_pm, 500, rng);
+        engine, evaluator, sized.sizing, sampler, req_gain, req_pm, 500, rng);
     std::printf("\nMC yield verification: %.2f%% over %zu samples "
                 "(95%% CI low %.2f%%)  [paper: 100%%]\n",
                 v.yield.yield * 100.0, v.yield.samples, v.yield.ci_low * 100.0);

@@ -54,8 +54,9 @@ int main() {
 
     // 4. Verify at transistor level (paper Table 4).
     const circuits::OtaEvaluator evaluator(ota);
+    eval::Engine engine;
     const core::ModelVsTransistor cmp =
-        core::compare_model_vs_transistor(evaluator, sized);
+        core::compare_model_vs_transistor(engine, evaluator, sized);
     std::printf("\nverification against the transistor-level simulator:\n");
     std::printf("  gain: model %.2f dB vs simulated %.2f dB (%.2f%% error)\n",
                 cmp.model_gain_db, cmp.transistor_gain_db, cmp.gain_error_pct);

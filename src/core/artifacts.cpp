@@ -18,7 +18,7 @@ ModelArtifacts write_artifacts(const std::vector<FrontPointData>& front,
 }
 
 ModelArtifacts write_artifacts(const std::vector<FrontPointData>& front,
-                               const std::vector<YieldTableRow>& yields,
+                               const std::vector<FrontPointYield>& yields,
                                const std::string& dir) {
     if (front.size() < 3)
         throw InvalidInputError("write_artifacts: need >= 3 front points");
@@ -107,26 +107,27 @@ ModelArtifacts write_artifacts(const std::vector<FrontPointData>& front,
         if (!f) throw IoError("write_artifacts: cannot write yield csv");
         f << "design_id,gain_db,pm_deg,probe_yield,yield,ci_low,ci_high,"
              "probe_delta,ess,samples,reached_target\n";
-        for (const auto& row : yields) {
-            const FrontPointData& p = front_of(row.design_id);
-            f << row.design_id << ',' << str::fmt_double(p.gain_db) << ','
+        for (const auto& y : yields) {
+            const FrontPointData& p = front_of(y.design_id);
+            const auto& est = y.result.estimate;
+            f << y.design_id << ',' << str::fmt_double(p.gain_db) << ','
               << str::fmt_double(p.pm_deg) << ','
-              << str::fmt_double(row.probe_yield) << ','
-              << str::fmt_double(row.yield) << ','
-              << str::fmt_double(row.ci_low) << ','
-              << str::fmt_double(row.ci_high) << ','
-              << str::fmt_double(row.probe_yield - row.yield) << ','
-              << str::fmt_double(row.ess) << ',' << row.samples << ','
-              << (row.reached_target ? 1 : 0) << '\n';
+              << str::fmt_double(p.probe_yield) << ','
+              << str::fmt_double(est.yield) << ','
+              << str::fmt_double(est.ci_low) << ','
+              << str::fmt_double(est.ci_high) << ','
+              << str::fmt_double(p.probe_yield - est.yield) << ','
+              << str::fmt_double(est.ess) << ',' << y.result.samples_used << ','
+              << (y.result.reached_target ? 1 : 0) << '\n';
         }
         if (yields.size() == front.size()) {
             std::vector<double> ygains, ypms, yvals;
             ygains.reserve(yields.size());
-            for (const auto& row : yields) {
-                const FrontPointData& p = front_of(row.design_id);
+            for (const auto& y : yields) {
+                const FrontPointData& p = front_of(y.design_id);
                 ygains.push_back(p.gain_db);
                 ypms.push_back(p.pm_deg);
-                yvals.push_back(row.yield);
+                yvals.push_back(y.result.estimate.yield);
             }
             art.yield_tbl = join("yield_front.tbl");
             table::write_tbl(art.yield_tbl,

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "circuits/ota.hpp"
+#include "yield/sequential.hpp"
 
 namespace ypm::core {
 
@@ -31,20 +32,11 @@ struct FrontPointData {
     double probe_yield = std::numeric_limits<double>::quiet_NaN();
 };
 
-/// One row of the yield artifact table: the certified yield of a front
-/// design next to the probe estimate that steered the optimiser toward it
-/// (the probe-vs-certified delta is the two-tier recipe's calibration
-/// signal). A plain POD mirror of core::FrontPointYield, so the artifact
-/// layer stays independent of the flow/yield headers.
-struct YieldTableRow {
+/// Yield certificate of one surviving front point. The probe estimate that
+/// steered the optimiser toward the design stays on its FrontPointData.
+struct FrontPointYield {
     std::size_t design_id = 0; ///< matches FrontPointData::design_id
-    double probe_yield = std::numeric_limits<double>::quiet_NaN();
-    double yield = 0.0;    ///< certified (sequential-run) estimate
-    double ci_low = 0.0;   ///< 95 % CI of the certified estimate
-    double ci_high = 1.0;
-    double ess = 0.0;      ///< fail-side effective sample size
-    std::size_t samples = 0; ///< certification samples folded
-    bool reached_target = false;
+    yield::SequentialYieldResult result;
 };
 
 /// Paths of everything written to the artifact directory.
@@ -69,15 +61,16 @@ struct ModelArtifacts {
                                              const std::string& dir);
 
 /// As above, plus the yield artifact table (`yield_front.csv`): one row per
-/// certified design - probe estimate, certified estimate with CI/ESS, and
-/// the probe-vs-certified delta. Rows match front points by design_id (rows
-/// without a matching front point are rejected); when every front point has
-/// a row, a 2-D (gain, pm) -> yield spline table rides along for model
-/// back-annotation. An empty `yields` behaves exactly like the overload
-/// above. \throws ypm::InvalidInputError on an unmatched design_id.
+/// certified design - the probe estimate of its front point, the certified
+/// estimate with CI/ESS, and the probe-vs-certified delta (the two-tier
+/// recipe's calibration signal). Certificates match front points by
+/// design_id (one without a matching front point is rejected); when every
+/// front point has one, a 2-D (gain, pm) -> yield spline table rides along
+/// for model back-annotation. An empty `yields` behaves exactly like the
+/// overload above. \throws ypm::InvalidInputError on an unmatched design_id.
 [[nodiscard]] ModelArtifacts
 write_artifacts(const std::vector<FrontPointData>& front,
-                const std::vector<YieldTableRow>& yields,
+                const std::vector<FrontPointYield>& yields,
                 const std::string& dir);
 
 /// Reload the front from artefact files (inverse of write_artifacts).

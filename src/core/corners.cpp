@@ -110,11 +110,4 @@ CornerSweep run_corner_sweep(eval::Engine& engine,
     return sweep;
 }
 
-CornerSweep run_corner_sweep(const circuits::OtaEvaluator& evaluator,
-                             const circuits::OtaSizing& sizing,
-                             const process::ProcessSampler& sampler) {
-    eval::Engine engine;
-    return run_corner_sweep(engine, evaluator, sizing, sampler);
-}
-
 } // namespace ypm::core

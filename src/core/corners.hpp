@@ -48,9 +48,4 @@ struct CornerSweep {
                                            const circuits::OtaSizing& sizing,
                                            const process::ProcessSampler& sampler);
 
-/// Legacy entry point: private engine, parallel dispatch.
-[[nodiscard]] CornerSweep run_corner_sweep(const circuits::OtaEvaluator& evaluator,
-                                           const circuits::OtaSizing& sizing,
-                                           const process::ProcessSampler& sampler);
-
 } // namespace ypm::core

@@ -87,7 +87,8 @@ FlowResult YieldFlow::run() const {
     // Fail fast, before the expensive MOO/MC stages: the OTA yield kernel's
     // row layout is fixed at {gain_db, pm_deg, log_weight}, so the specs
     // must match it positionally - a reversed pair would otherwise certify
-    // silently wrong yields.
+    // silently wrong yields. The probe and GA settings are checked by their
+    // owners (YieldProbe, Wbga), which are both built before the GA runs.
     if (!config_.yield_specs.empty()) {
         if (config_.yield_specs.size() != 2 ||
             config_.yield_specs[0].name != "gain_db" ||
@@ -95,51 +96,13 @@ FlowResult YieldFlow::run() const {
             throw InvalidInputError(
                 "YieldFlow: yield_specs must be exactly {gain_db, pm_deg}, in "
                 "that order (the OTA yield kernel's column layout)");
-        if (config_.yield_sequential.chunk_samples == 0 ||
-            config_.yield_sequential.max_samples == 0)
-            throw InvalidInputError(
-                "YieldFlow: yield_sequential chunk_samples/max_samples must "
-                "be >= 1");
-        if (!(config_.yield_sequential.pilot_scale > 0.0))
-            throw InvalidInputError(
-                "YieldFlow: yield_sequential.pilot_scale must be > 0");
-        if (config_.yield_sequential.min_samples >
-            config_.yield_sequential.max_samples)
-            throw InvalidInputError(
-                "YieldFlow: yield_sequential.min_samples exceeds max_samples "
-                "(the early stop would be unreachable)");
-        if (!(config_.yield_sequential.shift_fit.defensive_weight >= 0.0 &&
-              config_.yield_sequential.shift_fit.defensive_weight < 1.0))
-            throw InvalidInputError(
-                "YieldFlow: yield_sequential.shift_fit.defensive_weight must "
-                "be in [0, 1)");
+        yield::validate_sequential_config(config_.yield_sequential);
     }
-    const FlowConfig::ProbeKnobs& probe_knobs = config_.yield_probe;
-    if (probe_knobs.budget > 0) {
-        if (config_.yield_specs.empty())
-            throw InvalidInputError(
-                "YieldFlow: yield_probe.budget is set but yield_specs is "
-                "empty - probes need the specs to estimate yield against");
-        if (probe_knobs.activation_generation >= config_.ga.generations)
-            throw InvalidInputError(
-                "YieldFlow: yield_probe.activation_generation >= "
-                "ga.generations - the probes would never activate; lower the "
-                "activation or raise the generation count");
-        if (!(probe_knobs.target_half_width >= 0.0))
-            throw InvalidInputError(
-                "YieldFlow: yield_probe.target_half_width must be >= 0");
-        moo::RobustnessConfig shape;
-        shape.mode = probe_knobs.mode;
-        shape.yield_weight = probe_knobs.yield_weight;
-        shape.min_yield = probe_knobs.min_yield;
-        moo::validate_robustness_config(shape);
-        // A valid estimator name can still be probe-incompatible (its pilot
-        // alone would exceed the probe budget): fail fast with the
-        // compatible zoo members listed, never degrade silently.
-        (void)yield::configure_probe_estimator(
-            probe_knobs.estimator, config_.yield_sequential,
-            probe_knobs.budget, probe_knobs.target_half_width);
-    }
+    const bool probes_on = config_.yield_probe.budget > 0;
+    if (probes_on && config_.yield_specs.empty())
+        throw InvalidInputError(
+            "YieldFlow: yield_probe.budget is set but yield_specs is empty - "
+            "probes need the specs to estimate yield against");
 
     const TraceSession trace(config_.trace_path);
     const util::TickNs t_start = util::now_ns();
@@ -163,8 +126,8 @@ FlowResult YieldFlow::run() const {
     const circuits::OtaEvaluator& evaluator = problem.evaluator();
     const process::ProcessSampler sampler(ota_.card, config_.variation);
     moo::WbgaConfig ga = config_.ga;
-    ga.parallel = config_.parallel;
     ga.engine = &engine;
+    ga.robustness.probe = nullptr;
 
     // Tier 1, yield in the loop: a low-budget probe per (selected)
     // individual feeds estimated yield into the WBGA fitness through the
@@ -173,12 +136,7 @@ FlowResult YieldFlow::run() const {
     // (GA / MC / certification) are untouched, so probes off is
     // bit-identical by construction.
     std::unique_ptr<yield::YieldProbe> probe;
-    if (probe_knobs.budget > 0) {
-        yield::ProbeConfig probe_config;
-        probe_config.sequential = config_.yield_sequential;
-        probe_config.estimator = probe_knobs.estimator;
-        probe_config.budget = probe_knobs.budget;
-        probe_config.target_half_width = probe_knobs.target_half_width;
+    if (probes_on) {
         // The u-record dimension is a topology property, identical for
         // every sizing (see ota_yield_dimension) - probe it at the box
         // midpoint without running any simulation.
@@ -189,7 +147,7 @@ FlowResult YieldFlow::run() const {
         const std::size_t dimension = ota_yield_dimension(
             evaluator, circuits::OtaSizing::from_vector(midpoint));
         probe = std::make_unique<yield::YieldProbe>(
-            std::move(probe_config), config_.yield_specs,
+            config_.yield_probe, config_.yield_sequential, config_.yield_specs,
             [&evaluator, &sampler](const std::vector<double>& params) {
                 return ota_yield_kernel_factory(
                     evaluator, circuits::OtaSizing::from_vector(params),
@@ -197,11 +155,6 @@ FlowResult YieldFlow::run() const {
             },
             dimension);
 
-        ga.robustness.activation_generation = probe_knobs.activation_generation;
-        ga.robustness.mode = probe_knobs.mode;
-        ga.robustness.yield_weight = probe_knobs.yield_weight;
-        ga.robustness.min_yield = probe_knobs.min_yield;
-        ga.robustness.max_points = probe_knobs.max_points;
         const Rng probe_rng = rng.child(4);
         ga.robustness.probe =
             [&engine, &result, probe_rng,
@@ -414,9 +367,8 @@ FlowResult YieldFlow::run() const {
                           estimates[i].estimate.yield, " (",
                           estimates[i].samples_used, " samples, ESS ",
                           estimates[i].estimate.ess, ")");
-                result.yields.push_back({result.front[i].design_id,
-                                         std::move(estimates[i]),
-                                         result.front[i].probe_yield});
+                result.yields.push_back(
+                    {result.front[i].design_id, std::move(estimates[i])});
             }
             result.timings.yield_seconds = util::seconds_since(t1);
         }
@@ -429,22 +381,8 @@ FlowResult YieldFlow::run() const {
     } else if (!config_.artifact_dir.empty()) {
         obs::Span span("flow.table", "flow");
         const util::TickNs t0 = util::now_ns();
-        std::vector<YieldTableRow> yield_rows;
-        yield_rows.reserve(result.yields.size());
-        for (const FrontPointYield& y : result.yields) {
-            YieldTableRow row;
-            row.design_id = y.design_id;
-            row.probe_yield = y.probe_yield;
-            row.yield = y.result.estimate.yield;
-            row.ci_low = y.result.estimate.ci_low;
-            row.ci_high = y.result.estimate.ci_high;
-            row.ess = y.result.estimate.ess;
-            row.samples = y.result.samples_used;
-            row.reached_target = y.result.reached_target;
-            yield_rows.push_back(row);
-        }
         result.artifacts =
-            write_artifacts(result.front, yield_rows, config_.artifact_dir);
+            write_artifacts(result.front, result.yields, config_.artifact_dir);
         result.timings.table_seconds = util::seconds_since(t0);
     }
 

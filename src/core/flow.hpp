@@ -17,7 +17,6 @@
 /// Probes off reproduces the certification-only flow bit-for-bit.
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -25,9 +24,9 @@
 #include "core/artifacts.hpp"
 #include "eval/engine.hpp"
 #include "mc/yield.hpp"
-#include "moo/robustness.hpp"
 #include "moo/wbga.hpp"
 #include "process/variation.hpp"
+#include "yield/probe.hpp"
 #include "yield/sequential.hpp"
 
 namespace ypm::core {
@@ -67,38 +66,17 @@ struct FlowConfig {
     /// `yield_sequential = EstimatorRegistry::instance().create(name)
     /// ->configure(yield_sequential)` (yield/estimator.hpp).
     yield::SequentialConfig yield_sequential;
-    /// Yield-in-the-loop probes (step 2): when `budget` > 0, every WBGA
-    /// generation at or past `activation_generation` runs a low-budget
-    /// yield probe per (selected) individual against `yield_specs`, and the
-    /// estimated yield enters the eq. (5) fitness per `mode`. Requires
-    /// non-empty `yield_specs`. Probes ride the same engine and estimator
-    /// zoo as certification; budget 0 (the default) reproduces the
-    /// certification-only flow bit-for-bit.
-    struct ProbeKnobs {
-        /// Hard per-individual sample budget, pilot included; 0 = off.
-        std::size_t budget = 0;
-        /// First GA generation that probes (earlier generations evaluate
-        /// nominally). Must be < ga.generations when probes are on.
-        std::size_t activation_generation = 0;
-        /// Coarse per-probe CI half-width early stop (0 = spend the budget).
-        double target_half_width = 0.08;
-        /// How estimated yield enters the fitness (weight blend vs yield
-        /// constraint; see moo/robustness.hpp).
-        moo::RobustnessMode mode = moo::RobustnessMode::weight;
-        double yield_weight = 0.5; ///< weight mode: robustness share [0, 1]
-        double min_yield = 0.9;    ///< constraint mode: yield target (0, 1]
-        /// Probe only the K nominally-fittest individuals per generation
-        /// (0 = whole population) - the tiered budget control.
-        std::size_t max_points = 0;
-        /// Estimator-zoo member the probes run (empty = plain_mc). Must be
-        /// probe-compatible with `budget`: a pilot that leaves no main-stage
-        /// sample fails fast, listing the compatible zoo members. Probes
-        /// always carry fitted proposals across generations (warm start),
-        /// so an importance-sampling member skips the pilots of later
-        /// generations.
-        std::string estimator;
-    };
-    ProbeKnobs yield_probe;
+    /// Yield-in-the-loop probes (step 2): when `yield_probe.budget` > 0,
+    /// every WBGA generation at or past `ga.robustness.activation_generation`
+    /// runs a low-budget yield probe per (selected) individual against
+    /// `yield_specs`, and the estimated yield enters the eq. (5) fitness per
+    /// the rest of `ga.robustness` (mode, yield_weight, min_yield,
+    /// max_points). Requires non-empty `yield_specs`. Probes ride the same
+    /// engine, estimator zoo and base `yield_sequential` as certification.
+    /// The flow owns `ga.robustness.probe` (a caller-set probe is replaced);
+    /// budget 0 (the default) reproduces the certification-only flow
+    /// bit-for-bit.
+    yield::ProbeConfig yield_probe;
     /// When non-empty, span tracing (obs::Tracer) is enabled for this run
     /// and the collected trace - flow step spans, engine batches, kernel
     /// chunks, yield chunk diagnostics, plus a metrics snapshot - is
@@ -126,17 +104,6 @@ struct FlowTimings {
     /// engine instance, so requests/evaluations/cache_hits/failures add up
     /// here and nowhere else.
     eval::EngineCounters engine;
-};
-
-/// Yield certificate of one surviving front point.
-struct FrontPointYield {
-    std::size_t design_id = 0; ///< matches FrontPointData::design_id
-    yield::SequentialYieldResult result;
-    /// The optimiser-side probe estimate of the same design (NaN when the
-    /// point was never probed - probes off, pre-activation generation, or
-    /// outside the probed top-K). The probe-vs-certified delta this exposes
-    /// is the two-tier recipe's calibration signal.
-    double probe_yield = std::numeric_limits<double>::quiet_NaN();
 };
 
 struct FlowResult {

@@ -110,15 +110,4 @@ std::size_t ota_yield_dimension(const circuits::OtaEvaluator& evaluator,
     return process::SampleShift::dimension(proto.mos_geometries().size());
 }
 
-mc::McResult run_ota_monte_carlo(const circuits::OtaEvaluator& evaluator,
-                                 const circuits::OtaSizing& sizing,
-                                 const process::ProcessSampler& sampler,
-                                 std::size_t samples, Rng& rng, bool parallel) {
-    eval::EngineConfig engine_config;
-    engine_config.parallel = parallel;
-    engine_config.cache_capacity = 0;
-    eval::Engine engine(engine_config);
-    return run_ota_monte_carlo(engine, evaluator, sizing, sampler, samples, rng);
-}
-
 } // namespace ypm::core

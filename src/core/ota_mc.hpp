@@ -32,13 +32,6 @@ submit_ota_monte_carlo(eval::Engine& engine,
                        const process::ProcessSampler& sampler,
                        std::size_t samples, Rng& rng);
 
-/// Legacy entry point: private engine honouring `parallel`.
-[[nodiscard]] mc::McResult
-run_ota_monte_carlo(const circuits::OtaEvaluator& evaluator,
-                    const circuits::OtaSizing& sizing,
-                    const process::ProcessSampler& sampler, std::size_t samples,
-                    Rng& rng, bool parallel = true);
-
 /// Kernel factory for the variance-reduction yield engine
 /// (yield::SequentialYieldRunner): chunks draw process realisations from the
 /// defensive mixture proposal (process::ProcessSampler::sample_mixture) and

@@ -106,11 +106,4 @@ SensitivityReport compute_sensitivities(eval::Engine& engine,
     return report;
 }
 
-SensitivityReport compute_sensitivities(const circuits::OtaEvaluator& evaluator,
-                                        const circuits::OtaSizing& sizing,
-                                        double rel_step) {
-    eval::Engine engine;
-    return compute_sensitivities(engine, evaluator, sizing, rel_step);
-}
-
 } // namespace ypm::core

@@ -46,9 +46,4 @@ compute_sensitivities(eval::Engine& engine,
                       const circuits::OtaEvaluator& evaluator,
                       const circuits::OtaSizing& sizing, double rel_step = 0.02);
 
-/// Legacy entry point: private engine, parallel dispatch.
-[[nodiscard]] SensitivityReport
-compute_sensitivities(const circuits::OtaEvaluator& evaluator,
-                      const circuits::OtaSizing& sizing, double rel_step = 0.02);
-
 } // namespace ypm::core

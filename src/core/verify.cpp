@@ -39,13 +39,6 @@ compare_model_vs_transistor(eval::Engine& engine,
     return cmp;
 }
 
-ModelVsTransistor
-compare_model_vs_transistor(const circuits::OtaEvaluator& evaluator,
-                            const SizingResult& sizing) {
-    eval::Engine engine;
-    return compare_model_vs_transistor(engine, evaluator, sizing);
-}
-
 YieldVerification verify_ota_yield(eval::Engine& engine,
                                    const circuits::OtaEvaluator& evaluator,
                                    const circuits::OtaSizing& sizing,
@@ -64,16 +57,6 @@ YieldVerification verify_ota_yield(eval::Engine& engine,
     };
     v.yield = mc::estimate_yield(result.rows, specs);
     return v;
-}
-
-YieldVerification verify_ota_yield(const circuits::OtaEvaluator& evaluator,
-                                   const circuits::OtaSizing& sizing,
-                                   const process::ProcessSampler& sampler,
-                                   double min_gain_db, double min_pm_deg,
-                                   std::size_t samples, Rng& rng) {
-    eval::Engine engine;
-    return verify_ota_yield(engine, evaluator, sizing, sampler, min_gain_db,
-                            min_pm_deg, samples, rng);
 }
 
 } // namespace ypm::core

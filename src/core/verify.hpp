@@ -29,11 +29,6 @@ compare_model_vs_transistor(eval::Engine& engine,
                             const circuits::OtaEvaluator& evaluator,
                             const SizingResult& sizing);
 
-/// Legacy entry point: private engine.
-[[nodiscard]] ModelVsTransistor
-compare_model_vs_transistor(const circuits::OtaEvaluator& evaluator,
-                            const SizingResult& sizing);
-
 /// Paper section 4.4: "A Monte Carlo simulation using 500 samples was
 /// carried out and verified a yield of 100%".
 struct YieldVerification {
@@ -45,13 +40,6 @@ struct YieldVerification {
 /// MC the sized design against the *original* (un-inflated) requirement.
 [[nodiscard]] YieldVerification
 verify_ota_yield(eval::Engine& engine, const circuits::OtaEvaluator& evaluator,
-                 const circuits::OtaSizing& sizing,
-                 const process::ProcessSampler& sampler, double min_gain_db,
-                 double min_pm_deg, std::size_t samples, Rng& rng);
-
-/// Legacy entry point: private engine, parallel dispatch.
-[[nodiscard]] YieldVerification
-verify_ota_yield(const circuits::OtaEvaluator& evaluator,
                  const circuits::OtaSizing& sizing,
                  const process::ProcessSampler& sampler, double min_gain_db,
                  double min_pm_deg, std::size_t samples, Rng& rng);

@@ -1,7 +1,6 @@
 #include "moo/nsga2.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <numeric>
 
@@ -17,7 +16,6 @@ Nsga2::Nsga2(const Problem& problem, Nsga2Config config)
         throw InvalidInputError("Nsga2: population must be >= 4");
     if (config_.generations == 0)
         throw InvalidInputError("Nsga2: generations must be >= 1");
-    validate_robustness_config(config_.robustness);
 }
 
 namespace {
@@ -63,15 +61,8 @@ Nsga2Result Nsga2::run(Rng& rng, const ProgressFn& progress) const {
             points[i] = out[i].params;
         }
         const auto evals = evaluate_population(engine, problem_, points);
-        // Robustness channel: probe the whole cohort (no scalar pre-rank to
-        // tier on); pre-activation the column stays NaN and ranking below
-        // falls back to the nominal objectives bit-identically.
-        const auto robustness =
-            probe_population_robustness(config_.robustness, points, gen);
-        for (std::size_t i = 0; i < chroms.size(); ++i) {
+        for (std::size_t i = 0; i < chroms.size(); ++i)
             out[i].objectives = evals[i].values;
-            out[i].robustness = robustness[i];
-        }
         result.evaluations += chroms.size();
         if (config_.keep_archive)
             for (const auto& e : out) result.archive.push_back(e);
@@ -79,25 +70,12 @@ Nsga2Result Nsga2::run(Rng& rng, const ProgressFn& progress) const {
 
     auto rank_population = [&](const std::vector<EvaluatedIndividual>& pop) {
         std::vector<std::vector<double>> objs(pop.size());
-        std::vector<double> robustness(pop.size());
-        bool any_probed = false;
-        for (std::size_t i = 0; i < pop.size(); ++i) {
+        for (std::size_t i = 0; i < pop.size(); ++i)
             objs[i] = pop[i].objectives;
-            robustness[i] = pop[i].robustness;
-            any_probed = any_probed || !std::isnan(robustness[i]);
-        }
-        // Extend the dominance space by the robustness column only when at
-        // least one individual was probed: an all-equal extra column would
-        // leave dominance intact but still promote two arbitrary boundary
-        // individuals to infinite crowding, breaking probe-off bit-identity.
-        std::vector<ObjectiveSpec> specs = ospecs;
-        if (any_probed)
-            objs = append_robustness_objective(objs, robustness,
-                                               config_.robustness, specs);
-        const auto fronts = non_dominated_sort(objs, specs);
+        const auto fronts = non_dominated_sort(objs, ospecs);
         std::vector<Ranked> ranked(pop.size());
         for (std::size_t f = 0; f < fronts.size(); ++f) {
-            const auto crowd = crowding_distance(objs, fronts[f], specs);
+            const auto crowd = crowding_distance(objs, fronts[f], ospecs);
             for (std::size_t k = 0; k < fronts[f].size(); ++k) {
                 ranked[fronts[f][k]].rank = f;
                 ranked[fronts[f][k]].crowding = crowd[k];

@@ -28,13 +28,6 @@ struct Nsga2Config {
     /// Shared evaluation engine (non-owning; must outlive the run). When
     /// null the optimiser creates a private engine honouring `parallel`.
     eval::Engine* engine = nullptr;
-
-    /// Optional robustness channel: estimated yield becomes an extra
-    /// maximize objective in the non-dominated sort (see moo/robustness.hpp;
-    /// `max_points` is ignored - NSGA-II has no scalar pre-rank to tier on,
-    /// so the whole population is probed). Disabled reproduces the legacy
-    /// run bit-for-bit.
-    RobustnessConfig robustness;
 };
 
 struct Nsga2Result {

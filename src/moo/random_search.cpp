@@ -4,14 +4,6 @@
 
 namespace ypm::moo {
 
-RandomSearchResult random_search(const Problem& problem, std::size_t samples,
-                                 Rng& rng, bool parallel) {
-    eval::EngineConfig config;
-    config.parallel = parallel;
-    eval::Engine engine(config);
-    return random_search(engine, problem, samples, rng);
-}
-
 RandomSearchResult random_search(eval::Engine& engine, const Problem& problem,
                                  std::size_t samples, Rng& rng) {
     const auto& pspecs = problem.parameters();

@@ -17,13 +17,9 @@ struct RandomSearchResult {
     std::size_t evaluations = 0;
 };
 
-/// Evaluate `samples` uniform points in the parameter box.
-/// Deterministic in the RNG seed regardless of parallelism.
-[[nodiscard]] RandomSearchResult random_search(const Problem& problem,
-                                               std::size_t samples, Rng& rng,
-                                               bool parallel = true);
-
-/// Same search, submitted as one batch through a shared engine.
+/// Evaluate `samples` uniform points in the parameter box, submitted as one
+/// batch through a shared engine. Deterministic in the RNG seed regardless
+/// of the engine's parallelism.
 [[nodiscard]] RandomSearchResult random_search(eval::Engine& engine,
                                                const Problem& problem,
                                                std::size_t samples, Rng& rng);

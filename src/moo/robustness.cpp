@@ -5,7 +5,6 @@
 #include <limits>
 #include <numeric>
 
-#include "moo/problem.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -68,25 +67,6 @@ robustness_probe_indices(const std::vector<double>& fitness, std::size_t k) {
     order.resize(k);
     std::sort(order.begin(), order.end());
     return order;
-}
-
-std::vector<std::vector<double>>
-append_robustness_objective(const std::vector<std::vector<double>>& objectives,
-                            const std::vector<double>& robustness,
-                            const RobustnessConfig& config,
-                            std::vector<ObjectiveSpec>& specs) {
-    if (objectives.size() != robustness.size())
-        throw InvalidInputError("robustness: objective/robustness size mismatch");
-    std::vector<std::vector<double>> extended = objectives;
-    for (std::size_t i = 0; i < extended.size(); ++i) {
-        double r = robustness[i];
-        r = std::isnan(r) ? 0.0 : std::clamp(r, 0.0, 1.0);
-        if (config.mode == RobustnessMode::constraint)
-            r = std::min(r, config.min_yield);
-        extended[i].push_back(r);
-    }
-    specs.push_back(ObjectiveSpec{"robustness", Direction::maximize});
-    return extended;
 }
 
 } // namespace ypm::moo

@@ -1,13 +1,13 @@
 #pragma once
 /// \file robustness.hpp
-/// \brief Per-individual robustness channel for the optimisers: the seam
+/// \brief Per-individual robustness channel of the WBGA optimiser: the seam
 ///        through which estimated yield (or any worst-case robustness
-///        measure in [0, 1]) enters WBGA fitness and NSGA-II dominance
-///        *during* the search, instead of being certified after it.
+///        measure in [0, 1]) enters the eq. (5) fitness *during* the search,
+///        instead of being certified after it.
 ///
 /// The channel is a callback: once per generation, after the nominal
-/// objective evaluation, the optimiser hands the decoded parameter points to
-/// a RobustnessFn and receives one value per individual - estimated yield in
+/// objective evaluation, Wbga hands the decoded parameter points to a
+/// RobustnessFn and receives one value per individual - estimated yield in
 /// [0, 1], or NaN for "not probed" (pre-activation generations, individuals
 /// outside the probed top-K). The optimiser-side contract is strict:
 ///
@@ -20,17 +20,12 @@
 ///    submit work to the same eval::Engine the population used (the
 ///    yield-probe path of core::YieldFlow does exactly that).
 ///
-/// WBGA consumes the channel through robust_fitness() (a blend or a
-/// constraint penalty on the eq. 5 score); NSGA-II consumes it as an extra
-/// maximize objective column in the non-dominated sort (capped at min_yield
-/// in constraint mode, so selection pressure vanishes once the target is
-/// met and the nominal trade-off takes over again).
+/// Wbga folds the channel in through robust_fitness() (a blend or a
+/// constraint penalty on the eq. 5 score).
 
 #include <cstddef>
 #include <functional>
 #include <vector>
-
-#include "moo/problem.hpp"
 
 namespace ypm::moo {
 
@@ -41,15 +36,13 @@ namespace ypm::moo {
 using RobustnessFn = std::function<std::vector<double>(
     const std::vector<std::vector<double>>& points, std::size_t generation)>;
 
-/// How the optimiser folds robustness into selection pressure.
+/// How Wbga folds robustness into selection pressure.
 enum class RobustnessMode {
-    /// WBGA: fitness' = (1 - yield_weight) * fitness + yield_weight * r.
-    /// NSGA-II: r is an extra maximize objective (full trade-off).
+    /// fitness' = (1 - yield_weight) * fitness + yield_weight * r.
     weight,
-    /// WBGA: fitness' = fitness * min(1, r / min_yield) - designs below the
-    /// yield target are penalised proportionally, designs at or above it
-    /// compete purely on nominal fitness. NSGA-II: the extra objective is
-    /// min(r, min_yield), so dominance pressure stops at the target.
+    /// fitness' = fitness * min(1, r / min_yield) - designs below the yield
+    /// target are penalised proportionally, designs at or above it compete
+    /// purely on nominal fitness.
     constraint,
 };
 
@@ -58,18 +51,17 @@ struct RobustnessConfig {
     /// path, RNG consumption included).
     RobustnessFn probe;
     /// First generation the probe runs on; earlier generations evaluate
-    /// nominally. An activation at or past the run's generation count means
-    /// the probe never fires (validated fail-fast by core::YieldFlow).
+    /// nominally. With a probe set, Wbga rejects an activation at or past
+    /// its generation count (the probe would never fire).
     std::size_t activation_generation = 0;
     RobustnessMode mode = RobustnessMode::weight;
     /// Robustness share of the blended fitness (weight mode), in [0, 1].
     double yield_weight = 0.5;
     /// Yield target of constraint mode, in (0, 1].
     double min_yield = 0.9;
-    /// Probe only the K best individuals per generation (WBGA: by nominal
-    /// eq. 5 fitness, ties toward the lower population index) - the tiered
-    /// budget control. 0 probes the whole population. NSGA-II probes the
-    /// whole population regardless (it has no scalar pre-rank to tier on).
+    /// Probe only the K best individuals per generation (by nominal eq. 5
+    /// fitness, ties toward the lower population index) - the tiered budget
+    /// control. 0 probes the whole population.
     std::size_t max_points = 0;
 
     [[nodiscard]] bool enabled() const { return static_cast<bool>(probe); }
@@ -99,16 +91,5 @@ probe_population_robustness(const RobustnessConfig& config,
 /// K >= n selects everyone.
 [[nodiscard]] std::vector<std::size_t>
 robustness_probe_indices(const std::vector<double>& fitness, std::size_t k);
-
-/// NSGA-II's view of the channel: objective rows extended by one maximize
-/// column carrying each individual's robustness (NaN -> 0: an unprobed
-/// individual earns no robustness credit but keeps competing on its nominal
-/// columns; constraint mode caps the column at min_yield). Returns the
-/// extended rows and appends the extra ObjectiveSpec to `specs`.
-[[nodiscard]] std::vector<std::vector<double>>
-append_robustness_objective(const std::vector<std::vector<double>>& objectives,
-                            const std::vector<double>& robustness,
-                            const RobustnessConfig& config,
-                            std::vector<ObjectiveSpec>& specs);
 
 } // namespace ypm::moo

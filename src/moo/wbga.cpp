@@ -45,6 +45,12 @@ Wbga::Wbga(const Problem& problem, WbgaConfig config)
     if (config_.elites >= config_.population)
         throw InvalidInputError("Wbga: elites must be < population");
     validate_robustness_config(config_.robustness);
+    if (config_.robustness.enabled() &&
+        config_.robustness.activation_generation >= config_.generations)
+        throw InvalidInputError(
+            "Wbga: robustness.activation_generation >= generations - the "
+            "probe would never activate; lower the activation or raise the "
+            "generation count");
 }
 
 WbgaResult Wbga::run(Rng& rng, const ProgressFn& progress) const {

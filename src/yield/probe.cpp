@@ -52,6 +52,8 @@ SequentialConfig configure_probe_estimator(const std::string& name,
                                            double target_half_width) {
     if (budget == 0)
         throw InvalidInputError("yield probe: budget must be >= 1 sample");
+    if (!(target_half_width >= 0.0))
+        throw InvalidInputError("yield probe: target_half_width must be >= 0");
     const EstimatorRegistry& registry = EstimatorRegistry::instance();
     const std::string resolved = name.empty() ? "plain_mc" : name;
     // Unknown names throw the registry's own listing error here.
@@ -79,8 +81,9 @@ SequentialConfig configure_probe_estimator(const std::string& name,
     return clamp_to_budget(cfg, budget, target_half_width);
 }
 
-YieldProbe::YieldProbe(ProbeConfig config, std::vector<mc::Spec> specs,
-                       PointKernelFactory factory, std::size_t dimension)
+YieldProbe::YieldProbe(ProbeConfig config, const SequentialConfig& base,
+                       std::vector<mc::Spec> specs, PointKernelFactory factory,
+                       std::size_t dimension)
     : config_(std::move(config)), specs_(std::move(specs)),
       factory_(std::move(factory)), dimension_(dimension) {
     if (specs_.empty())
@@ -88,8 +91,7 @@ YieldProbe::YieldProbe(ProbeConfig config, std::vector<mc::Spec> specs,
     if (!factory_)
         throw InvalidInputError("YieldProbe: null point kernel factory");
     cold_config_ = configure_probe_estimator(
-        config_.estimator, config_.sequential, config_.budget,
-        config_.target_half_width);
+        config_.estimator, base, config_.budget, config_.target_half_width);
 }
 
 SequentialConfig YieldProbe::warm_config() const {

@@ -46,18 +46,17 @@ namespace ypm::yield {
 using PointKernelFactory =
     std::function<KernelFactory(const std::vector<double>& params)>;
 
+/// The probe tier's own knobs; everything else comes from the base
+/// SequentialConfig handed to YieldProbe.
 struct ProbeConfig {
-    /// Problem-level base knobs (chunk size, shift-fit clamps, ...); the
-    /// probe overrides the budget-tier knobs below. The base's own
-    /// max/min/target are ignored - the probe budget is the authority.
-    SequentialConfig sequential;
     /// Estimator-zoo member the probe runs (empty selects plain_mc). Must
     /// be probe-compatible: its configured pilot has to leave at least one
     /// main-stage sample inside `budget` (see configure_probe_estimator).
     std::string estimator;
     /// Hard per-point sample budget, pilot included. The probe never spends
-    /// more than this on one individual.
-    std::size_t budget = 128;
+    /// more than this on one individual. 0 means no probes: core::YieldFlow
+    /// runs its GA nominally, and YieldProbe rejects it.
+    std::size_t budget = 0;
     /// Coarse early-stop CI half-width (0 spends the full budget). Probes
     /// steer selection, so ~0.08 is plenty; certification tightens later.
     double target_half_width = 0.08;
@@ -74,11 +73,12 @@ struct ProbeResult {
 /// Specialize `name` (empty = plain_mc) onto `base` for probe duty: resolve
 /// it from the EstimatorRegistry, apply its family knobs, then clamp the
 /// sample caps to the probe `budget` and set the coarse `target_half_width`.
-/// \throws ypm::InvalidInputError on an unknown name (the registry's
-/// listing error), and on a *valid but probe-incompatible* estimator - one
-/// whose configured pilot leaves no main-stage sample inside the budget -
-/// with the probe-compatible subset of the zoo listed, so the caller can
-/// pick a substitute instead of silently degrading.
+/// \throws ypm::InvalidInputError on a zero budget, a negative (or NaN)
+/// target_half_width, an unknown name (the registry's listing error), and
+/// on a *valid but probe-incompatible* estimator - one whose configured
+/// pilot leaves no main-stage sample inside the budget - with the
+/// probe-compatible subset of the zoo listed, so the caller can pick a
+/// substitute instead of silently degrading.
 [[nodiscard]] SequentialConfig
 configure_probe_estimator(const std::string& name, SequentialConfig base,
                           std::size_t budget, double target_half_width);
@@ -90,11 +90,14 @@ configure_probe_estimator(const std::string& name, SequentialConfig base,
 /// probe call to the next.
 class YieldProbe {
 public:
-    /// \throws ypm::InvalidInputError on empty specs, a null factory, a
-    ///         zero budget, or a probe-incompatible estimator selection
-    ///         (see configure_probe_estimator).
-    YieldProbe(ProbeConfig config, std::vector<mc::Spec> specs,
-               PointKernelFactory factory, std::size_t dimension);
+    /// \param base problem-level knobs (chunk size, shift-fit clamps, ...);
+    ///        the probe overrides its budget-tier knobs - the base's own
+    ///        max/min/target are ignored, the probe budget is the authority.
+    /// \throws ypm::InvalidInputError on empty specs, a null factory, or a
+    ///         config configure_probe_estimator rejects.
+    YieldProbe(ProbeConfig config, const SequentialConfig& base,
+               std::vector<mc::Spec> specs, PointKernelFactory factory,
+               std::size_t dimension);
 
     /// Probe every point (point i uses rng.child(i + 1)); `generation` is
     /// observational (trace instants). Deterministic in (points, rng).

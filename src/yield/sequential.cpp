@@ -29,6 +29,30 @@ struct YieldMetrics {
 
 } // namespace
 
+void validate_sequential_config(const SequentialConfig& config) {
+    if (config.chunk_samples == 0)
+        throw InvalidInputError("SequentialConfig: chunk_samples must be >= 1");
+    if (config.max_samples == 0)
+        throw InvalidInputError("SequentialConfig: max_samples must be >= 1");
+    if (!(config.pilot_scale > 0.0))
+        throw InvalidInputError("SequentialConfig: pilot_scale must be > 0");
+    if (config.min_samples > config.max_samples)
+        throw InvalidInputError(
+            "SequentialConfig: min_samples exceeds max_samples - the early "
+            "stop would be silently unreachable and every run would burn the "
+            "full sample cap");
+    if (!(config.shift_fit.defensive_weight >= 0.0 &&
+          config.shift_fit.defensive_weight < 1.0))
+        throw InvalidInputError(
+            "SequentialConfig: shift_fit.defensive_weight must be in [0, 1)");
+    if (!config.initial_proposal.components.empty() && config.pilot_samples > 0)
+        throw InvalidInputError(
+            "SequentialConfig: initial_proposal (warm start) and a pilot "
+            "stage are mutually exclusive - set pilot_samples to 0 to run "
+            "from the warm proposal, or clear the proposal to refit from a "
+            "pilot");
+}
+
 SequentialYieldRunner::SequentialYieldRunner(eval::Engine& engine,
                                              SequentialConfig config,
                                              std::vector<mc::Spec> specs,
@@ -40,33 +64,13 @@ SequentialYieldRunner::SequentialYieldRunner(eval::Engine& engine,
         throw InvalidInputError("SequentialYieldRunner: need >= 1 spec");
     if (!factory_)
         throw InvalidInputError("SequentialYieldRunner: null kernel factory");
-    if (config_.chunk_samples == 0)
-        throw InvalidInputError("SequentialYieldRunner: chunk_samples must be >= 1");
-    if (config_.max_samples == 0)
-        throw InvalidInputError("SequentialYieldRunner: max_samples must be >= 1");
-    if (config_.min_samples > config_.max_samples)
-        throw InvalidInputError(
-            "SequentialYieldRunner: min_samples exceeds max_samples - the "
-            "early stop would be silently unreachable and every run would "
-            "burn the full sample cap");
-    if (!(config_.shift_fit.defensive_weight >= 0.0 &&
-          config_.shift_fit.defensive_weight < 1.0))
-        throw InvalidInputError(
-            "SequentialYieldRunner: shift_fit.defensive_weight must be in "
-            "[0, 1)");
+    validate_sequential_config(config_);
     if (config_.inflight == 0) config_.inflight = 1;
     // CE refinement needs u records on the main stage and at least one
     // failing record per refit.
     record_main_u_ = config_.refine_after_chunks > 0 && config_.max_refits > 0;
-    if (!config_.initial_proposal.components.empty()) {
-        if (config_.pilot_samples > 0)
-            throw InvalidInputError(
-                "SequentialYieldRunner: initial_proposal (warm start) and a "
-                "pilot stage are mutually exclusive - set pilot_samples to 0 "
-                "to run from the warm proposal, or clear the proposal to "
-                "refit from a pilot");
+    if (!config_.initial_proposal.components.empty())
         config_.initial_proposal.validate(dimension_);
-    }
     if (config_.refit_min_failures == 0) config_.refit_min_failures = 1;
     // Zero retired samples must report the vacuous interval [0, 1], not a
     // default-constructed point interval [0, 0] pretending certainty.

@@ -107,6 +107,15 @@ struct SequentialConfig {
     process::ProposalMixture initial_proposal;
 };
 
+/// The config's own invariants, checked by every SequentialYieldRunner (and
+/// by core::YieldFlow before its GA, so a bad config fails before the
+/// expensive stages). \throws ypm::InvalidInputError on zero chunk/max
+/// samples, a non-positive pilot_scale, min_samples > max_samples (which
+/// would silently make the early stop unreachable and burn the full cap on
+/// every run), a defensive weight outside [0, 1), or a warm-start proposal
+/// alongside a pilot.
+void validate_sequential_config(const SequentialConfig& config);
+
 /// Result of one sequential run.
 struct SequentialYieldResult {
     WeightedYieldEstimate estimate; ///< main-stage estimate (per-stage
@@ -152,9 +161,7 @@ public:
     /// \param dimension standardized process-space dimension of the kernel's
     ///        u record (process::SampleShift::dimension of the device count).
     /// \throws ypm::InvalidInputError on an empty spec list, a null factory,
-    ///         zero chunk/max samples, or min_samples > max_samples (which
-    ///         would silently make the early stop unreachable and burn the
-    ///         full cap on every run).
+    ///         or a config validate_sequential_config() rejects.
     SequentialYieldRunner(eval::Engine& engine, SequentialConfig config,
                           std::vector<mc::Spec> specs, KernelFactory factory,
                           std::size_t dimension, Rng rng);

@@ -147,8 +147,10 @@ TEST(OtaMc, VariationInPaperBallpark) {
     const circuits::OtaEvaluator ev;
     const process::ProcessSampler sampler(ev.config().card,
                                           process::VariationSpec::c35());
+    eval::Engine engine;
     Rng rng(3);
-    const auto mc = run_ota_monte_carlo(ev, circuits::OtaSizing{}, sampler, 80, rng);
+    const auto mc = run_ota_monte_carlo(engine, ev, circuits::OtaSizing{},
+                                        sampler, 80, rng);
     EXPECT_EQ(mc.rows.size(), 80u);
     EXPECT_LT(mc.failed(), 4u);
     const auto gv = mc.column_variation(0);
@@ -237,19 +239,19 @@ TEST(Flow, SingleMonteCarloPointIsTheMiddleOfTheFront) {
 }
 
 TEST(Artifacts, YieldTableWrittenWithProbeDeltas) {
-    const auto front = synthetic_front();
-    std::vector<YieldTableRow> yields;
-    for (const auto& p : front) {
-        YieldTableRow row;
-        row.design_id = p.design_id;
-        row.probe_yield = 0.75; // exact in binary, so probe_delta is too
-        row.yield = 0.5;
-        row.ci_low = 0.4375;
-        row.ci_high = 0.5625;
-        row.ess = 40.0;
-        row.samples = 128;
-        row.reached_target = true;
-        yields.push_back(row);
+    auto front = synthetic_front();
+    std::vector<FrontPointYield> yields;
+    for (auto& p : front) {
+        p.probe_yield = 0.75; // exact in binary, so probe_delta is too
+        FrontPointYield y;
+        y.design_id = p.design_id;
+        y.result.estimate.yield = 0.5;
+        y.result.estimate.ci_low = 0.4375;
+        y.result.estimate.ci_high = 0.5625;
+        y.result.estimate.ess = 40.0;
+        y.result.samples_used = 128;
+        y.result.reached_target = true;
+        yields.push_back(y);
     }
     const auto dir =
         (std::filesystem::temp_directory_path() / "ypm_yield_artifacts").string();
@@ -284,7 +286,9 @@ TEST(Artifacts, YieldTableWrittenWithProbeDeltas) {
 }
 
 TEST(Flow, RejectsMalformedProbeKnobs) {
-    // Probe knobs are validated fail-fast in run(), before the MOO stage.
+    // Probe knobs are validated fail-fast in run(), before the MOO stage:
+    // by the flow (probes need specs) or by the knob's owner - Wbga for
+    // ga.robustness, configure_probe_estimator for yield_probe.
     circuits::OtaConfig ota;
     FlowConfig cfg;
     cfg.ga.population = 4;
@@ -302,7 +306,7 @@ TEST(Flow, RejectsMalformedProbeKnobs) {
     // probe.
     FlowConfig never = cfg;
     never.yield_probe.budget = 32;
-    never.yield_probe.activation_generation = 2;
+    never.ga.robustness.activation_generation = 2;
     EXPECT_THROW((void)YieldFlow(ota, never).run(), InvalidInputError);
 
     FlowConfig bad_target = cfg;
@@ -312,7 +316,7 @@ TEST(Flow, RejectsMalformedProbeKnobs) {
 
     FlowConfig bad_weight = cfg;
     bad_weight.yield_probe.budget = 32;
-    bad_weight.yield_probe.yield_weight = 1.5;
+    bad_weight.ga.robustness.yield_weight = 1.5;
     EXPECT_THROW((void)YieldFlow(ota, bad_weight).run(), InvalidInputError);
 
     // A valid estimator whose pilot cannot fit the probe budget must be
@@ -336,8 +340,9 @@ TEST(Flow, RejectsMalformedProbeKnobs) {
 
 TEST(Flow, ProbesOffBitIdenticalToSeedFlow) {
     // The refactor's load-bearing guarantee: with probes disabled
-    // (budget 0), every other probe knob may be set and the flow still
-    // reproduces the probe-less pipeline bit-for-bit, RNG streams included.
+    // (budget 0), every other probe knob may be set - even a caller-set
+    // probe, which the flow replaces - and the flow still reproduces the
+    // probe-less pipeline bit-for-bit, RNG streams included.
     circuits::OtaConfig ota;
     FlowConfig cfg;
     cfg.ga.population = 8;
@@ -355,12 +360,19 @@ TEST(Flow, ProbesOffBitIdenticalToSeedFlow) {
 
     FlowConfig knobs = cfg;
     knobs.yield_probe.budget = 0; // off - the only knob that matters
-    knobs.yield_probe.activation_generation = 1;
-    knobs.yield_probe.mode = moo::RobustnessMode::constraint;
-    knobs.yield_probe.min_yield = 0.8;
-    knobs.yield_probe.max_points = 2;
     knobs.yield_probe.estimator = "single_shift";
+    knobs.ga.robustness.activation_generation = 1;
+    knobs.ga.robustness.mode = moo::RobustnessMode::constraint;
+    knobs.ga.robustness.min_yield = 0.8;
+    knobs.ga.robustness.max_points = 2;
+    std::size_t caller_probe_calls = 0;
+    knobs.ga.robustness.probe = [&](const std::vector<std::vector<double>>& p,
+                                    std::size_t) {
+        ++caller_probe_calls;
+        return std::vector<double>(p.size(), 1.0);
+    };
     const FlowResult off = YieldFlow(ota, knobs).run();
+    EXPECT_EQ(caller_probe_calls, 0u);
 
     ASSERT_EQ(off.optimisation.archive.size(), seed.optimisation.archive.size());
     for (std::size_t i = 0; i < off.optimisation.archive.size(); ++i) {
@@ -384,7 +396,6 @@ TEST(Flow, ProbesOffBitIdenticalToSeedFlow) {
                   seed.yields[i].result.estimate.ci_low);
         EXPECT_EQ(off.yields[i].result.samples_used,
                   seed.yields[i].result.samples_used);
-        EXPECT_TRUE(std::isnan(off.yields[i].probe_yield));
     }
     EXPECT_EQ(off.timings.probe_points, 0u);
     EXPECT_EQ(off.timings.probe_samples, 0u);
@@ -405,8 +416,8 @@ TEST(Flow, ProbesOnSmokeReportsAndPropagates) {
     cfg.yield_sequential.max_samples = 24;
     cfg.yield_sequential.min_samples = 12;
     cfg.yield_probe.budget = 32;              // plain_mc probes (no pilot)
-    cfg.yield_probe.activation_generation = 1;
-    cfg.yield_probe.max_points = 4;
+    cfg.ga.robustness.activation_generation = 1;
+    cfg.ga.robustness.max_points = 4;
     const FlowResult res = YieldFlow(ota, cfg).run();
 
     // Generations 1 and 2 probed their top-4 cohorts.
@@ -423,14 +434,12 @@ TEST(Flow, ProbesOnSmokeReportsAndPropagates) {
             EXPECT_LE(e.robustness, 1.0);
         }
     EXPECT_EQ(probed, 8u);
-    // The probe estimate travels archive -> front -> yield certificates
-    // (matching NaN-ness included: an unprobed design stays unprobed).
+    // The probe estimate travels archive -> front (an unprobed design stays
+    // unprobed); every front point carries a yield certificate.
     ASSERT_EQ(res.yields.size(), res.front.size());
-    for (std::size_t i = 0; i < res.yields.size(); ++i) {
-        if (std::isnan(res.front[i].probe_yield)) {
-            EXPECT_TRUE(std::isnan(res.yields[i].probe_yield));
-        } else {
-            EXPECT_EQ(res.yields[i].probe_yield, res.front[i].probe_yield);
+    for (std::size_t i = 0; i < res.front.size(); ++i) {
+        EXPECT_EQ(res.yields[i].design_id, res.front[i].design_id);
+        if (!std::isnan(res.front[i].probe_yield)) {
             EXPECT_GE(res.front[i].probe_yield, 0.0);
             EXPECT_LE(res.front[i].probe_yield, 1.0);
         }
@@ -463,7 +472,9 @@ TEST(Verify, ModelVsTransistorErrorsSmallOnFrontPoint) {
     const double mid_gain = (model.gain_min() + model.gain_max()) / 2.0;
     const double low_pm = model.pm_min() + 0.2 * (model.pm_max() - model.pm_min());
     const SizingResult sized = model.size_for_spec(mid_gain, low_pm);
-    const ModelVsTransistor cmp = compare_model_vs_transistor(ev, sized);
+    eval::Engine engine;
+    const ModelVsTransistor cmp =
+        compare_model_vs_transistor(engine, ev, sized);
     // Paper Table 4 reports ~1 % errors; interpolating along a smooth real
     // front should land within a few percent.
     EXPECT_LT(cmp.gain_error_pct, 5.0);

@@ -19,7 +19,9 @@ TEST(Corners, SweepCoversAllFiveCorners) {
     const circuits::OtaEvaluator ev;
     const process::ProcessSampler sampler(ev.config().card,
                                           process::VariationSpec::c35());
-    const CornerSweep sweep = run_corner_sweep(ev, circuits::OtaSizing{}, sampler);
+    eval::Engine engine;
+    const CornerSweep sweep =
+        run_corner_sweep(engine, ev, circuits::OtaSizing{}, sampler);
     ASSERT_EQ(sweep.points.size(), 5u);
     EXPECT_EQ(sweep.points.front().corner, process::Corner::tt);
     for (const auto& p : sweep.points) EXPECT_TRUE(p.valid);
@@ -29,7 +31,9 @@ TEST(Corners, TypicalInsideTheSpread) {
     const circuits::OtaEvaluator ev;
     const process::ProcessSampler sampler(ev.config().card,
                                           process::VariationSpec::c35());
-    const CornerSweep sweep = run_corner_sweep(ev, circuits::OtaSizing{}, sampler);
+    eval::Engine engine;
+    const CornerSweep sweep =
+        run_corner_sweep(engine, ev, circuits::OtaSizing{}, sampler);
     const auto& tt = sweep.at(process::Corner::tt);
     EXPECT_GE(tt.gain_db, sweep.gain_min);
     EXPECT_LE(tt.gain_db, sweep.gain_max);
@@ -47,7 +51,9 @@ TEST(Corners, SpreadBracketsGlobalVariationScale) {
     const circuits::OtaEvaluator ev;
     const process::ProcessSampler sampler(ev.config().card,
                                           process::VariationSpec::c35());
-    const CornerSweep sweep = run_corner_sweep(ev, circuits::OtaSizing{}, sampler);
+    eval::Engine engine;
+    const CornerSweep sweep =
+        run_corner_sweep(engine, ev, circuits::OtaSizing{}, sampler);
     EXPECT_GT(sweep.dgain_halfspread_pct, 0.01);
     EXPECT_LT(sweep.dgain_halfspread_pct, 10.0);
 }
@@ -59,7 +65,9 @@ TEST(Corners, AtThrowsForMissingCorner) {
 
 TEST(Sensitivity, ReportCoversAllParameters) {
     const circuits::OtaEvaluator ev;
-    const SensitivityReport report = compute_sensitivities(ev, circuits::OtaSizing{});
+    eval::Engine engine;
+    const SensitivityReport report =
+        compute_sensitivities(engine, ev, circuits::OtaSizing{});
     ASSERT_EQ(report.parameters.size(), 8u);
     EXPECT_GT(report.gain_db, 40.0);
     for (const auto& p : report.parameters) {
@@ -74,7 +82,9 @@ TEST(Sensitivity, MirrorLengthDominatesGain) {
     // Gain rises with L1 (less channel-length modulation at the output
     // mirror); the report must surface l1 among the strongest gain knobs.
     const circuits::OtaEvaluator ev;
-    const SensitivityReport report = compute_sensitivities(ev, circuits::OtaSizing{});
+    eval::Engine engine;
+    const SensitivityReport report =
+        compute_sensitivities(engine, ev, circuits::OtaSizing{});
     double l1_gain = 0.0;
     double max_gain = 0.0;
     for (const auto& p : report.parameters) {
@@ -90,7 +100,9 @@ TEST(Sensitivity, W1MovesPhaseMarginDown) {
     // trade-off behind the paper's Pareto front must show as a negative
     // PM elasticity.
     const circuits::OtaEvaluator ev;
-    const SensitivityReport report = compute_sensitivities(ev, circuits::OtaSizing{});
+    eval::Engine engine;
+    const SensitivityReport report =
+        compute_sensitivities(engine, ev, circuits::OtaSizing{});
     for (const auto& p : report.parameters) {
         if (p.name == "w1") {
             EXPECT_LT(p.pm_elasticity, 0.0);
@@ -100,62 +112,45 @@ TEST(Sensitivity, W1MovesPhaseMarginDown) {
 
 TEST(Sensitivity, RejectsBadStep) {
     const circuits::OtaEvaluator ev;
-    EXPECT_THROW((void)compute_sensitivities(ev, circuits::OtaSizing{}, 0.0),
+    eval::Engine engine;
+    const circuits::OtaSizing sizing;
+    EXPECT_THROW((void)compute_sensitivities(engine, ev, sizing, 0.0),
                  InvalidInputError);
-    EXPECT_THROW((void)compute_sensitivities(ev, circuits::OtaSizing{}, 0.5),
+    EXPECT_THROW((void)compute_sensitivities(engine, ev, sizing, 0.5),
                  InvalidInputError);
 }
 
-TEST(Corners, EngineSweepMatchesLegacyBitExactly) {
+TEST(Corners, RepeatedSweepServedFromCache) {
     const circuits::OtaEvaluator ev;
     const process::ProcessSampler sampler(ev.config().card,
                                           process::VariationSpec::c35());
-    const CornerSweep legacy = run_corner_sweep(ev, circuits::OtaSizing{}, sampler);
-
     eval::Engine engine;
-    const CornerSweep via_engine =
+    const CornerSweep first =
         run_corner_sweep(engine, ev, circuits::OtaSizing{}, sampler);
-    ASSERT_EQ(via_engine.points.size(), legacy.points.size());
-    for (std::size_t i = 0; i < legacy.points.size(); ++i) {
-        EXPECT_EQ(via_engine.points[i].corner, legacy.points[i].corner);
-        EXPECT_EQ(via_engine.points[i].valid, legacy.points[i].valid);
-        EXPECT_DOUBLE_EQ(via_engine.points[i].gain_db, legacy.points[i].gain_db);
-        EXPECT_DOUBLE_EQ(via_engine.points[i].pm_deg, legacy.points[i].pm_deg);
-    }
-    EXPECT_DOUBLE_EQ(via_engine.dgain_halfspread_pct, legacy.dgain_halfspread_pct);
     EXPECT_EQ(engine.counters().evaluations, 5u);
 
     // A repeated sweep of the same sizing is served from the cache.
-    const CornerSweep again = run_corner_sweep(engine, ev, circuits::OtaSizing{}, sampler);
+    const CornerSweep again =
+        run_corner_sweep(engine, ev, circuits::OtaSizing{}, sampler);
     EXPECT_EQ(engine.counters().evaluations, 5u);
     EXPECT_EQ(engine.counters().cache_hits, 5u);
-    EXPECT_DOUBLE_EQ(again.gain_min, via_engine.gain_min);
+    EXPECT_DOUBLE_EQ(again.gain_min, first.gain_min);
 }
 
-TEST(Sensitivity, EngineReportMatchesLegacyBitExactly) {
+TEST(Sensitivity, ReportSubmitsOneBatch) {
     const circuits::OtaEvaluator ev;
-    const SensitivityReport legacy = compute_sensitivities(ev, circuits::OtaSizing{});
-
     eval::Engine engine;
-    const SensitivityReport via_engine =
+    const SensitivityReport report =
         compute_sensitivities(engine, ev, circuits::OtaSizing{});
-    EXPECT_DOUBLE_EQ(via_engine.gain_db, legacy.gain_db);
-    EXPECT_DOUBLE_EQ(via_engine.pm_deg, legacy.pm_deg);
-    ASSERT_EQ(via_engine.parameters.size(), legacy.parameters.size());
-    for (std::size_t i = 0; i < legacy.parameters.size(); ++i) {
-        EXPECT_EQ(via_engine.parameters[i].name, legacy.parameters[i].name);
-        EXPECT_DOUBLE_EQ(via_engine.parameters[i].gain_elasticity,
-                         legacy.parameters[i].gain_elasticity);
-        EXPECT_DOUBLE_EQ(via_engine.parameters[i].pm_elasticity,
-                         legacy.parameters[i].pm_elasticity);
-    }
     // Nominal + 2 probes per parameter, all submitted as one batch.
-    EXPECT_EQ(engine.counters().requests, 1u + 2u * legacy.parameters.size());
+    EXPECT_EQ(engine.counters().requests, 1u + 2u * report.parameters.size());
 }
 
 TEST(Sensitivity, DominantAccessors) {
     const circuits::OtaEvaluator ev;
-    const SensitivityReport report = compute_sensitivities(ev, circuits::OtaSizing{});
+    eval::Engine engine;
+    const SensitivityReport report =
+        compute_sensitivities(engine, ev, circuits::OtaSizing{});
     const auto& g = report.dominant_for_gain();
     const auto& p = report.dominant_for_pm();
     for (const auto& q : report.parameters) {

@@ -213,13 +213,9 @@ TEST(ShiftFitScale, LearnsWeightedSpreadAroundClampedCenter) {
 
 // ------------------------------------------------------------- yield probes
 
-yield::ProbeConfig probe_config_for(const yield::Scenario& sc,
-                                    const std::string& estimator,
-                                    std::size_t budget,
-                                    std::size_t inflight = 1) {
+yield::ProbeConfig probe_config_for(const std::string& estimator,
+                                    std::size_t budget) {
     yield::ProbeConfig config;
-    config.sequential = sc.config;
-    config.sequential.inflight = inflight;
     config.estimator = estimator;
     config.budget = budget;
     config.target_half_width = 0.08;
@@ -277,8 +273,10 @@ TEST(YieldProbe, DeterministicAcrossInflightWindowsAndReruns) {
     const std::vector<std::vector<double>> points = {{0.0}, {1.0}, {2.0}};
     const auto run_with_window = [&](std::size_t inflight) {
         eval::Engine engine = make_engine();
+        yield::SequentialConfig base = sc.config;
+        base.inflight = inflight;
         yield::YieldProbe probe(
-            probe_config_for(sc, "mixture_ce", 768, inflight), sc.specs,
+            probe_config_for("mixture_ce", 768), base, sc.specs,
             [&](const std::vector<double>&) { return sc.factory; },
             sc.dimension);
         return probe.probe(engine, points, Rng(73), 0);
@@ -311,7 +309,7 @@ TEST(YieldProbe, WarmStartSkipsPilotAtSameCI) {
     const yield::Scenario sc = yield::make_scenario("synthetic_bimodal");
     const std::vector<std::vector<double>> point = {{0.0}};
     eval::Engine engine = make_engine();
-    yield::YieldProbe probe(probe_config_for(sc, "single_shift", 768),
+    yield::YieldProbe probe(probe_config_for("single_shift", 768), sc.config,
                             sc.specs,
                             [&](const std::vector<double>&) { return sc.factory; },
                             sc.dimension);
@@ -372,14 +370,19 @@ TEST(YieldProbe, RunnerWarmStartSeamValidation) {
 TEST(YieldProbe, RejectsMalformedConstruction) {
     const yield::Scenario sc = yield::make_scenario("synthetic_bimodal");
     const auto factory = [&](const std::vector<double>&) { return sc.factory; };
-    EXPECT_THROW(yield::YieldProbe(probe_config_for(sc, "", 0), sc.specs,
+    EXPECT_THROW(yield::YieldProbe(probe_config_for("", 0), sc.config,
+                                   sc.specs, factory, sc.dimension),
+                 InvalidInputError);
+    EXPECT_THROW(yield::YieldProbe(probe_config_for("", 64), sc.config, {},
                                    factory, sc.dimension),
                  InvalidInputError);
-    EXPECT_THROW(yield::YieldProbe(probe_config_for(sc, "", 64), {}, factory,
-                                   sc.dimension),
+    EXPECT_THROW(yield::YieldProbe(probe_config_for("", 64), sc.config,
+                                   sc.specs, {}, sc.dimension),
                  InvalidInputError);
-    EXPECT_THROW(yield::YieldProbe(probe_config_for(sc, "", 64), sc.specs, {},
-                                   sc.dimension),
+    yield::ProbeConfig negative_target = probe_config_for("", 64);
+    negative_target.target_half_width = -0.1;
+    EXPECT_THROW(yield::YieldProbe(negative_target, sc.config, sc.specs,
+                                   factory, sc.dimension),
                  InvalidInputError);
 }
 

@@ -281,9 +281,9 @@ TEST(Golden, ReducedFlowWithProbes) {
     cfg.yield_sequential.max_samples = 48;
     cfg.yield_sequential.min_samples = 24;
     cfg.yield_probe.budget = 96;
-    cfg.yield_probe.activation_generation = 2;
-    cfg.yield_probe.max_points = 6;
     cfg.yield_probe.estimator = "mixture_ce";
+    cfg.ga.robustness.activation_generation = 2;
+    cfg.ga.robustness.max_points = 6;
     const core::FlowResult r = core::YieldFlow(ota, cfg).run();
     ASSERT_FALSE(r.yields.empty());
 
@@ -299,9 +299,10 @@ TEST(Golden, ReducedFlowWithProbes) {
     }
 
     Fnv1a certificates;
-    for (const auto& y : r.yields) {
+    for (std::size_t i = 0; i < r.yields.size(); ++i) {
+        const auto& y = r.yields[i];
         certificates.add(u64(y.design_id));
-        certificates.add(y.probe_yield);
+        certificates.add(r.front[i].probe_yield);
         add_certificate(certificates, y.result);
     }
 
@@ -380,13 +381,12 @@ TEST(Golden, ProbeColdThenWarm) {
     // proposal on, the warm call skips the pilots and runs from it.
     const yield::Scenario sc = yield::make_scenario("synthetic_bimodal");
     yield::ProbeConfig config;
-    config.sequential = sc.config;
     config.estimator = "single_shift";
     config.budget = 768;
     config.target_half_width = 0.08;
     yield::YieldProbe probe(
-        config, sc.specs, [&](const std::vector<double>&) { return sc.factory; },
-        sc.dimension);
+        config, sc.config, sc.specs,
+        [&](const std::vector<double>&) { return sc.factory; }, sc.dimension);
     const std::vector<std::vector<double>> points = {{0.0}, {1.0}, {2.0}};
 
     eval::EngineConfig engine_config;

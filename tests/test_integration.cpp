@@ -123,7 +123,9 @@ TEST_F(PipelineTest, YieldTargetedSizingVerifies) {
     // Table 4 analogue: the interpolated sizing simulates close to the
     // model's prediction.
     const circuits::OtaEvaluator evaluator;
-    const ModelVsTransistor cmp = compare_model_vs_transistor(evaluator, sized);
+    eval::Engine engine;
+    const ModelVsTransistor cmp =
+        compare_model_vs_transistor(engine, evaluator, sized);
     EXPECT_LT(cmp.gain_error_pct, 6.0);
     EXPECT_LT(cmp.pm_error_pct, 8.0);
 }
@@ -139,9 +141,10 @@ TEST_F(PipelineTest, YieldVerificationHighForInteriorSpec) {
     const circuits::OtaEvaluator evaluator;
     const process::ProcessSampler sampler(evaluator.config().card,
                                           process::VariationSpec::c35());
+    eval::Engine engine;
     Rng rng(99);
-    const YieldVerification v = verify_ota_yield(evaluator, sized.sizing, sampler,
-                                                 req_gain, req_pm, 60, rng);
+    const YieldVerification v = verify_ota_yield(
+        engine, evaluator, sized.sizing, sampler, req_gain, req_pm, 60, rng);
     // Paper: 100 % yield after inflation. Allow a couple of escapes on a
     // 60-sample check of a coarse front.
     EXPECT_GE(v.yield.yield, 0.9);

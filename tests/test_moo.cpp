@@ -459,7 +459,8 @@ TEST(Nsga2, BeatsRandomSearchOnZdt1Hypervolume) {
     const auto ga = opt.run(rng);
 
     Rng rng2(52);
-    const auto rs = random_search(problem, 900, rng2);
+    eval::Engine engine;
+    const auto rs = random_search(engine, problem, 900, rng2);
 
     auto front_hv = [&](const std::vector<EvaluatedIndividual>& archive) {
         std::vector<std::vector<double>> objs;
@@ -475,7 +476,8 @@ TEST(Nsga2, BeatsRandomSearchOnZdt1Hypervolume) {
 TEST(RandomSearch, CoversBoxUniformly) {
     const ToyAmplifierProblem problem;
     Rng rng(61);
-    const auto res = random_search(problem, 500, rng);
+    eval::Engine engine;
+    const auto res = random_search(engine, problem, 500, rng);
     EXPECT_EQ(res.evaluations, 500u);
     double lo = 1e9, hi = -1e9;
     for (const auto& e : res.archive) {
@@ -565,33 +567,9 @@ TEST(Robustness, ProbeIndicesSelectTopKTiesTowardLowerIndex) {
               (std::vector<std::size_t>{0, 1, 2, 3}));
 }
 
-TEST(Robustness, AppendObjectiveClampsNanAndCapsAtTarget) {
-    const std::vector<std::vector<double>> objs = {{1.0, 2.0}, {3.0, 4.0}};
-    RobustnessConfig cfg;
-    cfg.mode = RobustnessMode::constraint;
-    cfg.min_yield = 0.9;
-    std::vector<ObjectiveSpec> specs = max2;
-    const auto ext = append_robustness_objective(objs, {nan_v, 0.95}, cfg, specs);
-    ASSERT_EQ(specs.size(), 3u);
-    EXPECT_EQ(specs.back().name, "robustness");
-    EXPECT_EQ(specs.back().dir, Direction::maximize);
-    // NaN earns no robustness credit; the constraint caps at the target.
-    EXPECT_DOUBLE_EQ(ext[0][2], 0.0);
-    EXPECT_DOUBLE_EQ(ext[1][2], 0.9);
-    // Weight mode keeps the (clamped) estimate itself.
-    cfg.mode = RobustnessMode::weight;
-    std::vector<ObjectiveSpec> specs2 = max2;
-    const auto ext2 = append_robustness_objective(objs, {1.7, 0.95}, cfg, specs2);
-    EXPECT_DOUBLE_EQ(ext2[0][2], 1.0);
-    EXPECT_DOUBLE_EQ(ext2[1][2], 0.95);
-
-    EXPECT_THROW((void)append_robustness_objective(objs, {0.5}, cfg, specs),
-                 InvalidInputError);
-}
-
 TEST(Wbga, RobustnessOffPathBitIdentical) {
-    // The channel contract at optimiser level: a never-activating probe and
-    // an all-NaN probe both reproduce the legacy run bit-for-bit.
+    // The channel contract at optimiser level: an all-NaN probe reproduces
+    // the legacy run bit-for-bit.
     const ToyAmplifierProblem problem;
     WbgaConfig base;
     base.population = 16;
@@ -603,30 +581,21 @@ TEST(Wbga, RobustnessOffPathBitIdentical) {
     const auto legacy = run_with(base);
 
     int calls = 0;
-    WbgaConfig dormant = base;
-    dormant.robustness.activation_generation = base.generations;
-    dormant.robustness.probe = [&](const std::vector<std::vector<double>>& p,
-                                   std::size_t) {
-        ++calls;
-        return std::vector<double>(p.size(), 1.0);
-    };
     WbgaConfig all_nan = base;
     all_nan.robustness.probe = [&](const std::vector<std::vector<double>>& p,
                                    std::size_t) {
         ++calls;
         return std::vector<double>(p.size(), nan_v);
     };
-    for (const auto& res : {run_with(dormant), run_with(all_nan)}) {
-        ASSERT_EQ(res.archive.size(), legacy.archive.size());
-        for (std::size_t i = 0; i < res.archive.size(); ++i) {
-            EXPECT_EQ(res.archive[i].objectives, legacy.archive[i].objectives);
-            EXPECT_EQ(res.archive[i].fitness, legacy.archive[i].fitness);
-            EXPECT_EQ(res.archive[i].params, legacy.archive[i].params);
-            EXPECT_TRUE(std::isnan(res.archive[i].robustness));
-        }
+    const auto res = run_with(all_nan);
+    ASSERT_EQ(res.archive.size(), legacy.archive.size());
+    for (std::size_t i = 0; i < res.archive.size(); ++i) {
+        EXPECT_EQ(res.archive[i].objectives, legacy.archive[i].objectives);
+        EXPECT_EQ(res.archive[i].fitness, legacy.archive[i].fitness);
+        EXPECT_EQ(res.archive[i].params, legacy.archive[i].params);
+        EXPECT_TRUE(std::isnan(res.archive[i].robustness));
     }
-    // The dormant probe never fired; the all-NaN one fired once per
-    // generation.
+    // The all-NaN probe fired once per generation.
     EXPECT_EQ(calls, 6);
 }
 
@@ -686,56 +655,20 @@ TEST(Wbga, RobustnessConfigValidatedAtConstruction) {
     WbgaConfig cfg;
     cfg.robustness.yield_weight = 2.0;
     EXPECT_THROW((void)Wbga(problem, cfg), InvalidInputError);
-}
 
-TEST(Nsga2, RobustnessOffPathBitIdentical) {
-    const ZdtProblem problem(1, 6);
-    Nsga2Config base;
-    base.population = 12;
-    base.generations = 8;
-    const auto run_with = [&](const Nsga2Config& cfg) {
-        Rng rng(11);
-        return Nsga2(problem, cfg).run(rng);
-    };
-    const auto legacy = run_with(base);
-
-    Nsga2Config all_nan = base;
-    all_nan.robustness.probe = [](const std::vector<std::vector<double>>& p,
+    // A probe that activates at or past the generation count would never
+    // fire; without a probe the activation is irrelevant.
+    WbgaConfig dormant;
+    dormant.generations = 6;
+    dormant.robustness.activation_generation = 6;
+    (void)Wbga(problem, dormant);
+    dormant.robustness.probe = [](const std::vector<std::vector<double>>& p,
                                   std::size_t) {
-        return std::vector<double>(p.size(), nan_v);
+        return std::vector<double>(p.size(), 1.0);
     };
-    const auto res = run_with(all_nan);
-    ASSERT_EQ(res.final_population.size(), legacy.final_population.size());
-    for (std::size_t i = 0; i < res.final_population.size(); ++i) {
-        EXPECT_EQ(res.final_population[i].objectives,
-                  legacy.final_population[i].objectives);
-        EXPECT_EQ(res.final_population[i].params,
-                  legacy.final_population[i].params);
-        EXPECT_TRUE(std::isnan(res.final_population[i].robustness));
-    }
-}
-
-TEST(Nsga2, RobustnessRecordedFromProbe) {
-    // The probe is a pure function of the first parameter, so every
-    // surviving individual must carry exactly the value its point maps to.
-    const ZdtProblem problem(1, 6);
-    Nsga2Config cfg;
-    cfg.population = 12;
-    cfg.generations = 5;
-    cfg.robustness.probe = [](const std::vector<std::vector<double>>& p,
-                              std::size_t) {
-        std::vector<double> r(p.size());
-        for (std::size_t i = 0; i < p.size(); ++i)
-            r[i] = 0.5 + 0.5 * std::clamp(p[i][0], 0.0, 1.0) / 2.0;
-        return r;
-    };
-    Rng rng(13);
-    const auto res = Nsga2(problem, cfg).run(rng);
-    for (const auto& e : res.final_population) {
-        const double expected = 0.5 + 0.5 * std::clamp(e.params[0], 0.0, 1.0) / 2.0;
-        ASSERT_FALSE(std::isnan(e.robustness));
-        EXPECT_DOUBLE_EQ(e.robustness, expected);
-    }
+    EXPECT_THROW((void)Wbga(problem, dormant), InvalidInputError);
+    dormant.robustness.activation_generation = 5;
+    (void)Wbga(problem, dormant);
 }
 
 TEST(TestProblems, ZdtTrueFrontAtGEquals1) {

@@ -1076,6 +1076,13 @@ TEST(SequentialYield, RunnerValidatesConfig) {
                                               synthetic_factory(0.0, 1.0), 1,
                                               Rng(1)),
                  InvalidInputError);
+    // A non-positive pilot widening would draw a degenerate pilot.
+    yield::SequentialConfig flat_pilot;
+    flat_pilot.pilot_scale = 0.0;
+    EXPECT_THROW(yield::SequentialYieldRunner(engine, flat_pilot, specs,
+                                              synthetic_factory(0.0, 1.0), 1,
+                                              Rng(1)),
+                 InvalidInputError);
 }
 
 } // namespace
