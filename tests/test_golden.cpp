@@ -424,8 +424,9 @@ struct Cell {
     std::size_t total_samples; ///< pilot + main-stage samples (readable)
 };
 
-// Certificates of the cheap bench_yield_matrix cells at the matrix seed
-// (Rng(73), default scenario options, cache-less engine).
+// Certificates of the bench_yield_matrix cells that run in well under a
+// second each, at the matrix seed (Rng(73), default scenario options,
+// cache-less engine).
 const Cell kCells[] = {
     {"synthetic_bimodal", "plain_mc", 0x56f5d78fa1295bfbull, 5376},
     {"synthetic_bimodal", "single_shift", 0xc49f1d261fa8b3b3ull, 512},
@@ -440,6 +441,13 @@ const Cell kCells[] = {
     {"clean_sweep", "mixture_ce", 0xdc9cdb6fbaafad56ull, 896},
     {"clean_sweep", "mixture_ce_scale", 0xdc9cdb6fbaafad56ull, 896},
     {"rare_ota", "single_shift", 0x22acfbc20bae0cbdull, 512},
+    // The OTA mixture cells push thousands of AC sweeps through
+    // importance-sampled extreme corners, where the MNA zero pattern and
+    // the LU's pivots vary most.
+    {"rare_ota", "mixture_ce", 0x01e79f3a93812485ull, 640},
+    {"rare_ota", "mixture_ce_scale", 0x2d46bc329942d85dull, 640},
+    {"bimodal_ota", "mixture_ce", 0x83814809f62d41f6ull, 1408},
+    {"bimodal_ota", "mixture_ce_scale", 0x908647833bd009f3ull, 1280},
 };
 
 TEST(Golden, MatrixCells) {
