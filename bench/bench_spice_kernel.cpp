@@ -28,6 +28,7 @@
 #include "process/variation.hpp"
 #include "spice/analysis/ac.hpp"
 #include "spice/analysis/dc.hpp"
+#include "support/mna_capture.hpp"
 #include "support/oracles.hpp"
 #include "util/rng.hpp"
 
@@ -133,6 +134,69 @@ void BM_LuComplexFactorSolve(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_LuComplexFactorSolve)->Arg(8)->Arg(16)->Arg(32);
+
+// ------------------------------------------- LU on the OTA's AC systems
+//
+// Factor + solve of the OTA's captured AC systems (6 seeded sizing +
+// process points x 109 sweep frequencies, tests/support/mna_capture; 1.8 MB,
+// so a pass runs from L2 and times arithmetic, not memory): the textbook
+// ReferenceLu against the production InplaceLu, which skips the exact zeros
+// of the MNA pattern. Both copy each matrix once per solve; the inplace
+// bench first checks every solution against the reference bit for bit.
+// The bench-smoke job gates the median time ratio of an interleaved run
+// (scripts/check_bench.py sparse_lu).
+
+const std::vector<testsupport::LinearSystem<std::complex<double>>>&
+ota_ac_systems() {
+    static const auto capture = testsupport::capture_ota_mna(6, 2016);
+    return capture.ac;
+}
+
+void set_solve_counters(benchmark::State& state, std::size_t systems) {
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(systems));
+    state.counters["systems"] = static_cast<double>(systems);
+}
+
+void BM_OtaAcLuReference(benchmark::State& state) {
+    const auto& systems = ota_ac_systems();
+    for (auto _ : state)
+        for (const auto& sys : systems) {
+            auto x = testsupport::ReferenceLu<std::complex<double>>(sys.a)
+                         .solve(sys.b);
+            benchmark::DoNotOptimize(x);
+        }
+    set_solve_counters(state, systems.size());
+}
+BENCHMARK(BM_OtaAcLuReference)->Unit(benchmark::kMicrosecond);
+
+void BM_OtaAcLuInplace(benchmark::State& state) {
+    const auto& systems = ota_ac_systems();
+    linalg::InplaceLu<std::complex<double>> lu;
+    linalg::MatrixC work;
+    std::vector<std::complex<double>> x;
+    for (const auto& sys : systems) {
+        work = sys.a;
+        lu.factor(work);
+        lu.solve(work, sys.b, x);
+        const auto ref =
+            testsupport::ReferenceLu<std::complex<double>>(sys.a).solve(sys.b);
+        if (std::memcmp(x.data(), ref.data(), x.size() * sizeof x[0]) != 0) {
+            state.SkipWithError("InplaceLu diverges from ReferenceLu");
+            return;
+        }
+    }
+    for (auto _ : state)
+        for (const auto& sys : systems) {
+            work = sys.a;
+            lu.factor(work);
+            lu.solve(work, sys.b, x);
+            benchmark::DoNotOptimize(x.data());
+            benchmark::ClobberMemory();
+        }
+    set_solve_counters(state, systems.size());
+}
+BENCHMARK(BM_OtaAcLuInplace)->Unit(benchmark::kMicrosecond);
 
 void BM_OtaDcOperatingPoint(benchmark::State& state) {
     const circuits::OtaConfig cfg;

@@ -7,6 +7,7 @@ Gates:
   disarmed_span    bench_spice_kernel --benchmark_filter=BM_ObsDisarmedSpan
   mc_overlap       bench_spice_kernel --benchmark_filter='BM_OtaMcParetoPoints.*'
   yield_is         bench_yield_is (rare-spec and bimodal-mixture scenarios)
+  sparse_lu        bench_spice_kernel --benchmark_filter='BM_OtaAcLu.*'
 
 The timing gates read the median aggregates of a repeated run
 (--benchmark_repetitions=N --benchmark_report_aggregates_only=true).
@@ -53,6 +54,14 @@ THRESHOLDS = {
     # ... while the defensive mixture + CE refinement reaches the same
     # target in at most two thirds of the single-shift samples.
     "bimodal_mixture_min_ratio": 1.5,
+    # InplaceLu's exact-zero skipping on the OTA's captured AC systems:
+    # the textbook dense ReferenceLu (BM_OtaAcLuReference) over InplaceLu
+    # (BM_OtaAcLuInplace), median real time of one interleaved repeated
+    # run, so host drift hits both sides alike. Measured 1.73-1.77x with
+    # the skipping and 1.29-1.36x for the dense InplaceLu before it (4-vCPU
+    # Xeon container, GCC 12, Release, 9 repetitions of 0.2 s); the floor
+    # sits between, so losing the skip fails and noise does not.
+    "sparse_lu_min_ratio": 1.5,
 }
 
 
@@ -112,6 +121,17 @@ def mc_overlap(data, check):
                f"-> {ratio:.2f}x (>= {floor}x)")
 
 
+def sparse_lu(data, check):
+    wall = medians(data, "real_time")
+    reference = wall["BM_OtaAcLuReference_median"]
+    inplace = wall["BM_OtaAcLuInplace_median"]
+    ratio = reference / inplace
+    floor = THRESHOLDS["sparse_lu_min_ratio"]
+    check.gate(ratio >= floor,
+               f"OTA AC LU: reference {reference:.0f} vs inplace "
+               f"{inplace:.0f} -> {ratio:.2f}x (>= {floor}x)")
+
+
 def yield_is(data, check):
     c = by_family(data)
     ref = c["BM_YieldBruteForceReference"]
@@ -160,6 +180,7 @@ GATES = {
     "disarmed_span": disarmed_span,
     "mc_overlap": mc_overlap,
     "yield_is": yield_is,
+    "sparse_lu": sparse_lu,
 }
 
 

@@ -2,10 +2,14 @@
 /// \file matrix.hpp
 /// \brief Dense row-major matrix used by the MNA kernel.
 ///
-/// MNA systems in this project are small (tens of unknowns), so a dense
-/// matrix with partial-pivot LU is both simpler and faster than a sparse
-/// package at this scale. The template is instantiated for double (DC) and
-/// std::complex<double> (AC).
+/// MNA systems in this project are small (the OTA testbench has 13
+/// unknowns) and sparse (53 of its 169 AC entries are nonzero). They are
+/// stored dense; the LU (lu.hpp) skips the exact zeros instead of keeping a
+/// sparse structure, which measured 1.4x faster than dense elimination on
+/// the OTA's AC systems with the same pivots and the same bits. A
+/// recorded-pivot sparse factorisation was measured and dropped: pivots
+/// move with the operating point and the frequency. The template is
+/// instantiated for double (DC) and std::complex<double> (AC).
 
 #include <cassert>
 #include <complex>
