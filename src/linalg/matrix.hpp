@@ -5,8 +5,8 @@
 /// MNA systems in this project are small (the OTA testbench has 13
 /// unknowns) and sparse (53 of its 169 AC entries are nonzero). They are
 /// stored dense; the LU (lu.hpp) skips the exact zeros instead of keeping a
-/// sparse structure, which measured 1.4x faster than dense elimination on
-/// the OTA's AC systems with the same pivots and the same bits. A
+/// sparse structure, which measured 1.3-1.4x faster than dense elimination
+/// on the OTA's AC systems, with the same pivots and the same bits. A
 /// recorded-pivot sparse factorisation was measured and dropped: pivots
 /// move with the operating point and the frequency. The template is
 /// instantiated for double (DC) and std::complex<double> (AC).
