@@ -316,6 +316,56 @@ TEST(Golden, ReducedFlowWithProbes) {
                  static_cast<double>(r.timings.probe_samples), 1656.0);
 }
 
+// ---------------------------------------------------- paper-scale flow
+
+// One flow at the paper's Table 5 knobs (WBGA 100 x 100, 200 Monte Carlo
+// samples per front point), as ypmbench's paper_flow runs it. About 2 s, so
+// it is its own ctest entry (label paper_scale, skipped by
+// `ctest -LE paper_scale`).
+TEST(GoldenPaperScale, Table5Flow) {
+    const circuits::OtaConfig ota;
+    core::FlowConfig cfg;
+    cfg.ga.population = 100;
+    cfg.ga.generations = 100;
+    cfg.mc_samples = 200;
+    cfg.max_mc_points = 200;
+    cfg.seed = 5;
+    const core::FlowResult r = core::YieldFlow(ota, cfg).run();
+    ASSERT_FALSE(r.front.empty());
+
+    Fnv1a archive;
+    archive.add(u64(r.optimisation.archive.size()));
+    archive.add(u64(r.pareto_indices.size()));
+    for (std::size_t idx : r.pareto_indices) {
+        const auto& e = r.optimisation.archive[idx];
+        archive.add(u64(idx));
+        archive.add(e.params);
+        archive.add(e.objectives);
+    }
+
+    Fnv1a front;
+    front.add(u64(r.front.size()));
+    for (const auto& p : r.front) {
+        front.add(u64(p.design_id));
+        front.add(p.sizing.to_vector());
+        for (double v : {p.gain_db, p.pm_deg, p.dgain_pct, p.dpm_pct,
+                         p.dgain_halfrange_pct, p.dpm_halfrange_pct, p.f3db,
+                         p.gbw})
+            front.add(v);
+        front.add(u64(p.mc_failures));
+    }
+
+    expect_digest("table5.archive_front", archive.value(),
+                  0xee430d93361e4e80ull);
+    expect_digest("table5.front", front.value(), 0x0f0d9ba66b7a4194ull);
+    expect_value("table5.front_points", static_cast<double>(r.front.size()),
+                 61.0);
+    expect_value("table5.engine_requests",
+                 static_cast<double>(r.timings.engine.requests), 22462.0);
+    expect_value("table5.engine_failures",
+                 static_cast<double>(r.timings.engine.failures), 0.0);
+}
+
 // ------------------------------------------------------ multi-point yield
 
 TEST(Golden, MultiPointYieldWithRefits) {
