@@ -151,13 +151,15 @@ OtaPerformance OtaPrototype::measure(const OtaSizing& sizing,
 
     std::vector<std::complex<double>> h;
     try {
-        h = inst_.ac_transfer(op.solution, freqs_, out_, inp_);
+        h = inst_.ac_transfer(op.solution, freqs_, out_, inp_,
+                              spice::bode_sweep_complete);
     } catch (const NumericalError& e) {
         perf.failure = std::string("ac analysis failed: ") + e.what();
         return perf;
     }
 
-    perf.bode = spice::bode_metrics(freqs_, h);
+    perf.bode = spice::bode_metrics(std::span(freqs_).first(h.size()), h);
+    perf.bode.gain_margin_db = std::numeric_limits<double>::quiet_NaN();
     perf.gain_db = perf.bode.dc_gain_db;
     perf.pm_deg = perf.bode.phase_margin_deg;
     if (std::isnan(perf.pm_deg) || perf.gain_db <= 0.0) {

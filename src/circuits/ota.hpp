@@ -16,6 +16,7 @@
 /// grounds the inverting input for AC.
 
 #include <complex>
+#include <limits>
 #include <span>
 #include <string>
 #include <utility>
@@ -82,7 +83,9 @@ struct OtaPerformance {
     bool valid = false;
     double gain_db = 0.0; ///< open-loop DC gain (dB)
     double pm_deg = 0.0;  ///< phase margin (deg)
-    spice::BodeMetrics bode;
+    /// gain_margin_db is NaN (not measured): measure() stops the sweep
+    /// before the -180 deg crossing usually comes.
+    spice::BodeMetrics bode{.gain_margin_db = std::numeric_limits<double>::quiet_NaN()};
     std::string failure; ///< populated when !valid
 };
 
@@ -99,7 +102,9 @@ public:
     OtaPrototype(const OtaPrototype&) = delete;
     OtaPrototype& operator=(const OtaPrototype&) = delete;
 
-    /// Re-bind and measure one point (nullptr realization = nominal).
+    /// Re-bind and measure one point (nullptr realization = nominal). The AC
+    /// sweep stops at spice::bode_sweep_complete: values equal the full
+    /// sweep's, but a singular matrix or zero input past the stop goes unseen.
     [[nodiscard]] OtaPerformance
     measure(const OtaSizing& sizing,
             const process::Realization* realization = nullptr);

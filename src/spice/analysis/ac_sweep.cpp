@@ -10,8 +10,8 @@ namespace ypm::spice {
 
 namespace {
 
-/// The sweep loop (see the header comment); `visit(x)` receives the
-/// solution at each frequency in turn. `who` names the caller in errors.
+/// The sweep loop (see the header comment); `visit(x)` takes each solution
+/// in turn and returns false to stop. `who` names the caller in errors.
 template <typename Visit>
 void sweep(const char* who, Circuit& circuit, const Solution& op,
            const std::vector<double>& freqs, AcSweepWorkspace& ws,
@@ -41,7 +41,7 @@ void sweep(const char* who, Circuit& circuit, const Solution& op,
         for (std::size_t i = 0; i < n_nodes; ++i) ws.a(i, i) += 1e-15;
         ws.lu.factor(ws.a);
         ws.lu.solve(ws.a, ws.b, ws.x);
-        visit(ws.x);
+        if (!visit(ws.x)) return;
     }
 }
 
@@ -56,6 +56,7 @@ AcResult run_ac(Circuit& circuit, const Solution& op,
     sweep("run_ac", circuit, op, freqs, ws,
           [&](const std::vector<std::complex<double>>& x) {
               result.points.emplace_back(circuit.node_count(), x);
+              return true;
           });
     return result;
 }
@@ -63,7 +64,7 @@ AcResult run_ac(Circuit& circuit, const Solution& op,
 std::vector<std::complex<double>>
 ac_sweep_transfer(Circuit& circuit, const Solution& op,
                   const std::vector<double>& freqs, NodeId out, NodeId in,
-                  AcSweepWorkspace& ws) {
+                  AcSweepWorkspace& ws, SweepStop stop) {
     if (out == ground || in == ground)
         throw InvalidInputError(
             "ac_sweep_transfer: probe nodes must not be ground");
@@ -77,6 +78,7 @@ ac_sweep_transfer(Circuit& circuit, const Solution& op,
                   throw NumericalError(
                       "AcResult::transfer: zero input response");
               h.push_back(x[out_idx] / x[in_idx]);
+              return stop == nullptr || !stop(h);
           });
     return h;
 }

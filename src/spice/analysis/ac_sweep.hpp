@@ -12,6 +12,7 @@
 /// V(out)/V(in), bit-identical to run_ac(...).transfer(out, in).
 
 #include <complex>
+#include <span>
 #include <vector>
 
 #include "linalg/lu.hpp"
@@ -33,13 +34,18 @@ struct AcSweepWorkspace {
     AcTermRecorder recorder{0, 0};
 };
 
+/// Stop rule of ac_sweep_transfer: called with h[0..k] after each
+/// frequency k; true ends the sweep there (e.g. bode_sweep_complete).
+using SweepStop = bool (*)(std::span<const std::complex<double>> h);
+
 /// Sweep the circuit over `freqs` about the operating point `op` and return
-/// h[i] = V(out)/V(in) at freqs[i], reusing `ws`.
-/// \throws ypm::NumericalError on a singular frequency point or a zero
-/// input response.
+/// h[i] = V(out)/V(in) at freqs[i], reusing `ws`, up to the first point
+/// where `stop` (if given) returns true; frequencies past it are not solved.
+/// \throws ypm::NumericalError on a singular swept frequency point or a
+/// zero input response.
 [[nodiscard]] std::vector<std::complex<double>>
 ac_sweep_transfer(Circuit& circuit, const Solution& op,
                   const std::vector<double>& freqs, NodeId out, NodeId in,
-                  AcSweepWorkspace& ws);
+                  AcSweepWorkspace& ws, SweepStop stop = nullptr);
 
 } // namespace ypm::spice

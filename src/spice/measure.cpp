@@ -12,8 +12,16 @@ namespace {
 
 constexpr double nan_v = std::numeric_limits<double>::quiet_NaN();
 
-void check_sweep(const std::vector<double>& freqs,
-                 const std::vector<std::complex<double>>& h) {
+constexpr double minus_3db = 3.0103; // 20 log10(sqrt(2))
+
+/// |v| in dB; a zero or NaN magnitude reads as -400 dB.
+double db(std::complex<double> v) {
+    const double mag = std::abs(v);
+    return mag > 0.0 ? 20.0 * std::log10(mag) : -400.0;
+}
+
+void check_sweep(std::span<const double> freqs,
+                 std::span<const std::complex<double>> h) {
     if (freqs.size() != h.size() || freqs.size() < 2)
         throw InvalidInputError("measure: need >= 2 matched sweep points");
     for (std::size_t i = 0; i + 1 < freqs.size(); ++i)
@@ -23,7 +31,7 @@ void check_sweep(const std::vector<double>& freqs,
 
 /// Interpolate x (log f) where series crosses `target`, scanning upward.
 /// Returns NaN when no crossing exists.
-double crossing_logf(const std::vector<double>& freqs,
+double crossing_logf(std::span<const double> freqs,
                      const std::vector<double>& series, double target) {
     for (std::size_t i = 0; i + 1 < series.size(); ++i) {
         const double a = series[i] - target;
@@ -40,7 +48,7 @@ double crossing_logf(const std::vector<double>& freqs,
 }
 
 /// Interpolate series value at frequency f (linear in log f).
-double value_at_logf(const std::vector<double>& freqs,
+double value_at_logf(std::span<const double> freqs,
                      const std::vector<double>& series, double f) {
     if (f <= freqs.front()) return series.front();
     if (f >= freqs.back()) return series.back();
@@ -52,17 +60,14 @@ double value_at_logf(const std::vector<double>& freqs,
 
 } // namespace
 
-std::vector<double> magnitude_db(const std::vector<std::complex<double>>& h) {
+std::vector<double> magnitude_db(std::span<const std::complex<double>> h) {
     std::vector<double> out;
     out.reserve(h.size());
-    for (const auto& v : h) {
-        const double mag = std::abs(v);
-        out.push_back(mag > 0.0 ? 20.0 * std::log10(mag) : -400.0);
-    }
+    for (const auto& v : h) out.push_back(db(v));
     return out;
 }
 
-std::vector<double> phase_deg_unwrapped(const std::vector<std::complex<double>>& h) {
+std::vector<double> phase_deg_unwrapped(std::span<const std::complex<double>> h) {
     std::vector<double> out;
     out.reserve(h.size());
     double prev = 0.0;
@@ -87,8 +92,8 @@ std::vector<double> phase_deg_unwrapped(const std::vector<std::complex<double>>&
     return out;
 }
 
-BodeMetrics bode_metrics(const std::vector<double>& freqs,
-                         const std::vector<std::complex<double>>& h) {
+BodeMetrics bode_metrics(std::span<const double> freqs,
+                         std::span<const std::complex<double>> h) {
     check_sweep(freqs, h);
     const auto mag_db = magnitude_db(h);
     const auto phase = phase_deg_unwrapped(h);
@@ -108,19 +113,30 @@ BodeMetrics bode_metrics(const std::vector<double>& freqs,
     m.gain_margin_db =
         std::isnan(f180) ? nan_v : -value_at_logf(freqs, mag_db, f180);
 
-    m.f3db = crossing_logf(freqs, mag_db, m.dc_gain_db - 3.0103);
+    m.f3db = crossing_logf(freqs, mag_db, m.dc_gain_db - minus_3db);
     m.gbw = std::isnan(m.f3db) ? nan_v : mathx::undb20(m.dc_gain_db) * m.f3db;
     return m;
 }
 
-LowpassMetrics lowpass_metrics(const std::vector<double>& freqs,
-                               const std::vector<std::complex<double>>& h,
+bool bode_sweep_complete(std::span<const std::complex<double>> h) {
+    if (h.size() < 3) return false;
+    const double at_j = db(h[h.size() - 2]);
+    if (at_j > 0.0) return false;
+    const double dc = db(h.front());
+    if (!(dc > 0.0 && std::isfinite(dc)) || at_j > dc - minus_3db) return false;
+    for (const auto& v : h)
+        if (std::isnan(v.real()) || std::isnan(v.imag())) return false;
+    return true;
+}
+
+LowpassMetrics lowpass_metrics(std::span<const double> freqs,
+                               std::span<const std::complex<double>> h,
                                double f_stop) {
     check_sweep(freqs, h);
     const auto mag_db = magnitude_db(h);
     LowpassMetrics m;
     m.passband_gain_db = mag_db.front();
-    m.fc = crossing_logf(freqs, mag_db, m.passband_gain_db - 3.0103);
+    m.fc = crossing_logf(freqs, mag_db, m.passband_gain_db - minus_3db);
     m.stopband_atten_db = m.passband_gain_db - value_at_logf(freqs, mag_db, f_stop);
     return m;
 }

@@ -5,6 +5,7 @@
 ///        filter-oriented metrics (cutoff, stopband attenuation).
 
 #include <complex>
+#include <span>
 #include <vector>
 
 namespace ypm::spice {
@@ -23,16 +24,23 @@ struct BodeMetrics {
 
 /// Extract Bode metrics. freqs must be ascending; phase is unwrapped across
 /// the sweep before the margin is read.
-[[nodiscard]] BodeMetrics bode_metrics(const std::vector<double>& freqs,
-                                       const std::vector<std::complex<double>>& h);
+[[nodiscard]] BodeMetrics bode_metrics(std::span<const double> freqs,
+                                       std::span<const std::complex<double>> h);
 
-/// Magnitude in dB per point.
+/// Stop rule for ac_sweep_transfer, called after every point: true when
+/// point j = h.size() - 2 >= 1 has |H| <= min(0, dc gain - 3.0103) dB, the
+/// dc gain being finite and > 0 and no point NaN. The first bracketing pairs
+/// of the unity and -3 dB crossings then lie before j, so bode_metrics over
+/// h equals it over any continuation bit for bit, except gain_margin_db.
+[[nodiscard]] bool bode_sweep_complete(std::span<const std::complex<double>> h);
+
+/// Magnitude in dB per point (-400 dB for a zero or NaN magnitude).
 [[nodiscard]] std::vector<double>
-magnitude_db(const std::vector<std::complex<double>>& h);
+magnitude_db(std::span<const std::complex<double>> h);
 
 /// Unwrapped phase in degrees per point (continuous across the sweep).
 [[nodiscard]] std::vector<double>
-phase_deg_unwrapped(const std::vector<std::complex<double>>& h);
+phase_deg_unwrapped(std::span<const std::complex<double>> h);
 
 /// Filter-style measurements on a lowpass response.
 struct LowpassMetrics {
@@ -43,7 +51,7 @@ struct LowpassMetrics {
 
 /// \param f_stop frequency at which stopband attenuation is evaluated.
 [[nodiscard]] LowpassMetrics lowpass_metrics(
-    const std::vector<double>& freqs, const std::vector<std::complex<double>>& h,
+    std::span<const double> freqs, std::span<const std::complex<double>> h,
     double f_stop);
 
 } // namespace ypm::spice

@@ -103,9 +103,9 @@ public:
         /// sweep workspace; bit-identical to a fresh build's sweep.
         [[nodiscard]] std::vector<std::complex<double>>
         ac_transfer(const Solution& op, const std::vector<double>& freqs,
-                    NodeId out, NodeId in) {
+                    NodeId out, NodeId in, SweepStop stop = nullptr) {
             return ac_sweep_transfer(proto_->circuit(), op, freqs, out, in,
-                                     ac_ws_);
+                                     ac_ws_, stop);
         }
 
     private:

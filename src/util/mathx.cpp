@@ -42,7 +42,7 @@ double normalize(double x, double lo, double hi) {
     return (x - lo) / span;
 }
 
-std::size_t bracket(const std::vector<double>& xs, double x) {
+std::size_t bracket(std::span<const double> xs, double x) {
     assert(xs.size() >= 2);
     const auto it = std::upper_bound(xs.begin(), xs.end(), x);
     const std::ptrdiff_t idx = std::distance(xs.begin(), it) - 1;

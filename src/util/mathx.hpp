@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace ypm::mathx {
@@ -51,7 +52,7 @@ inline constexpr double pi = 3.14159265358979323846;
                                    const std::vector<double>& ys, double x);
 
 /// Index i such that xs[i] <= x < xs[i+1] (clamped to [0, n-2]).
-[[nodiscard]] std::size_t bracket(const std::vector<double>& xs, double x);
+[[nodiscard]] std::size_t bracket(std::span<const double> xs, double x);
 
 /// Wrap a phase in degrees into (-360, 0] - the convention used for Bode
 /// phase of a negative-feedback loop gain.

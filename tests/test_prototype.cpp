@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "circuits/filter_problem.hpp"
@@ -20,6 +21,7 @@
 #include "spice/analysis/ac.hpp"
 #include "spice/analysis/ac_sweep.hpp"
 #include "spice/analysis/dc.hpp"
+#include "spice/measure.hpp"
 #include "spice/prototype.hpp"
 #include "support/kernels.hpp"
 #include "support/oracles.hpp"
@@ -45,15 +47,23 @@ void expect_rows_identical(const std::vector<double>& a,
     }
 }
 
+/// The rebuild oracle sweeps every frequency; the prototype stops past the
+/// crossings (spice::bode_sweep_complete). Every reported field must still
+/// match bit for bit, on invalid points too; the prototype leaves the gain
+/// margin unmeasured.
 void expect_perf_identical(const circuits::OtaPerformance& reference,
                            const circuits::OtaPerformance& chunk) {
-    ASSERT_EQ(reference.valid, chunk.valid);
-    if (!reference.valid) return;
+    EXPECT_EQ(reference.valid, chunk.valid);
+    EXPECT_EQ(reference.failure, chunk.failure);
     EXPECT_TRUE(bits_equal(reference.gain_db, chunk.gain_db));
     EXPECT_TRUE(bits_equal(reference.pm_deg, chunk.pm_deg));
+    EXPECT_TRUE(bits_equal(reference.bode.dc_gain_db, chunk.bode.dc_gain_db));
     EXPECT_TRUE(bits_equal(reference.bode.unity_freq, chunk.bode.unity_freq));
+    EXPECT_TRUE(bits_equal(reference.bode.phase_margin_deg,
+                           chunk.bode.phase_margin_deg));
     EXPECT_TRUE(bits_equal(reference.bode.f3db, chunk.bode.f3db));
     EXPECT_TRUE(bits_equal(reference.bode.gbw, chunk.bode.gbw));
+    EXPECT_TRUE(std::isnan(chunk.bode.gain_margin_db));
 }
 
 std::vector<circuits::OtaSizing> random_sizings(std::size_t n, std::uint64_t seed) {
@@ -90,6 +100,19 @@ TEST(AcSweep, TransferBitIdenticalToRunAc) {
     for (std::size_t i = 0; i < h.size(); ++i) {
         EXPECT_TRUE(bits_equal(h[i].real(), h_ref[i].real())) << "freq " << i;
         EXPECT_TRUE(bits_equal(h[i].imag(), h_ref[i].imag())) << "freq " << i;
+    }
+
+    // With a stop rule the sweep ends on the first prefix the rule accepts,
+    // and that prefix is the full sweep's.
+    const auto cut = spice::ac_sweep_transfer(ckt, op.solution, freqs, out, inp,
+                                              ws, spice::bode_sweep_complete);
+    ASSERT_LT(cut.size(), h_ref.size());
+    for (std::size_t k = 1; k < cut.size(); ++k)
+        EXPECT_FALSE(spice::bode_sweep_complete(std::span(h_ref).first(k))) << k;
+    EXPECT_TRUE(spice::bode_sweep_complete(std::span(h_ref).first(cut.size())));
+    for (std::size_t i = 0; i < cut.size(); ++i) {
+        EXPECT_TRUE(bits_equal(cut[i].real(), h_ref[i].real())) << "freq " << i;
+        EXPECT_TRUE(bits_equal(cut[i].imag(), h_ref[i].imag())) << "freq " << i;
     }
 }
 

@@ -7,7 +7,10 @@
 
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <cstring>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "process/process_card.hpp"
@@ -509,9 +512,152 @@ TEST(Measure, LowpassMetricsButterworth) {
 }
 
 TEST(Measure, RejectsBadSweep) {
-    EXPECT_THROW((void)bode_metrics({1.0}, {{1.0, 0.0}}), InvalidInputError);
-    EXPECT_THROW((void)bode_metrics({2.0, 1.0}, {{1.0, 0.0}, {1.0, 0.0}}),
+    using CVec = std::vector<std::complex<double>>;
+    EXPECT_THROW((void)bode_metrics(std::vector<double>{1.0}, CVec{{1.0, 0.0}}),
                  InvalidInputError);
+    EXPECT_THROW((void)bode_metrics(std::vector<double>{2.0, 1.0},
+                                    CVec{{1.0, 0.0}, {1.0, 0.0}}),
+                 InvalidInputError);
+}
+
+// ------------------------------------------------------- bode sweep stop
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// Feed h to bode_sweep_complete one point at a time, as ac_sweep_transfer
+/// does, and check that bode_metrics over the stopped prefix equals it over
+/// the whole of h in every field except gain_margin_db. Returns the length
+/// of the prefix (h.size() when the rule never fired).
+std::size_t stopped_length(const std::vector<double>& freqs,
+                           const std::vector<std::complex<double>>& h) {
+    const std::span<const std::complex<double>> all(h);
+    std::size_t k = 1;
+    while (k < h.size() && !bode_sweep_complete(all.first(k))) ++k;
+    const BodeMetrics full = bode_metrics(freqs, h);
+    const BodeMetrics cut =
+        bode_metrics(std::span<const double>(freqs).first(k), all.first(k));
+    EXPECT_TRUE(same_bits(cut.dc_gain_db, full.dc_gain_db)) << k;
+    EXPECT_TRUE(same_bits(cut.unity_freq, full.unity_freq)) << k;
+    EXPECT_TRUE(same_bits(cut.phase_margin_deg, full.phase_margin_deg)) << k;
+    EXPECT_TRUE(same_bits(cut.f3db, full.f3db)) << k;
+    EXPECT_TRUE(same_bits(cut.gbw, full.gbw)) << k;
+    return k;
+}
+
+/// Index of the first point j >= 1 at or below 0 dB.
+std::size_t first_at_or_below_0db(const std::vector<std::complex<double>>& h) {
+    const auto mag = magnitude_db(h);
+    std::size_t j = 1;
+    while (j < mag.size() && mag[j] > 0.0) ++j;
+    return j;
+}
+
+TEST(BodeSweepStop, StopsOnePointPastTheCrossings) {
+    const auto freqs = log_sweep(10.0, 10e9, 12);
+    const auto h = single_pole(freqs, 1000.0, 1e3);
+    const std::size_t j = first_at_or_below_0db(h);
+    EXPECT_EQ(stopped_length(freqs, h), j + 2);
+    EXPECT_LT(j + 2, h.size());
+}
+
+TEST(BodeSweepStop, ExactZeroDbOnAGridPoint) {
+    // |(0, -1)| is exactly 1, so point j reads exactly 0 dB and the unity
+    // crossing interpolates to t = 1, landing on freqs[j]. The phase there
+    // is lerp(phase[j], phase[j + 1], 0): NaN when point j + 1 is NaN, which
+    // is why the rule waits for the point past j.
+    std::size_t on_grid = 0;
+    for (std::size_t ppd = 5; ppd <= 40; ++ppd) {
+        const auto freqs = log_sweep(10.0, 10e9, ppd);
+        auto h = single_pole(freqs, 1000.0, 1e3);
+        const std::size_t j = first_at_or_below_0db(h);
+        h[j] = {0.0, -1.0};
+        EXPECT_EQ(magnitude_db(h)[j], 0.0);
+        EXPECT_EQ(stopped_length(freqs, h), j + 2) << ppd;
+        if (bode_metrics(freqs, h).unity_freq != freqs[j]) continue;
+        ++on_grid;
+        h[j + 1] = {std::numeric_limits<double>::quiet_NaN(), 0.0};
+        EXPECT_EQ(stopped_length(freqs, h), h.size()) << ppd;
+        EXPECT_TRUE(std::isnan(bode_metrics(freqs, h).phase_margin_deg)) << ppd;
+    }
+    EXPECT_GT(on_grid, 0u);
+}
+
+TEST(BodeSweepStop, DcGainBelow3dbStopsPastTheMinus3dbPoint) {
+    // 1.58 dB at dc: unity (~660 Hz) comes before the -3 dB point (1 kHz).
+    const auto freqs = log_sweep(10.0, 10e9, 12);
+    const auto h = single_pole(freqs, 1.2, 1e3);
+    const std::size_t k = stopped_length(freqs, h);
+    ASSERT_LT(k, h.size());
+    const BodeMetrics m = bode_metrics(freqs, h);
+    EXPECT_LT(m.unity_freq, m.f3db);
+    EXPECT_LT(m.f3db, freqs[k - 2]);
+    EXPECT_GT(magnitude_db(h)[k - 3], m.dc_gain_db - 3.0103);
+}
+
+TEST(BodeSweepStop, NeverFiresWithoutPositiveDcGain) {
+    const auto freqs = log_sweep(10.0, 10e9, 12);
+    // Below unity throughout, exactly 0 dB at dc, and a resonance that
+    // rises through 0 dB from below and falls back.
+    std::vector<std::vector<std::complex<double>>> cases = {
+        single_pole(freqs, 0.5, 1e3), single_pole(freqs, 1.0, 1e3)};
+    std::vector<std::complex<double>> peak;
+    for (double f : freqs) {
+        const double w = f / 1e5;
+        peak.push_back(0.9 / std::complex<double>(1.0 - w * w, w / 10.0));
+    }
+    cases.push_back(peak);
+    for (const auto& h : cases) EXPECT_EQ(stopped_length(freqs, h), h.size());
+}
+
+TEST(BodeSweepStop, NeverFiresAfterANan) {
+    const auto freqs = log_sweep(10.0, 10e9, 12);
+    const auto clean = single_pole(freqs, 1000.0, 1e3);
+    const std::size_t j = first_at_or_below_0db(clean);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (std::size_t at : {std::size_t{0}, std::size_t{3}, j, j + 1}) {
+        auto h = clean;
+        h[at] = {nan, 0.0};
+        EXPECT_EQ(stopped_length(freqs, h), h.size()) << at;
+    }
+}
+
+TEST(BodeSweepStop, NeverFiresWithoutACrossing) {
+    const auto freqs = log_sweep(10.0, 1e4, 12); // |H| >= 40 dB throughout
+    const auto h = single_pole(freqs, 1000.0, 1e3);
+    EXPECT_EQ(stopped_length(freqs, h), h.size());
+}
+
+TEST(BodeSweepStop, CrossingAtTheLastTwoPoints) {
+    const auto full_freqs = log_sweep(10.0, 10e9, 12);
+    const auto full_h = single_pole(full_freqs, 1000.0, 1e3);
+    const std::size_t j = first_at_or_below_0db(full_h);
+    // Crossing at the last point: no point past it, the rule never fires.
+    // At the second-to-last: it fires on the last point, the whole sweep.
+    for (std::size_t n : {j + 1, j + 2}) {
+        const std::vector<double> freqs(full_freqs.begin(), full_freqs.begin() + n);
+        const std::vector<std::complex<double>> h(full_h.begin(), full_h.begin() + n);
+        EXPECT_EQ(stopped_length(freqs, h), n);
+        EXPECT_EQ(bode_sweep_complete(h), n == j + 2);
+    }
+}
+
+TEST(BodeSweepStop, RandomTwoPoleResponses) {
+    const auto freqs = log_sweep(10.0, 10e9, 12);
+    std::uint64_t state = 12345;
+    const auto uniform = [&state](double lo, double hi) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return lo + (hi - lo) * static_cast<double>(state >> 11) * 0x1.0p-53;
+    };
+    for (int trial = 0; trial < 200; ++trial) {
+        const double a0 = std::pow(10.0, uniform(-0.5, 5.0));
+        const double fp1 = std::pow(10.0, uniform(1.0, 5.0));
+        const double fp2 = fp1 * std::pow(10.0, uniform(0.0, 5.0));
+        std::vector<std::complex<double>> h;
+        for (double f : freqs)
+            h.push_back(a0 / (std::complex<double>(1.0, f / fp1) *
+                              std::complex<double>(1.0, f / fp2)));
+        (void)stopped_length(freqs, h);
+    }
 }
 
 } // namespace
