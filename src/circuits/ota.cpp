@@ -1,7 +1,6 @@
 #include "circuits/ota.hpp"
 
 #include <cmath>
-#include <limits>
 
 #include "spice/analysis/ac.hpp"
 #include "spice/devices/capacitor.hpp"
@@ -73,7 +72,7 @@ void add_ota_core(Circuit& ckt, const std::string& prefix, const OtaSizing& s,
     ckt.add<spice::CurrentSource>(prefix + "itail", tail, spice::ground,
                                   cfg.i_tail);
 
-    // Diode-connected PMOS loads (W4, L4).
+    // PMOS loads, diode-connected (W4, L4).
     ckt.add<Mosfet>(prefix + "m3", d1, d1, vdd, vdd, Type::pmos, pm, s.w4, s.l4);
     ckt.add<Mosfet>(prefix + "m6", d2, d2, vdd, vdd, Type::pmos, pm, s.w4, s.l4);
 
@@ -159,7 +158,6 @@ OtaPerformance OtaPrototype::measure(const OtaSizing& sizing,
     }
 
     perf.bode = spice::bode_metrics(std::span(freqs_).first(h.size()), h);
-    perf.bode.gain_margin_db = std::numeric_limits<double>::quiet_NaN();
     perf.gain_db = perf.bode.dc_gain_db;
     perf.pm_deg = perf.bode.phase_margin_deg;
     if (std::isnan(perf.pm_deg) || perf.gain_db <= 0.0) {

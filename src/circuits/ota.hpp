@@ -16,7 +16,6 @@
 /// grounds the inverting input for AC.
 
 #include <complex>
-#include <limits>
 #include <span>
 #include <string>
 #include <utility>
@@ -83,9 +82,7 @@ struct OtaPerformance {
     bool valid = false;
     double gain_db = 0.0; ///< open-loop DC gain (dB)
     double pm_deg = 0.0;  ///< phase margin (deg)
-    /// gain_margin_db is NaN (not measured): measure() stops the sweep
-    /// before the -180 deg crossing usually comes.
-    spice::BodeMetrics bode{.gain_margin_db = std::numeric_limits<double>::quiet_NaN()};
+    spice::BodeMetrics bode;
     std::string failure; ///< populated when !valid
 };
 

@@ -9,8 +9,7 @@
 /// model is the full EKV evaluation). Two term forms cover every device,
 /// with k (complex) and c (real) fixed by the operating point:
 ///
-///  * affine:  entry += k + j*omega*c        (R, C, L, sources, controlled
-///                                             sources, diode, MOSFET)
+///  * affine:  entry += k + j*omega*c        (R, C, L, sources, MOSFET)
 ///  * pole:    entry += k / (1 + j*omega/c)  (the behavioural OTA's single
 ///                                             dominant pole, c = omega_p)
 ///

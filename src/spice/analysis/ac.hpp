@@ -3,9 +3,9 @@
 /// \brief Small-signal AC analysis: complex MNA solve per frequency point,
 ///        linearised about a DC operating point.
 ///
-/// run_ac keeps the full complex solution at every frequency (netlists,
-/// Fig. 8, tests). It runs the one sweep loop of ac_sweep.hpp, which also
-/// serves the transfer-only ac_sweep_transfer of the batch kernels.
+/// run_ac keeps the full complex solution at every frequency (Fig. 8, the
+/// kernel bench, tests). It runs the one sweep loop of ac_sweep.hpp, which
+/// also serves the transfer-only ac_sweep_transfer of the batch kernels.
 
 #include <complex>
 #include <vector>

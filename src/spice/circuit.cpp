@@ -34,15 +34,6 @@ std::optional<NodeId> Circuit::find_node(const std::string& name) const {
     return it->second;
 }
 
-const std::string& Circuit::node_name(NodeId id) const {
-    static const std::string ground_name = "0";
-    if (id == ground) return ground_name;
-    const auto idx = static_cast<std::size_t>(id) - 1;
-    if (idx >= names_.size())
-        throw InvalidInputError("Circuit: node id out of range");
-    return names_[idx];
-}
-
 void Circuit::add_device(std::unique_ptr<Device> device) {
     if (!device) throw InvalidInputError("Circuit: null device");
     const std::string key = str::to_lower(device->name());
@@ -90,14 +81,6 @@ void Circuit::finalize() {
         }
     }
     n_branches_ = branch;
-    std::size_t state = 0;
-    for (auto& dev : devices_) {
-        if (dev->tran_state_count() > 0) {
-            dev->assign_tran_state_base(state);
-            state += dev->tran_state_count();
-        }
-    }
-    n_tran_states_ = state;
     finalized_ = true;
 }
 

@@ -27,9 +27,6 @@ public:
     /// Look up an existing node by name.
     [[nodiscard]] std::optional<NodeId> find_node(const std::string& name) const;
 
-    /// Name of a node id (internal nodes get synthesised names).
-    [[nodiscard]] const std::string& node_name(NodeId id) const;
-
     /// Non-ground node count (including device-internal nodes after
     /// finalize()).
     [[nodiscard]] std::size_t node_count() const { return names_.size(); }
@@ -63,9 +60,6 @@ public:
     /// Total branch unknowns (valid after finalize()).
     [[nodiscard]] std::size_t branch_count() const { return n_branches_; }
 
-    /// Total transient state slots (valid after finalize()).
-    [[nodiscard]] std::size_t tran_state_count() const { return n_tran_states_; }
-
     /// Total MNA unknowns = nodes + branches (valid after finalize()).
     [[nodiscard]] std::size_t unknowns() const {
         return node_count() + branch_count();
@@ -83,7 +77,6 @@ private:
     std::vector<std::unique_ptr<Device>> devices_;
     std::unordered_map<std::string, std::size_t> device_index_;
     std::size_t n_branches_ = 0;
-    std::size_t n_tran_states_ = 0;
     bool finalized_ = false;
 };
 

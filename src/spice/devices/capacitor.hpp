@@ -14,13 +14,6 @@ public:
     void stamp_dc(RealStamper& s, const Solution& x) const override;
     void stamp_ac(AcTermRecorder& rec, const Solution& op) const override;
 
-    /// One history slot: the companion-model branch current (trapezoidal).
-    [[nodiscard]] std::size_t tran_state_count() const override { return 1; }
-    void stamp_tran(RealStamper& s, const Solution& x,
-                    const TranContext& ctx) const override;
-    void update_tran_state(const Solution& x, const TranContext& ctx,
-                           std::vector<double>& state_now) const override;
-
     [[nodiscard]] double capacitance() const { return c_; }
     void set_capacitance(double c);
 

@@ -17,8 +17,6 @@ public:
 
     void stamp_dc(RealStamper& s, const Solution& x) const override;
     void stamp_ac(AcTermRecorder& rec, const Solution& op) const override;
-    void stamp_tran(RealStamper& s, const Solution& x,
-                    const TranContext& ctx) const override;
 
     [[nodiscard]] double inductance() const { return l_; }
 

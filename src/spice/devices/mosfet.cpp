@@ -224,30 +224,6 @@ void Mosfet::stamp_dc(RealStamper& s, const Solution& x) const {
     s.rhs(s_, ieq);
 }
 
-void Mosfet::stamp_tran(RealStamper& s, const Solution& x,
-                        const TranContext& ctx) const {
-    // Resistive large-signal part: identical to the DC stamp at x.
-    stamp_dc(s, x);
-
-    // Charge-storage part: the five capacitances at the previous converged
-    // point, each as a backward-Euler companion (g = C/dt with a history
-    // current from the previous voltage across the pair).
-    const OpInfo prev_op = op_info(*ctx.prev);
-    auto stamp_cap = [&](NodeId p, NodeId q, double c) {
-        if (c <= 0.0) return;
-        const double g = c / ctx.dt;
-        const double v_prev = ctx.prev->voltage(p) - ctx.prev->voltage(q);
-        s.conductance(p, q, g);
-        s.rhs(p, g * v_prev);
-        s.rhs(q, -g * v_prev);
-    };
-    stamp_cap(g_, s_, prev_op.cgs);
-    stamp_cap(g_, d_, prev_op.cgd);
-    stamp_cap(g_, b_, prev_op.cgb);
-    stamp_cap(d_, b_, prev_op.cdb);
-    stamp_cap(s_, b_, prev_op.csb);
-}
-
 void Mosfet::stamp_ac(AcTermRecorder& rec, const Solution& op_sol) const {
     // The EKV model evaluates once per operating point; the sweep replays
     // the recorded terms at every frequency.

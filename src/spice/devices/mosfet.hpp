@@ -56,12 +56,6 @@ public:
     void stamp_dc(RealStamper& s, const Solution& x) const override;
     void stamp_ac(AcTermRecorder& rec, const Solution& op) const override;
 
-    /// Transient: resistive part as in DC plus the five Meyer/junction
-    /// capacitances as backward-Euler companions, evaluated at the previous
-    /// converged point (linearised per step).
-    void stamp_tran(RealStamper& s, const Solution& x,
-                    const TranContext& ctx) const override;
-
     /// Evaluate the model at the given solution (used by testbenches and
     /// unit tests to inspect gm/gds/regions).
     [[nodiscard]] OpInfo op_info(const Solution& x) const;

@@ -16,20 +16,6 @@ std::complex<double> phasor(double mag, double phase_deg) {
 
 } // namespace
 
-double pulse_value(const PulseWave& w, double t) {
-    double tau = t - w.delay;
-    if (tau < 0.0) return w.v1;
-    if (w.period > 0.0) tau = std::fmod(tau, w.period);
-    if (tau < w.rise)
-        return w.v1 + (w.v2 - w.v1) * (w.rise > 0.0 ? tau / w.rise : 1.0);
-    tau -= w.rise;
-    if (tau < w.width) return w.v2;
-    tau -= w.width;
-    if (tau < w.fall)
-        return w.v2 + (w.v1 - w.v2) * (w.fall > 0.0 ? tau / w.fall : 1.0);
-    return w.v1;
-}
-
 // --------------------------------------------------------- VoltageSource
 
 VoltageSource::VoltageSource(std::string name, NodeId a, NodeId b, double dc,
@@ -43,24 +29,6 @@ void VoltageSource::stamp_dc(RealStamper& s, const Solution&) const {
     s.mat_branch_row(branch(), a_, 1.0);
     s.mat_branch_row(branch(), b_, -1.0);
     s.rhs_branch(branch(), dc_ * s.source_scale());
-}
-
-double VoltageSource::tran_value(double t) const {
-    if (sine_)
-        return sine_->offset +
-               sine_->amplitude *
-                   std::sin(2.0 * mathx::pi * sine_->freq_hz * (t - sine_->delay));
-    if (pulse_) return pulse_value(*pulse_, t);
-    return dc_;
-}
-
-void VoltageSource::stamp_tran(RealStamper& s, const Solution&,
-                               const TranContext& ctx) const {
-    s.mat_branch_col(a_, branch(), 1.0);
-    s.mat_branch_col(b_, branch(), -1.0);
-    s.mat_branch_row(branch(), a_, 1.0);
-    s.mat_branch_row(branch(), b_, -1.0);
-    s.rhs_branch(branch(), tran_value(ctx.time));
 }
 
 void VoltageSource::stamp_ac(AcTermRecorder& rec, const Solution&) const {

@@ -109,10 +109,6 @@ BodeMetrics bode_metrics(std::span<const double> freqs,
         m.phase_margin_deg = 180.0 + phase_at_unity;
     }
 
-    const double f180 = crossing_logf(freqs, phase, -180.0);
-    m.gain_margin_db =
-        std::isnan(f180) ? nan_v : -value_at_logf(freqs, mag_db, f180);
-
     m.f3db = crossing_logf(freqs, mag_db, m.dc_gain_db - minus_3db);
     m.gbw = std::isnan(m.f3db) ? nan_v : mathx::undb20(m.dc_gain_db) * m.f3db;
     return m;

@@ -17,7 +17,6 @@ struct BodeMetrics {
     double dc_gain_db = 0.0;        ///< |H| at the lowest swept frequency
     double unity_freq = 0.0;        ///< f where |H| crosses 1 (Hz)
     double phase_margin_deg = 0.0;  ///< 180 + phase(H) at unity_freq
-    double gain_margin_db = 0.0;    ///< -|H|dB where phase crosses -180
     double f3db = 0.0;              ///< -3 dB frequency (Hz)
     double gbw = 0.0;               ///< dc gain (linear) * f3db
 };
@@ -31,7 +30,7 @@ struct BodeMetrics {
 /// point j = h.size() - 2 >= 1 has |H| <= min(0, dc gain - 3.0103) dB, the
 /// dc gain being finite and > 0 and no point NaN. The first bracketing pairs
 /// of the unity and -3 dB crossings then lie before j, so bode_metrics over
-/// h equals it over any continuation bit for bit, except gain_margin_db.
+/// h equals it over any continuation bit for bit.
 [[nodiscard]] bool bode_sweep_complete(std::span<const std::complex<double>> h);
 
 /// Magnitude in dB per point (-400 dB for a zero or NaN magnitude).

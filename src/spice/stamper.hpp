@@ -1,8 +1,7 @@
 #pragma once
 /// \file stamper.hpp
-/// \brief Real MNA stamping interface handed to devices for DC and
-///        transient analysis (AC stamps record through AcTermRecorder,
-///        ac_terms.hpp).
+/// \brief Real MNA stamping interface handed to devices for DC analysis
+///        (AC stamps record through AcTermRecorder, ac_terms.hpp).
 ///
 /// Ground (node 0) rows/columns are silently dropped, so devices stamp with
 /// plain node ids and never special-case ground. Branch unknowns (voltage

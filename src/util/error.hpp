@@ -13,8 +13,8 @@ public:
     explicit Error(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Raised when user-supplied input (netlist text, table file, control
-/// string, configuration value) cannot be accepted.
+/// Raised when user-supplied input (table file, control string,
+/// configuration value) cannot be accepted.
 class InvalidInputError : public Error {
 public:
     explicit InvalidInputError(const std::string& what) : Error(what) {}

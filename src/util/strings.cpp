@@ -28,13 +28,6 @@ std::string to_lower(std::string_view s) {
     return out;
 }
 
-std::string to_upper(std::string_view s) {
-    std::string out(s);
-    std::transform(out.begin(), out.end(), out.begin(),
-                   [](unsigned char c) { return static_cast<char>(std::toupper(c)); });
-    return out;
-}
-
 std::vector<std::string> split(std::string_view s, char delim) {
     std::vector<std::string> out;
     std::size_t start = 0;
@@ -70,16 +63,6 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
 
 bool starts_with(std::string_view s, std::string_view prefix) {
     return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool iequals(std::string_view a, std::string_view b) {
-    if (a.size() != b.size()) return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (std::tolower(static_cast<unsigned char>(a[i])) !=
-            std::tolower(static_cast<unsigned char>(b[i])))
-            return false;
-    }
-    return true;
 }
 
 std::string fmt_double(double v) {

@@ -1,6 +1,6 @@
 #pragma once
 /// \file strings.hpp
-/// \brief Small string helpers shared by the netlist parser, table I/O and
+/// \brief Small string helpers shared by table I/O, circuit node names and
 ///        report writers. All functions are pure and allocation-friendly.
 
 #include <string>
@@ -12,11 +12,8 @@ namespace ypm::str {
 /// Remove leading and trailing whitespace (space, tab, CR, LF).
 [[nodiscard]] std::string trim(std::string_view s);
 
-/// Lower-case an ASCII string (netlists are case-insensitive).
+/// Lower-case an ASCII string (node and device names are case-insensitive).
 [[nodiscard]] std::string to_lower(std::string_view s);
-
-/// Upper-case an ASCII string.
-[[nodiscard]] std::string to_upper(std::string_view s);
 
 /// Split on a single delimiter character; empty fields are kept.
 [[nodiscard]] std::vector<std::string> split(std::string_view s, char delim);
@@ -30,9 +27,6 @@ namespace ypm::str {
 
 /// True if \p s begins with \p prefix (case sensitive).
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix);
-
-/// Case-insensitive equality for ASCII strings.
-[[nodiscard]] bool iequals(std::string_view a, std::string_view b);
 
 /// Render a double with enough digits to round-trip (used by .tbl writers).
 [[nodiscard]] std::string fmt_double(double v);

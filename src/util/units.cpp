@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace ypm::units {
@@ -50,11 +49,6 @@ std::optional<double> try_parse_value(std::string_view text) {
         }
     }
     return mantissa * scale;
-}
-
-double parse_value(std::string_view text) {
-    if (auto v = try_parse_value(text)) return *v;
-    throw InvalidInputError("units: cannot parse value '" + std::string(text) + "'");
 }
 
 std::string format_eng(double value, int digits) {

@@ -2,10 +2,10 @@
 /// \file units.hpp
 /// \brief SPICE engineering-unit parsing and formatting.
 ///
-/// Netlists and table files express values as `10u`, `0.35u`, `4meg`, `2.2k`
-/// and so on. `parse_value` accepts the full SPICE suffix set (case
-/// insensitive, trailing unit letters ignored, `meg`/`mil` handled before
-/// `m`), and `format_eng` renders a double back into engineering notation.
+/// Table files express values as `10u`, `0.35u`, `4meg`, `2.2k` and so on.
+/// `try_parse_value` accepts the full SPICE suffix set (case insensitive,
+/// trailing unit letters ignored, `meg`/`mil` handled before `m`), and
+/// `format_eng` renders a double back into engineering notation.
 
 #include <optional>
 #include <string>
@@ -15,10 +15,7 @@ namespace ypm::units {
 
 /// Parse a SPICE-style value such as "10u", "4meg", "1.5k", "2n", "1e-6".
 /// Trailing unit names ("10uF", "50ohm") are tolerated after the suffix.
-/// \throws ypm::InvalidInputError when the text is not a number at all.
-[[nodiscard]] double parse_value(std::string_view text);
-
-/// Non-throwing variant; returns std::nullopt on malformed text.
+/// Returns std::nullopt when the text is not a number at all.
 [[nodiscard]] std::optional<double> try_parse_value(std::string_view text);
 
 /// Render with an engineering suffix, e.g. 1.5e-05 -> "15u".

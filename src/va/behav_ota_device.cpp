@@ -32,22 +32,6 @@ void BehaviouralOta::stamp_dc(spice::RealStamper& s, const spice::Solution&) con
     s.conductance(u, out_, 1.0 / spec_.rout);
 }
 
-void BehaviouralOta::stamp_tran(spice::RealStamper& s, const spice::Solution&,
-                                const spice::TranContext& ctx) const {
-    const spice::NodeId u = internal_node();
-    // du/dt = wp (A0 vd - u), backward Euler:
-    // u_n (1 + wp dt) - wp dt A0 vd_n = u_{n-1}.
-    const double wp = 2.0 * mathx::pi * spec_.f3db;
-    const double k = wp * ctx.dt;
-    const double u_prev = ctx.prev->voltage(u);
-    s.mat_branch_col(u, branch(), 1.0);
-    s.mat_branch_row(branch(), u, 1.0 + k);
-    s.mat_branch_row(branch(), inp_, -k * a0_);
-    s.mat_branch_row(branch(), inn_, k * a0_);
-    s.rhs_branch(branch(), u_prev);
-    s.conductance(u, out_, 1.0 / spec_.rout);
-}
-
 void BehaviouralOta::stamp_ac(spice::AcTermRecorder& rec,
                               const spice::Solution&) const {
     const spice::NodeId u = internal_node();

@@ -37,11 +37,6 @@ public:
     /// The single pole records as pole terms (ac_terms.hpp).
     void stamp_ac(spice::AcTermRecorder& rec,
                   const spice::Solution& op) const override;
-    /// Transient: the dominant pole becomes a first-order ODE on the
-    /// internal node, integrated with backward Euler.
-    void stamp_tran(spice::RealStamper& s, const spice::Solution& x,
-                    const spice::TranContext& ctx) const override;
-
     [[nodiscard]] const BehaviouralOtaSpec& spec() const { return spec_; }
     void set_spec(const BehaviouralOtaSpec& spec);
 

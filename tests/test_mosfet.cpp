@@ -198,7 +198,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0, 1)));              // nmos/pmos
 
 TEST(Mosfet, DiodeConnectedSolvesInCircuit) {
-    // Diode-connected NMOS fed by a current source: VGS settles where
+    // NMOS with gate tied to drain, fed by a current source: VGS settles where
     // Id = Ibias; a classic Newton workout.
     Circuit c;
     const NodeId g = c.node("g");

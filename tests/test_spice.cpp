@@ -1,7 +1,7 @@
 // Unit tests for the simulator substrate: MNA stamps via known linear
 // circuits, the Newton DC solver, AC analysis against closed-form transfer
 // functions (every device's recorded AC stamp is pinned here or in its own
-// device suite), DC sweeps and the Bode/lowpass measurement helpers.
+// device suite) and the Bode/lowpass measurement helpers.
 
 #include <gtest/gtest.h>
 
@@ -17,10 +17,8 @@
 #include "spice/ac_terms.hpp"
 #include "spice/analysis/ac.hpp"
 #include "spice/analysis/dc.hpp"
-#include "spice/analysis/dc_sweep.hpp"
 #include "spice/circuit.hpp"
 #include "spice/devices/capacitor.hpp"
-#include "spice/devices/controlled.hpp"
 #include "spice/devices/inductor.hpp"
 #include "spice/devices/mosfet.hpp"
 #include "spice/devices/resistor.hpp"
@@ -45,7 +43,6 @@ TEST(Circuit, NodeNamingAndGroundAliases) {
     EXPECT_EQ(c.node("N1"), a); // case-insensitive
     EXPECT_NE(c.node("n2"), a);
     EXPECT_EQ(c.node_count(), 2u);
-    EXPECT_EQ(c.node_name(a), "n1");
 }
 
 TEST(Circuit, FindNodeAndDevice) {
@@ -143,30 +140,6 @@ TEST(Dc, CapacitorIsOpen) {
     c.add<Capacitor>("c1", mid, ground, 1e-9);
     const Solution op = solve_op(c);
     EXPECT_NEAR(op.voltage(mid), 5.0, 1e-6); // no DC current -> no drop
-}
-
-TEST(Dc, VcvsGain) {
-    Circuit c;
-    const NodeId in = c.node("in");
-    const NodeId out = c.node("out");
-    c.add<VoltageSource>("v1", in, ground, 0.5);
-    c.add<Vcvs>("e1", out, ground, in, ground, 20.0);
-    c.add<Resistor>("rl", out, ground, 1e3);
-    const Solution op = solve_op(c);
-    EXPECT_NEAR(op.voltage(out), 10.0, 1e-9);
-}
-
-TEST(Dc, VccsTransconductance) {
-    Circuit c;
-    const NodeId in = c.node("in");
-    const NodeId out = c.node("out");
-    c.add<VoltageSource>("v1", in, ground, 2.0);
-    // gm = 1 mS, current flows out -> ground through the source: the output
-    // node sees -gm*vin * R = -2 V over 1 kOhm.
-    c.add<Vccs>("g1", out, ground, in, ground, 1e-3);
-    c.add<Resistor>("rl", out, ground, 1e3);
-    const Solution op = solve_op(c);
-    EXPECT_NEAR(op.voltage(out), -2.0, 1e-6);
 }
 
 TEST(Dc, WarmStartConverges) {
@@ -298,42 +271,6 @@ void expect_response(std::complex<double> h, std::complex<double> expected) {
                 mathx::deg_from_rad(std::arg(expected)), 1e-6);
 }
 
-TEST(Ac, VcvsDrivingRcLoad) {
-    // H = gain / (1 + j f/fp) with fp = 1/(2 pi R C).
-    Circuit c;
-    const NodeId in = c.node("in");
-    const NodeId x = c.node("x");
-    const NodeId out = c.node("out");
-    c.add<VoltageSource>("v1", in, ground, 0.0, 1.0);
-    c.add<Vcvs>("e1", x, ground, in, ground, 2.0);
-    c.add<Resistor>("r1", x, out, 1e3);
-    c.add<Capacitor>("c1", out, ground, 1e-9);
-    const Solution op = solve_op(c);
-    const double fp = 1.0 / (2.0 * mathx::pi * 1e3 * 1e-9);
-    const std::vector<double> freqs = {fp / 10.0, fp, fp * 10.0};
-    const auto h = run_ac(c, op, freqs).transfer(out, in);
-    for (std::size_t i = 0; i < freqs.size(); ++i)
-        expect_response(h[i], 2.0 / std::complex<double>(1.0, freqs[i] / fp));
-}
-
-TEST(Ac, VccsDrivingRcLoad) {
-    // gm * v(in) leaves the output node into R || C:
-    // H = -gm R / (1 + j f/fp) with fp = 1/(2 pi R C).
-    Circuit c;
-    const NodeId in = c.node("in");
-    const NodeId out = c.node("out");
-    c.add<VoltageSource>("v1", in, ground, 0.0, 1.0);
-    c.add<Vccs>("g1", out, ground, in, ground, 1e-3);
-    c.add<Resistor>("r1", out, ground, 2e3);
-    c.add<Capacitor>("c1", out, ground, 1e-9);
-    const Solution op = solve_op(c);
-    const double fp = 1.0 / (2.0 * mathx::pi * 2e3 * 1e-9);
-    const std::vector<double> freqs = {fp / 10.0, fp, fp * 10.0};
-    const auto h = run_ac(c, op, freqs).transfer(out, in);
-    for (std::size_t i = 0; i < freqs.size(); ++i)
-        expect_response(h[i], -2.0 / std::complex<double>(1.0, freqs[i] / fp));
-}
-
 TEST(Ac, CurrentSourcePhasor) {
     // 2 mA at 60 degrees pushed into 1 kOhm: V(a) = 2 V at 60 degrees.
     Circuit c;
@@ -400,31 +337,6 @@ TEST(Ac, LogSweepCoverage) {
     for (std::size_t i = 1; i < f.size(); ++i) EXPECT_GT(f[i], f[i - 1]);
 }
 
-// ----------------------------------------------------------------- sweeps
-
-TEST(DcSweep, LinearCircuitTracksSource) {
-    Circuit c;
-    const NodeId in = c.node("in");
-    const NodeId mid = c.node("mid");
-    c.add<VoltageSource>("vs", in, ground, 0.0);
-    c.add<Resistor>("r1", in, mid, 1e3);
-    c.add<Resistor>("r2", mid, ground, 1e3);
-    const auto sweep = run_dc_sweep(c, "vs", {0.0, 1.0, 2.0, 3.0});
-    const auto v = sweep.node_voltage(mid);
-    ASSERT_EQ(v.size(), 4u);
-    for (std::size_t i = 0; i < 4; ++i)
-        EXPECT_NEAR(v[i], 0.5 * static_cast<double>(i), 1e-9);
-    // Source restored afterwards.
-    const auto* vs = dynamic_cast<const VoltageSource*>(c.find_device("vs"));
-    EXPECT_DOUBLE_EQ(vs->dc(), 0.0);
-}
-
-TEST(DcSweep, UnknownSourceThrows) {
-    Circuit c;
-    c.add<Resistor>("r1", c.node("a"), ground, 1.0);
-    EXPECT_THROW((void)run_dc_sweep(c, "vx", {0.0}), InvalidInputError);
-}
-
 // --------------------------------------------------------------- measure
 
 std::vector<std::complex<double>> single_pole(const std::vector<double>& freqs,
@@ -484,18 +396,6 @@ TEST(Measure, PhaseUnwrappingIsContinuous) {
     EXPECT_LT(phase.back(), -250.0); // approaches -270
 }
 
-TEST(Measure, GainMarginOfThreePoleSystem) {
-    const auto freqs = log_sweep(1.0, 1e8, 40);
-    std::vector<std::complex<double>> h;
-    for (double f : freqs) {
-        const std::complex<double> pole(1.0, f / 1e3);
-        h.push_back(8.0 / (pole * pole * pole)); // |H| at -180: 8/8 = 1 -> GM 0 dB
-    }
-    const BodeMetrics m = bode_metrics(freqs, h);
-    // Phase hits -180 deg at f = sqrt(3)*fp where |H| = 8/8 = 1.
-    EXPECT_NEAR(m.gain_margin_db, 0.0, 0.5);
-}
-
 TEST(Measure, LowpassMetricsButterworth) {
     const auto freqs = log_sweep(1e3, 1e8, 30);
     const double f0 = 1e6;
@@ -526,7 +426,7 @@ bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; 
 
 /// Feed h to bode_sweep_complete one point at a time, as ac_sweep_transfer
 /// does, and check that bode_metrics over the stopped prefix equals it over
-/// the whole of h in every field except gain_margin_db. Returns the length
+/// the whole of h in every field. Returns the length
 /// of the prefix (h.size() when the rule never fired).
 std::size_t stopped_length(const std::vector<double>& freqs,
                            const std::vector<std::complex<double>>& h) {
