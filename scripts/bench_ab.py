@@ -4,9 +4,9 @@
 Usage:
   bench_ab.py PARENT HEAD --pr N [--change TEXT]
       Exports the committed files of each commit (git archive) into
-      .bench_build/ab/<commit>/, builds its ypmbench there, and runs that
-      checkout's ypmbench/run.py in pairs: 10 paper_flow and 6 synth_yield
-      pairs at --trace 0, then 4 + 4 at --trace 1, each run
+      .bench_build/ab/<commit>/ and runs that checkout's ypmbench/run.py
+      (which builds there on its first run) in pairs: 10 paper_flow and
+      6 synth_yield pairs at --trace 0, then 4 + 4 at --trace 1, each run
       BENCHMARK.json's run_seconds long. Pair k of a (workload, trace) runs
       both sides at --seed k + 1; the parent runs first on even k, the head
       on odd k. Writes BENCH_<N>.json (every run, per-metric medians and
@@ -68,8 +68,8 @@ def schedule(plan):
 
 
 def export(commit):
-    """Committed files of `commit` in their own directory, with its
-    ypmbench built there (run.py's build is then a no-op)."""
+    """Committed files of `commit` in their own directory; its run.py
+    builds its own .bench_build there on the first run."""
     sha = subprocess.run(["git", "rev-parse", "--verify", commit + "^{commit}"],
                          cwd=ROOT, capture_output=True, text=True,
                          check=True).stdout.strip()
@@ -81,13 +81,6 @@ def export(commit):
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
         done.touch()
-    build = tree / ".bench_build" / "ypmbench"
-    if not (build / "CMakeCache.txt").is_file():
-        subprocess.run(["cmake", "-S", str(tree / "ypmbench"), "-B", str(build),
-                        "-DCMAKE_BUILD_TYPE=Release"],
-                       stdout=sys.stderr, check=True)
-    subprocess.run(["cmake", "--build", str(build), "--target", "ypmbench",
-                    "-j", str(os.cpu_count() or 1)], stdout=sys.stderr, check=True)
     return sha, tree
 
 
