@@ -29,6 +29,10 @@
 #include "core/ota_mc.hpp"
 #include "eval/engine.hpp"
 #include "mc/yield.hpp"
+#include "moo/nsga2.hpp"
+#include "moo/random_search.hpp"
+#include "moo/test_problems.hpp"
+#include "moo/wbga.hpp"
 #include "process/process_card.hpp"
 #include "process/sampler.hpp"
 #include "spice/analysis/ac.hpp"
@@ -362,6 +366,58 @@ TEST(GoldenPaperScale, Table5Flow) {
                  static_cast<double>(r.timings.engine.requests), 22462.0);
     expect_value("table5.engine_failures",
                  static_cast<double>(r.timings.engine.failures), 0.0);
+}
+
+// -------------------------------------------------------------- optimisers
+
+void add_individual(Fnv1a& d, const moo::EvaluatedIndividual& e) {
+    d.add(e.params);
+    d.add(e.objectives);
+    d.add(u64(e.generation));
+}
+
+TEST(Golden, Optimisers) {
+    // The three optimisers of the A2 ablation on the analytic ZDT1, so the
+    // GA operators, the eq. (5) fitness and the weight genes are pinned
+    // apart from the OTA flow.
+    const moo::ZdtProblem zdt(1, 8);
+
+    moo::WbgaConfig wcfg;
+    wcfg.population = 40;
+    wcfg.generations = 25;
+    Rng wrng(7);
+    const moo::WbgaResult w = moo::Wbga(zdt, wcfg).run(wrng);
+    Fnv1a wbga;
+    wbga.add(u64(w.archive.size()));
+    for (const auto& e : w.archive) {
+        add_individual(wbga, e);
+        wbga.add(e.weights);
+        wbga.add(e.fitness);
+    }
+    wbga.add(w.best_fitness_history);
+
+    moo::Nsga2Config ncfg;
+    ncfg.population = 40;
+    ncfg.generations = 25;
+    Rng nrng(8);
+    const moo::Nsga2Result n = moo::Nsga2(zdt, ncfg).run(nrng);
+    Fnv1a nsga2;
+    nsga2.add(u64(n.archive.size()));
+    for (const auto& e : n.archive) add_individual(nsga2, e);
+    nsga2.add(u64(n.final_population.size()));
+    for (const auto& e : n.final_population) add_individual(nsga2, e);
+
+    eval::Engine engine;
+    Rng rrng(9);
+    const moo::RandomSearchResult r = moo::random_search(engine, zdt, 500, rrng);
+    Fnv1a random;
+    random.add(u64(r.archive.size()));
+    for (const auto& e : r.archive) add_individual(random, e);
+
+    expect_digest("optimisers.wbga", wbga.value(), 0xf7a864b7e354b5a3ull);
+    expect_digest("optimisers.nsga2", nsga2.value(), 0x26ce77e0244eb7c7ull);
+    expect_digest("optimisers.random_search", random.value(),
+                  0x9967b4f3c13bb005ull);
 }
 
 // ------------------------------------------------------ multi-point yield
