@@ -73,7 +73,8 @@ void compare_on(const moo::Problem& problem, const std::vector<double>& ref,
     });
     const Score sn = run_scored(problem, ref, [&] {
         Rng rng(12);
-        return nsga2.run(rng).archive;
+        eval::Engine engine;
+        return nsga2.run(engine, rng).archive;
     });
     const Score sr = run_scored(problem, ref, [&] {
         Rng rng(13);

@@ -7,27 +7,7 @@
 
 namespace ypm::moo {
 
-ObjectiveBounds objective_bounds(const std::vector<std::vector<double>>& objectives,
-                                 const std::vector<ObjectiveSpec>& specs) {
-    const std::size_t m = specs.size();
-    ObjectiveBounds b;
-    b.min.assign(m, std::numeric_limits<double>::infinity());
-    b.max.assign(m, -std::numeric_limits<double>::infinity());
-    bool any_valid = false;
-    for (const auto& row : objectives) {
-        if (row.size() != m)
-            throw InvalidInputError("objective_bounds: arity mismatch");
-        if (evaluation_failed(row)) continue;
-        any_valid = true;
-        for (std::size_t j = 0; j < m; ++j) {
-            b.min[j] = std::min(b.min[j], row[j]);
-            b.max[j] = std::max(b.max[j], row[j]);
-        }
-    }
-    if (!any_valid)
-        throw InvalidInputError("objective_bounds: every evaluation failed");
-    return b;
-}
+namespace {
 
 double wbga_fitness(const std::vector<double>& objectives,
                     const std::vector<double>& weights,
@@ -52,18 +32,7 @@ double wbga_fitness(const std::vector<double>& objectives,
     return total;
 }
 
-std::vector<double>
-wbga_fitness_all(const std::vector<std::vector<double>>& objectives,
-                 const std::vector<std::vector<double>>& weights,
-                 const std::vector<ObjectiveSpec>& specs) {
-    if (objectives.size() != weights.size())
-        throw InvalidInputError("wbga_fitness_all: population size mismatch");
-    const ObjectiveBounds bounds = objective_bounds(objectives, specs);
-    std::vector<double> out(objectives.size());
-    for (std::size_t i = 0; i < objectives.size(); ++i)
-        out[i] = wbga_fitness(objectives[i], weights[i], bounds, specs);
-    return out;
-}
+} // namespace
 
 ObjectiveBounds objective_bounds(const std::vector<eval::EvalResult>& results,
                                  const std::vector<ObjectiveSpec>& specs) {

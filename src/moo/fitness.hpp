@@ -22,30 +22,14 @@ struct ObjectiveBounds {
     std::vector<double> max;
 };
 
-/// Compute bounds over all valid (non-NaN) rows.
+/// Bounds over all valid (non-NaN) rows of engine output.
 /// \throws ypm::InvalidInputError when no valid row exists.
-[[nodiscard]] ObjectiveBounds
-objective_bounds(const std::vector<std::vector<double>>& objectives,
-                 const std::vector<ObjectiveSpec>& specs);
-
-/// Eq. (5) for one individual. NaN objectives yield fitness 0 (worst).
-[[nodiscard]] double wbga_fitness(const std::vector<double>& objectives,
-                                  const std::vector<double>& weights,
-                                  const ObjectiveBounds& bounds,
-                                  const std::vector<ObjectiveSpec>& specs);
-
-/// Eq. (5) for a whole population.
-[[nodiscard]] std::vector<double>
-wbga_fitness_all(const std::vector<std::vector<double>>& objectives,
-                 const std::vector<std::vector<double>>& weights,
-                 const std::vector<ObjectiveSpec>& specs);
-
-/// Bounds straight from engine output, without copying objective rows.
 [[nodiscard]] ObjectiveBounds
 objective_bounds(const std::vector<eval::EvalResult>& results,
                  const std::vector<ObjectiveSpec>& specs);
 
-/// Eq. (5) for a whole population straight from engine output.
+/// Eq. (5) for a whole population straight from engine output. A failed
+/// (NaN) row scores 0, the worst fitness.
 [[nodiscard]] std::vector<double>
 wbga_fitness_all(const std::vector<eval::EvalResult>& results,
                  const std::vector<std::vector<double>>& weights,

@@ -4,6 +4,8 @@
 #include <limits>
 #include <numeric>
 
+#include "moo/ga_string.hpp"
+#include "moo/operators.hpp"
 #include "moo/pareto.hpp"
 #include "moo/population_eval.hpp"
 #include "util/error.hpp"
@@ -33,29 +35,20 @@ bool crowded_less(const Ranked& a, const Ranked& b) {
 
 } // namespace
 
-Nsga2Result Nsga2::run(Rng& rng, const ProgressFn& progress) const {
+Nsga2Result Nsga2::run(eval::Engine& engine, Rng& rng,
+                       const ProgressFn& progress) const {
     const auto& pspecs = problem_.parameters();
     const auto& ospecs = problem_.objectives();
     const std::size_t n_params = pspecs.size();
     const std::size_t pop_size = config_.population;
-    const double mutation_rate = config_.mutation_rate > 0.0
-                                     ? config_.mutation_rate
-                                     : 1.0 / static_cast<double>(n_params);
 
     Nsga2Result result;
 
-    eval::EngineConfig private_config;
-    private_config.parallel = config_.parallel;
-    eval::Engine private_engine(private_config);
-    eval::Engine& engine = config_.engine ? *config_.engine : private_engine;
-
-    auto evaluate = [&](std::vector<GaString>& chroms,
+    auto evaluate = [&](const std::vector<GaString>& chroms,
                         std::vector<EvaluatedIndividual>& out, std::size_t gen) {
-        out.assign(chroms.size(), EvaluatedIndividual{GaString(n_params, 0), {}, {}, {},
-                                                      0.0, gen});
+        out.assign(chroms.size(), EvaluatedIndividual{});
         std::vector<std::vector<double>> points(chroms.size());
         for (std::size_t i = 0; i < chroms.size(); ++i) {
-            out[i].chromosome = chroms[i];
             out[i].params = chroms[i].decode_parameters(pspecs);
             out[i].generation = gen;
             points[i] = out[i].params;
@@ -64,8 +57,7 @@ Nsga2Result Nsga2::run(Rng& rng, const ProgressFn& progress) const {
         for (std::size_t i = 0; i < chroms.size(); ++i)
             out[i].objectives = evals[i].values;
         result.evaluations += chroms.size();
-        if (config_.keep_archive)
-            for (const auto& e : out) result.archive.push_back(e);
+        result.archive.insert(result.archive.end(), out.begin(), out.end());
     };
 
     auto rank_population = [&](const std::vector<EvaluatedIndividual>& pop) {
@@ -102,23 +94,7 @@ Nsga2Result Nsga2::run(Rng& rng, const ProgressFn& progress) const {
         };
         std::vector<GaString> offspring;
         offspring.reserve(pop_size);
-        while (offspring.size() < pop_size) {
-            const std::size_t ia = pick();
-            const std::size_t ib = pick();
-            GaString ca(n_params, 0), cb(n_params, 0);
-            if (rng.bernoulli(config_.crossover_rate))
-                crossover(config_.crossover, parents[ia], parents[ib], ca, cb, rng);
-            else {
-                ca = parents[ia];
-                cb = parents[ib];
-            }
-            mutate(config_.mutation, ca, mutation_rate, config_.mutation_sigma, rng);
-            offspring.push_back(std::move(ca));
-            if (offspring.size() < pop_size) {
-                mutate(config_.mutation, cb, mutation_rate, config_.mutation_sigma, rng);
-                offspring.push_back(std::move(cb));
-            }
-        }
+        breed(parents, pick, pop_size, offspring, rng);
         std::vector<EvaluatedIndividual> offspring_eval;
         evaluate(offspring, offspring_eval, gen);
 

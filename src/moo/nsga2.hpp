@@ -6,8 +6,7 @@
 #include <functional>
 #include <vector>
 
-#include "moo/ga_string.hpp"
-#include "moo/operators.hpp"
+#include "eval/engine.hpp"
 #include "moo/problem.hpp"
 #include "moo/wbga.hpp" // EvaluatedIndividual
 #include "util/rng.hpp"
@@ -17,17 +16,6 @@ namespace ypm::moo {
 struct Nsga2Config {
     std::size_t population = 100;
     std::size_t generations = 100;
-    double crossover_rate = 0.9;
-    CrossoverKind crossover = CrossoverKind::blend;
-    double mutation_rate = 0.0; ///< per-gene; 0 selects 1/genes
-    double mutation_sigma = 0.08;
-    MutationKind mutation = MutationKind::gaussian;
-    bool parallel = true;
-    bool keep_archive = true;
-
-    /// Shared evaluation engine (non-owning; must outlive the run). When
-    /// null the optimiser creates a private engine honouring `parallel`.
-    eval::Engine* engine = nullptr;
 };
 
 struct Nsga2Result {
@@ -38,13 +26,18 @@ struct Nsga2Result {
 
 /// Classic NSGA-II: fast non-dominated sort + crowding distance, binary
 /// crowded-comparison tournament, (mu + lambda) environmental selection.
+/// Offspring come from moo::breed, the same operators WBGA uses.
 /// Chromosomes reuse GaString with zero weight genes.
 class Nsga2 {
 public:
     Nsga2(const Problem& problem, Nsga2Config config);
 
     using ProgressFn = std::function<void(std::size_t)>;
-    [[nodiscard]] Nsga2Result run(Rng& rng, const ProgressFn& progress = {}) const;
+
+    /// Every population is evaluated through `engine`. Deterministic in the
+    /// RNG seed regardless of the engine's parallelism.
+    [[nodiscard]] Nsga2Result run(eval::Engine& engine, Rng& rng,
+                                  const ProgressFn& progress = {}) const;
 
 private:
     const Problem& problem_;

@@ -1,12 +1,19 @@
 #include "moo/operators.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <utility>
 
 #include "util/error.hpp"
 #include "util/mathx.hpp"
 
 namespace ypm::moo {
+
+namespace {
+
+constexpr double kCrossoverRate = 0.9;
+constexpr double kMutationSigma = 0.08;
+
+} // namespace
 
 std::size_t select_tournament(const std::vector<double>& fitness,
                               std::size_t tournament, Rng& rng) {
@@ -20,93 +27,54 @@ std::size_t select_tournament(const std::vector<double>& fitness,
     return best;
 }
 
-std::size_t select_roulette(const std::vector<double>& fitness, Rng& rng) {
-    if (fitness.empty()) throw InvalidInputError("select_roulette: empty population");
-    double total = 0.0;
-    for (double f : fitness) total += std::max(f, 0.0);
-    if (total <= 0.0) return rng.index(fitness.size());
-    const double pick = rng.uniform(0.0, total);
-    double acc = 0.0;
-    for (std::size_t i = 0; i < fitness.size(); ++i) {
-        acc += std::max(fitness[i], 0.0);
-        if (pick <= acc) return i;
-    }
-    return fitness.size() - 1;
-}
-
-namespace {
-
-void splice(const std::vector<double>& a, const std::vector<double>& b,
-            std::size_t from, std::size_t to, std::vector<double>& ca,
-            std::vector<double>& cb) {
-    for (std::size_t i = from; i < to; ++i) {
-        ca[i] = b[i];
-        cb[i] = a[i];
-    }
-}
-
-} // namespace
-
-void crossover(CrossoverKind kind, const GaString& pa, const GaString& pb,
-               GaString& child_a, GaString& child_b, Rng& rng) {
+void crossover(const GaString& pa, const GaString& pb, GaString& child_a,
+               GaString& child_b, Rng& rng) {
     if (pa.size() != pb.size() || pa.n_params() != pb.n_params())
         throw InvalidInputError("crossover: parent layout mismatch");
     child_a = pa;
     child_b = pb;
+    const std::size_t n = pa.size();
+    if (n < 2) return; // a one-gene string passes through unblended
+
+    constexpr double alpha = 0.5;
     auto& ca = child_a.genes();
     auto& cb = child_b.genes();
     const auto& a = pa.genes();
     const auto& b = pb.genes();
-    const std::size_t n = a.size();
-    if (n < 2) return;
-
-    switch (kind) {
-    case CrossoverKind::single_point: {
-        const std::size_t cut = 1 + rng.index(n - 1);
-        splice(a, b, cut, n, ca, cb);
-        break;
-    }
-    case CrossoverKind::two_point: {
-        std::size_t c1 = 1 + rng.index(n - 1);
-        std::size_t c2 = 1 + rng.index(n - 1);
-        if (c1 > c2) std::swap(c1, c2);
-        splice(a, b, c1, c2, ca, cb);
-        break;
-    }
-    case CrossoverKind::uniform: {
-        for (std::size_t i = 0; i < n; ++i)
-            if (rng.bernoulli(0.5)) {
-                ca[i] = b[i];
-                cb[i] = a[i];
-            }
-        break;
-    }
-    case CrossoverKind::blend: {
-        // BLX-alpha with alpha = 0.5: children drawn uniformly from the
-        // interval spanned by the parents, extended by alpha each side.
-        constexpr double alpha = 0.5;
-        for (std::size_t i = 0; i < n; ++i) {
-            const double lo = std::min(a[i], b[i]);
-            const double hi = std::max(a[i], b[i]);
-            const double span = hi - lo;
-            const double xlo = lo - alpha * span;
-            const double xhi = hi + alpha * span;
-            ca[i] = rng.uniform(xlo, xhi);
-            cb[i] = rng.uniform(xlo, xhi);
-        }
-        break;
-    }
+    for (std::size_t i = 0; i < n; ++i) {
+        const double lo = std::min(a[i], b[i]);
+        const double hi = std::max(a[i], b[i]);
+        const double span = hi - lo;
+        const double xlo = lo - alpha * span;
+        const double xhi = hi + alpha * span;
+        ca[i] = rng.uniform(xlo, xhi);
+        cb[i] = rng.uniform(xlo, xhi);
     }
     child_a.clamp();
     child_b.clamp();
 }
 
-void mutate(MutationKind kind, GaString& s, double rate, double sigma, Rng& rng) {
-    for (auto& g : s.genes()) {
-        if (!rng.bernoulli(rate)) continue;
-        switch (kind) {
-        case MutationKind::uniform_reset: g = rng.uniform01(); break;
-        case MutationKind::gaussian: g = mathx::clamp(g + rng.gauss(0.0, sigma), 0.0, 1.0); break;
+void mutate(GaString& s, double rate, double sigma, Rng& rng) {
+    for (auto& g : s.genes())
+        if (rng.bernoulli(rate)) g = mathx::clamp(g + rng.gauss(0.0, sigma), 0.0, 1.0);
+}
+
+void breed(const std::vector<GaString>& parents,
+           const std::function<std::size_t()>& pick, std::size_t size,
+           std::vector<GaString>& next, Rng& rng) {
+    if (parents.empty()) throw InvalidInputError("breed: empty population");
+    const double rate = 1.0 / static_cast<double>(parents.front().size());
+    while (next.size() < size) {
+        const std::size_t ia = pick();
+        const std::size_t ib = pick();
+        GaString a = parents[ia];
+        GaString b = parents[ib];
+        if (rng.bernoulli(kCrossoverRate)) crossover(parents[ia], parents[ib], a, b, rng);
+        mutate(a, rate, kMutationSigma, rng);
+        next.push_back(std::move(a));
+        if (next.size() < size) {
+            mutate(b, rate, kMutationSigma, rng);
+            next.push_back(std::move(b));
         }
     }
 }

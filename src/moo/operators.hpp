@@ -1,10 +1,12 @@
 #pragma once
 /// \file operators.hpp
-/// \brief Genetic operators on GA strings: selection, crossover, mutation
-///        (paper section 3.2: "crossover, mutation and selection from one
-///        generation to another").
+/// \brief The one genetic operator set on GA strings (paper section 3.2:
+///        "crossover, mutation and selection from one generation to
+///        another"): tournament selection, BLX-0.5 crossover and Gaussian
+///        creep mutation, and the breeding loop WBGA and NSGA-II share.
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "moo/ga_string.hpp"
@@ -12,37 +14,27 @@
 
 namespace ypm::moo {
 
-/// Crossover flavours. All produce two children from two parents and keep
-/// genes in [0, 1].
-enum class CrossoverKind {
-    single_point, ///< classic Goldberg one-point splice
-    two_point,    ///< two-point splice
-    uniform,      ///< per-gene coin flip
-    blend,        ///< BLX-0.5 arithmetic blend (real-coded GA)
-};
-
-/// Mutation flavours.
-enum class MutationKind {
-    uniform_reset, ///< replace the gene with a fresh uniform draw
-    gaussian,      ///< additive N(0, sigma) creep, clamped
-};
-
 /// Tournament selection: pick `tournament` random indices, return the one
 /// with the highest fitness. fitness.size() defines the population.
 [[nodiscard]] std::size_t select_tournament(const std::vector<double>& fitness,
                                             std::size_t tournament, Rng& rng);
 
-/// Fitness-proportionate (roulette) selection. Non-positive total fitness
-/// degrades to a uniform pick.
-[[nodiscard]] std::size_t select_roulette(const std::vector<double>& fitness,
-                                          Rng& rng);
+/// BLX-0.5 arithmetic blend (real-coded GA): each child gene is drawn
+/// uniformly from the parents' interval, extended by half its span on each
+/// side, then clamped to [0, 1]. Parents must share the same layout.
+void crossover(const GaString& pa, const GaString& pb, GaString& child_a,
+               GaString& child_b, Rng& rng);
 
-/// Apply crossover; parents must share the same layout.
-void crossover(CrossoverKind kind, const GaString& pa, const GaString& pb,
-               GaString& child_a, GaString& child_b, Rng& rng);
+/// Gaussian creep in place: with probability `rate` per gene, add
+/// N(0, sigma) and clamp to [0, 1].
+void mutate(GaString& s, double rate, double sigma, Rng& rng);
 
-/// Mutate in place. \param rate per-gene probability \param sigma gaussian
-/// step (ignored for uniform_reset).
-void mutate(MutationKind kind, GaString& s, double rate, double sigma, Rng& rng);
+/// Append children to `next` until it holds `size` strings. Each pair draws
+/// two parents with `pick()`, crosses them with probability 0.9 (copies
+/// them otherwise) and mutates each kept child at rate 1/genes with sigma
+/// 0.08. The second child of the last pair is dropped when `next` is full.
+void breed(const std::vector<GaString>& parents,
+           const std::function<std::size_t()>& pick, std::size_t size,
+           std::vector<GaString>& next, Rng& rng);
 
 } // namespace ypm::moo

@@ -1,5 +1,6 @@
 #include "moo/random_search.hpp"
 
+#include "moo/ga_string.hpp"
 #include "moo/population_eval.hpp"
 
 namespace ypm::moo {
@@ -10,16 +11,14 @@ RandomSearchResult random_search(eval::Engine& engine, const Problem& problem,
     const std::size_t n_params = pspecs.size();
 
     RandomSearchResult result;
-    result.archive.assign(samples, EvaluatedIndividual{GaString(n_params, 0), {}, {},
-                                                       {}, 0.0, 0});
+    result.archive.resize(samples);
 
     // Draw all chromosomes up-front on the caller's stream so the sample set
     // is independent of evaluation order.
     std::vector<std::vector<double>> points(samples);
     for (std::size_t i = 0; i < samples; ++i) {
         auto& e = result.archive[i];
-        e.chromosome = GaString::random(n_params, 0, rng);
-        e.params = e.chromosome.decode_parameters(pspecs);
+        e.params = GaString::random(n_params, 0, rng).decode_parameters(pspecs);
         points[i] = e.params;
     }
 

@@ -5,11 +5,22 @@
 #include <limits>
 #include <numeric>
 
+#include "moo/fitness.hpp"
+#include "moo/ga_string.hpp"
+#include "moo/operators.hpp"
 #include "moo/population_eval.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 
 namespace ypm::moo {
+
+namespace {
+
+constexpr std::size_t kTournament = 2;
+constexpr std::size_t kElites = 2; ///< copied unchanged each generation
+constexpr double kSharingRadius = 0.15; ///< weight-space niching
+
+} // namespace
 
 std::vector<double> share_fitness(const std::vector<double>& fitness,
                                   const std::vector<std::vector<double>>& weights,
@@ -38,12 +49,10 @@ std::vector<double> share_fitness(const std::vector<double>& fitness,
 
 Wbga::Wbga(const Problem& problem, WbgaConfig config)
     : problem_(problem), config_(config) {
-    if (config_.population < 2)
-        throw InvalidInputError("Wbga: population must be >= 2");
+    if (config_.population <= kElites)
+        throw InvalidInputError("Wbga: population must be >= 3");
     if (config_.generations == 0)
         throw InvalidInputError("Wbga: generations must be >= 1");
-    if (config_.elites >= config_.population)
-        throw InvalidInputError("Wbga: elites must be < population");
     validate_robustness_config(config_.robustness);
     if (config_.robustness.enabled() &&
         config_.robustness.activation_generation >= config_.generations)
@@ -59,14 +68,9 @@ WbgaResult Wbga::run(Rng& rng, const ProgressFn& progress) const {
     const std::size_t n_params = pspecs.size();
     const std::size_t n_weights = ospecs.size();
     const std::size_t pop_size = config_.population;
-    const double mutation_rate =
-        config_.mutation_rate > 0.0
-            ? config_.mutation_rate
-            : 1.0 / static_cast<double>(n_params + n_weights);
 
     WbgaResult result;
-    if (config_.keep_archive)
-        result.archive.reserve(pop_size * config_.generations);
+    result.archive.reserve(pop_size * config_.generations);
 
     // All population evaluations route through one engine: elites and
     // duplicated offspring are served from its memoisation cache, and its
@@ -82,16 +86,13 @@ WbgaResult Wbga::run(Rng& rng, const ProgressFn& progress) const {
     for (std::size_t i = 0; i < pop_size; ++i)
         population.push_back(GaString::random(n_params, n_weights, rng));
 
-    std::vector<EvaluatedIndividual> evaluated(pop_size,
-                                               EvaluatedIndividual{GaString(n_params, n_weights),
-                                                                   {}, {}, {}, 0.0, 0});
+    std::vector<EvaluatedIndividual> evaluated(pop_size);
 
     auto evaluate_population_gen = [&](std::size_t generation) {
         std::vector<std::vector<double>> points(pop_size);
         std::vector<std::vector<double>> wts(pop_size);
         for (std::size_t i = 0; i < pop_size; ++i) {
             EvaluatedIndividual& e = evaluated[i];
-            e.chromosome = population[i];
             e.params = population[i].decode_parameters(pspecs);
             e.weights = population[i].decode_weights();
             e.generation = generation;
@@ -130,8 +131,7 @@ WbgaResult Wbga::run(Rng& rng, const ProgressFn& progress) const {
             evaluated[i].fitness = robust_fitness(fit[i], robustness[i], rcfg);
         }
 
-        if (config_.keep_archive)
-            for (const auto& e : evaluated) result.archive.push_back(e);
+        result.archive.insert(result.archive.end(), evaluated.begin(), evaluated.end());
         result.evaluations += pop_size;
     };
 
@@ -153,7 +153,7 @@ WbgaResult Wbga::run(Rng& rng, const ProgressFn& progress) const {
             fitness[i] = evaluated[i].fitness;
             weights[i] = evaluated[i].weights;
         }
-        const auto shared = share_fitness(fitness, weights, config_.sharing_radius);
+        const auto shared = share_fitness(fitness, weights, kSharingRadius);
 
         // Elitism on raw fitness.
         std::vector<std::size_t> order(pop_size);
@@ -164,32 +164,14 @@ WbgaResult Wbga::run(Rng& rng, const ProgressFn& progress) const {
 
         std::vector<GaString> next;
         next.reserve(pop_size);
-        for (std::size_t e = 0; e < config_.elites; ++e)
+        for (std::size_t e = 0; e < kElites; ++e)
             next.push_back(population[order[e]]);
-
-        while (next.size() < pop_size) {
-            const std::size_t ia = select_tournament(shared, config_.tournament, rng);
-            const std::size_t ib = select_tournament(shared, config_.tournament, rng);
-            GaString child_a(n_params, n_weights), child_b(n_params, n_weights);
-            if (rng.bernoulli(config_.crossover_rate)) {
-                crossover(config_.crossover, population[ia], population[ib], child_a,
-                          child_b, rng);
-            } else {
-                child_a = population[ia];
-                child_b = population[ib];
-            }
-            mutate(config_.mutation, child_a, mutation_rate, config_.mutation_sigma, rng);
-            next.push_back(std::move(child_a));
-            if (next.size() < pop_size) {
-                mutate(config_.mutation, child_b, mutation_rate, config_.mutation_sigma,
-                       rng);
-                next.push_back(std::move(child_b));
-            }
-        }
+        breed(population,
+              [&] { return select_tournament(shared, kTournament, rng); }, pop_size,
+              next, rng);
         population = std::move(next);
     }
 
-    result.final_population = evaluated;
     return result;
 }
 

@@ -9,16 +9,15 @@
 /// Fitness is the normalised weighted sum of eq. (5); fitness sharing over
 /// the weight sub-vector maintains a spread of weightings, which is what
 /// makes a single WBGA run trace out the whole trade-off cloud the Pareto
-/// filter then reduces (paper Fig. 7).
+/// filter then reduces (paper Fig. 7). Each generation keeps the two best
+/// strings and breeds the rest with moo::breed, picking parents by binary
+/// tournament on the shared fitness.
 
 #include <functional>
 #include <limits>
 #include <vector>
 
 #include "eval/engine.hpp"
-#include "moo/fitness.hpp"
-#include "moo/ga_string.hpp"
-#include "moo/operators.hpp"
 #include "moo/problem.hpp"
 #include "moo/robustness.hpp"
 #include "util/rng.hpp"
@@ -27,7 +26,6 @@ namespace ypm::moo {
 
 /// One evaluated design point (kept for the full-run archive).
 struct EvaluatedIndividual {
-    GaString chromosome{0, 0};
     std::vector<double> params;     ///< decoded physical parameters
     std::vector<double> objectives; ///< raw performance values (NaN = failed)
     std::vector<double> weights;    ///< eq. (4)-normalised weights
@@ -38,19 +36,13 @@ struct EvaluatedIndividual {
     double robustness = std::numeric_limits<double>::quiet_NaN();
 };
 
+/// The two values the paper sets (section 4.2, Table 5) plus the engine and
+/// the robustness channel. Selection, elitism, sharing and the operators
+/// are fixed (see wbga.cpp and moo/operators.hpp).
 struct WbgaConfig {
     std::size_t population = 100;   ///< paper section 4.2 uses 100
     std::size_t generations = 100;  ///< paper section 4.2 uses 100
-    double crossover_rate = 0.9;
-    CrossoverKind crossover = CrossoverKind::blend;
-    double mutation_rate = 0.0;     ///< per-gene; 0 selects 1/genes
-    double mutation_sigma = 0.08;
-    MutationKind mutation = MutationKind::gaussian;
-    std::size_t tournament = 2;
-    std::size_t elites = 2;         ///< copied unchanged each generation
-    double sharing_radius = 0.15;   ///< weight-space niching; 0 disables
     bool parallel = true;           ///< evaluate populations on the pool
-    bool keep_archive = true;       ///< record every evaluation
 
     /// Shared evaluation engine (non-owning; must outlive the run). When
     /// null the optimiser creates a private engine honouring `parallel`;
@@ -66,7 +58,6 @@ struct WbgaConfig {
 
 struct WbgaResult {
     std::vector<EvaluatedIndividual> archive; ///< all evaluations, in order
-    std::vector<EvaluatedIndividual> final_population;
     std::vector<double> best_fitness_history; ///< per generation
     std::size_t evaluations = 0;
 };

@@ -399,15 +399,15 @@ TEST(Golden, Optimisers) {
     moo::Nsga2Config ncfg;
     ncfg.population = 40;
     ncfg.generations = 25;
+    eval::Engine engine;
     Rng nrng(8);
-    const moo::Nsga2Result n = moo::Nsga2(zdt, ncfg).run(nrng);
+    const moo::Nsga2Result n = moo::Nsga2(zdt, ncfg).run(engine, nrng);
     Fnv1a nsga2;
     nsga2.add(u64(n.archive.size()));
     for (const auto& e : n.archive) add_individual(nsga2, e);
     nsga2.add(u64(n.final_population.size()));
     for (const auto& e : n.final_population) add_individual(nsga2, e);
 
-    eval::Engine engine;
     Rng rrng(9);
     const moo::RandomSearchResult r = moo::random_search(engine, zdt, 500, rrng);
     Fnv1a random;
