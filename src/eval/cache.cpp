@@ -93,10 +93,4 @@ std::size_t LruCache::size() const {
     return map_.size();
 }
 
-void LruCache::clear() {
-    const util::MutexLock lock(mutex_);
-    map_.clear();
-    order_.clear();
-}
-
 } // namespace ypm::eval

@@ -41,8 +41,8 @@ struct CacheKeyHash {
 /// Thread-safe: every operation takes an internal mutex. The engine
 /// already serialises its own lookup/insert traffic under its state lock
 /// (submission-order determinism needs that anyway); the cache's mutex
-/// covers what that lock does not - clear() and size() calls from other
-/// threads while batches are in flight - and keeps the class safe
+/// covers what that lock does not - size() calls from other threads
+/// while batches are in flight - and keeps the class safe
 /// standalone. find() returns a *copy* of the values rather than the old
 /// interior pointer, which an insert could invalidate after the lookup.
 class LruCache {
@@ -62,7 +62,6 @@ public:
 
     [[nodiscard]] std::size_t size() const;
     [[nodiscard]] std::size_t capacity() const { return capacity_; }
-    void clear();
 
 private:
     using Entry = std::pair<CacheKey, std::vector<double>>;

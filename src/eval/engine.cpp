@@ -118,11 +118,6 @@ EngineCounters Engine::counters() const {
     return counters_;
 }
 
-void Engine::reset_counters() {
-    const util::MutexLock lock(mutex_);
-    counters_ = EngineCounters{};
-}
-
 Engine::Ticket Engine::submit_impl(EvalBatch batch, ChunkKernelFn kernel,
                                    std::optional<Rng> base) {
     const util::TickNs t0 = util::now_ns();

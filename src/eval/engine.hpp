@@ -46,8 +46,8 @@
 /// Memoisation contract: one engine instance serves one design context.
 /// Cache keys cover (params, process key, tag/stream) but not the kernel's
 /// captured state, so batches submitted to a shared engine must evaluate
-/// the same testbench / process deck per tag - use separate engines (or
-/// clear_cache()) when switching contexts.
+/// the same testbench / process deck per tag - use a separate engine per
+/// context.
 
 #include <deque>
 #include <functional>
@@ -164,14 +164,12 @@ public:
     /// Snapshot of the ledger (copied under the engine lock: retirement on
     /// a waiting thread mutates the counters, so a reference would race).
     [[nodiscard]] EngineCounters counters() const YPM_EXCLUDES(mutex_);
-    void reset_counters() YPM_EXCLUDES(mutex_);
 
     /// Batches submitted but not yet retired.
     [[nodiscard]] std::size_t in_flight() const YPM_EXCLUDES(mutex_);
 
     [[nodiscard]] const EngineConfig& config() const { return config_; }
     [[nodiscard]] std::size_t cache_size() const { return cache_.size(); }
-    void clear_cache() { cache_.clear(); }
 
 private:
     /// Shared body of both submit() overloads: `base` is the stochastic
