@@ -69,7 +69,8 @@ void breed(const std::vector<GaString>& parents,
         const std::size_t ib = pick();
         GaString a = parents[ia];
         GaString b = parents[ib];
-        if (rng.bernoulli(kCrossoverRate)) crossover(parents[ia], parents[ib], a, b, rng);
+        if (rng.bernoulli(kCrossoverRate))
+            crossover(parents[ia], parents[ib], a, b, rng);
         mutate(a, rate, kMutationSigma, rng);
         next.push_back(std::move(a));
         if (next.size() < size) {

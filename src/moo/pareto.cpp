@@ -1,7 +1,6 @@
 #include "moo/pareto.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <numeric>
 
@@ -16,20 +15,14 @@ double oriented(double v, Direction d) {
     return d == Direction::maximize ? v : -v;
 }
 
-bool has_nan(const std::vector<double>& v) {
-    for (double x : v)
-        if (std::isnan(x)) return true;
-    return false;
-}
-
 } // namespace
 
 bool dominates(const std::vector<double>& a, const std::vector<double>& b,
                const std::vector<ObjectiveSpec>& specs) {
     if (a.size() != specs.size() || b.size() != specs.size())
         throw InvalidInputError("dominates: objective arity mismatch");
-    if (has_nan(a)) return false;
-    if (has_nan(b)) return true; // valid point dominates a failed one
+    if (evaluation_failed(a)) return false;
+    if (evaluation_failed(b)) return true; // valid point dominates a failed one
     bool strictly_better = false;
     for (std::size_t m = 0; m < specs.size(); ++m) {
         const double av = oriented(a[m], specs[m].dir);
@@ -41,22 +34,6 @@ bool dominates(const std::vector<double>& a, const std::vector<double>& b,
 }
 
 std::vector<std::size_t>
-pareto_front_indices(const std::vector<std::vector<double>>& objectives,
-                     const std::vector<ObjectiveSpec>& specs) {
-    std::vector<std::size_t> front;
-    for (std::size_t i = 0; i < objectives.size(); ++i) {
-        if (has_nan(objectives[i])) continue;
-        bool dominated = false;
-        for (std::size_t j = 0; j < objectives.size() && !dominated; ++j) {
-            if (j == i) continue;
-            if (dominates(objectives[j], objectives[i], specs)) dominated = true;
-        }
-        if (!dominated) front.push_back(i);
-    }
-    return front;
-}
-
-std::vector<std::size_t>
 pareto_front_indices_2d(const std::vector<std::vector<double>>& objectives,
                         const std::vector<ObjectiveSpec>& specs) {
     if (specs.size() != 2)
@@ -65,7 +42,7 @@ pareto_front_indices_2d(const std::vector<std::vector<double>>& objectives,
     std::vector<std::size_t> order;
     order.reserve(objectives.size());
     for (std::size_t i = 0; i < objectives.size(); ++i)
-        if (!has_nan(objectives[i])) order.push_back(i);
+        if (!evaluation_failed(objectives[i])) order.push_back(i);
 
     // Sort by the first oriented objective descending, tie-break second
     // descending; then one scan keeps points with strictly improving second
@@ -179,7 +156,7 @@ double hypervolume_2d(const std::vector<std::vector<double>>& front,
     const double rx = oriented(reference[0], specs[0].dir);
     const double ry = oriented(reference[1], specs[1].dir);
     for (const auto& f : front) {
-        if (has_nan(f)) continue;
+        if (evaluation_failed(f)) continue;
         const double x = oriented(f[0], specs[0].dir);
         const double y = oriented(f[1], specs[1].dir);
         if (x > rx && y > ry) pts.push_back({x, y});

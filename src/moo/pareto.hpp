@@ -18,14 +18,9 @@ namespace ypm::moo {
                              const std::vector<double>& b,
                              const std::vector<ObjectiveSpec>& specs);
 
-/// Indices of the non-dominated points - naive O(n^2 m) reference
-/// implementation, any objective count.
-[[nodiscard]] std::vector<std::size_t>
-pareto_front_indices(const std::vector<std::vector<double>>& objectives,
-                     const std::vector<ObjectiveSpec>& specs);
-
-/// Same result for exactly two objectives via sort-and-scan (Kung's
-/// algorithm specialised to m = 2), O(n log n).
+/// Indices of the non-dominated points for exactly two objectives, via
+/// sort-and-scan (Kung's algorithm specialised to m = 2), O(n log n).
+/// Failed (NaN) rows are never on the front.
 [[nodiscard]] std::vector<std::size_t>
 pareto_front_indices_2d(const std::vector<std::vector<double>>& objectives,
                         const std::vector<ObjectiveSpec>& specs);

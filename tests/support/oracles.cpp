@@ -5,6 +5,7 @@
 #include <numeric>
 #include <string>
 
+#include "moo/pareto.hpp"
 #include "spice/ac_terms.hpp"
 #include "spice/analysis/ac.hpp"
 #include "spice/analysis/dc.hpp"
@@ -189,5 +190,19 @@ T ReferenceLu<T>::determinant() const {
 
 template class ReferenceLu<double>;
 template class ReferenceLu<std::complex<double>>;
+
+std::vector<std::size_t>
+pareto_front_indices(const std::vector<std::vector<double>>& objectives,
+                     const std::vector<moo::ObjectiveSpec>& specs) {
+    std::vector<std::size_t> front;
+    for (std::size_t i = 0; i < objectives.size(); ++i) {
+        if (moo::evaluation_failed(objectives[i])) continue;
+        bool dominated = false;
+        for (std::size_t j = 0; j < objectives.size() && !dominated; ++j)
+            dominated = j != i && moo::dominates(objectives[j], objectives[i], specs);
+        if (!dominated) front.push_back(i);
+    }
+    return front;
+}
 
 } // namespace ypm::testsupport

@@ -2,7 +2,8 @@
 /// \file oracles.hpp
 /// \brief Reference implementations that tests and benches compare the
 ///        production paths against, bit for bit: the rebuild-per-point
-///        circuit measurements and a textbook partial-pivot LU. They live
+///        circuit measurements, a textbook partial-pivot LU and the naive
+///        Pareto filter. They live
 ///        in the ypm_test_support library rather than src/ because nothing
 ///        but a comparison runs them.
 
@@ -13,6 +14,7 @@
 #include "circuits/filter.hpp"
 #include "circuits/ota.hpp"
 #include "linalg/matrix.hpp"
+#include "moo/problem.hpp"
 #include "process/sampler.hpp"
 
 namespace ypm::testsupport {
@@ -63,5 +65,12 @@ private:
 
 extern template class ReferenceLu<double>;
 extern template class ReferenceLu<std::complex<double>>;
+
+/// Indices of the non-dominated points by the pairwise definition, O(n^2 m),
+/// any objective count; failed (NaN) rows are skipped.
+/// moo::pareto_front_indices_2d must return the same set.
+[[nodiscard]] std::vector<std::size_t>
+pareto_front_indices(const std::vector<std::vector<double>>& objectives,
+                     const std::vector<moo::ObjectiveSpec>& specs);
 
 } // namespace ypm::testsupport

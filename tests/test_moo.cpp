@@ -17,6 +17,7 @@
 #include "moo/robustness.hpp"
 #include "moo/test_problems.hpp"
 #include "moo/wbga.hpp"
+#include "support/oracles.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -233,7 +234,7 @@ TEST(Pareto, PaperConditionsHold) {
     std::vector<std::vector<double>> objs;
     for (int i = 0; i < 200; ++i)
         objs.push_back({rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)});
-    const auto front = pareto_front_indices(objs, max2);
+    const auto front = testsupport::pareto_front_indices(objs, max2);
     ASSERT_FALSE(front.empty());
     for (std::size_t a : front)
         for (std::size_t b : front)
@@ -264,7 +265,7 @@ TEST_P(Pareto2dEquivalence, MatchesNaive) {
     // Inject duplicates and NaN failures.
     objs.push_back(objs[0]);
     objs.push_back({nan_v, 1.0});
-    auto naive = pareto_front_indices(objs, max2);
+    auto naive = testsupport::pareto_front_indices(objs, max2);
     auto fast = pareto_front_indices_2d(objs, max2);
     std::sort(naive.begin(), naive.end());
     std::sort(fast.begin(), fast.end());
