@@ -1,7 +1,10 @@
 #include "util/rng.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <numeric>
+#include <random>
+
+#include "util/error.hpp"
 
 namespace ypm {
 
@@ -13,13 +16,58 @@ std::uint64_t splitmix64(std::uint64_t& state) {
     return z ^ (z >> 31);
 }
 
-Rng::Rng(std::uint64_t seed) : seed_(seed) {
-    // Run the seed through SplitMix64 so that nearby user seeds (0, 1, 2...)
-    // do not produce correlated mt19937_64 states.
-    std::uint64_t s = seed;
-    const std::uint64_t mixed = splitmix64(s);
-    engine_.seed(mixed);
+namespace {
+
+constexpr std::uint64_t kMatrixA = 0xB5026F5AA96619E9ull;
+constexpr std::uint64_t kUpperMask = ~std::uint64_t{0} << 31;
+constexpr std::uint64_t kLowerMask = ~kUpperMask;
+
+/// One word of the MT recurrence: x_k' = x_{k+m} ^ twist(x_k, x_{k+1}).
+/// The matrix term is masked rather than selected: a branch on the low bit
+/// mispredicts half the time in the one-word-per-draw first block.
+constexpr std::uint64_t twist(std::uint64_t far, std::uint64_t cur,
+                              std::uint64_t nxt) {
+    const std::uint64_t y = (cur & kUpperMask) | (nxt & kLowerMask);
+    return far ^ (y >> 1) ^ (kMatrixA & (0 - (y & 1u)));
 }
+
+} // namespace
+
+void Mt19937_64::refill() {
+    if (next_ < n) {
+        // First block. Word k < n - m reads seed words k, k+1 and k+m (the
+        // twisted words below k are already final); from k = n - m on every
+        // word is seeded.
+        const std::uint32_t need = std::min(next_ + m + 1, n);
+        std::uint64_t word = state_[seeded_ - 1];
+        for (; seeded_ < need; ++seeded_) {
+            word = 6364136223846793005ull * (word ^ (word >> 62)) + seeded_;
+            state_[seeded_] = word;
+        }
+        const std::uint32_t k = next_;
+        state_[k] = twist(state_[(k + m) % n], state_[k], state_[(k + 1) % n]);
+        ready_ = k + 1;
+        return;
+    }
+    // The std::mersenne_twister_engine block twist, in place.
+    std::uint32_t k = 0;
+    for (; k < n - m; ++k)
+        state_[k] = twist(state_[k + m], state_[k], state_[k + 1]);
+    for (; k < n - 1; ++k)
+        state_[k] = twist(state_[k + m - n], state_[k], state_[k + 1]);
+    state_[n - 1] = twist(state_[m - 1], state_[n - 1], state_[0]);
+    next_ = 0;
+}
+
+namespace {
+
+// Run the seed through SplitMix64 so that nearby user seeds (0, 1, 2...)
+// do not produce correlated engine states.
+std::uint64_t mixed_seed(std::uint64_t seed) { return splitmix64(seed); }
+
+} // namespace
+
+Rng::Rng(std::uint64_t seed) : seed_(seed), engine_(mixed_seed(seed)) {}
 
 Rng Rng::child(std::uint64_t stream) const {
     std::uint64_t s = seed_ ^ (0xD1B54A32D192ED03ull * (stream + 1));
@@ -42,12 +90,13 @@ double Rng::gauss() {
 double Rng::gauss(double mean, double sigma) { return mean + sigma * gauss(); }
 
 std::size_t Rng::index(std::size_t n) {
-    assert(n > 0);
+    if (n == 0) throw InvalidInputError("Rng::index: empty range (n == 0)");
     std::uniform_int_distribution<std::size_t> dist(0, n - 1);
     return dist(engine_);
 }
 
 long long Rng::integer(long long lo, long long hi) {
+    if (lo > hi) throw InvalidInputError("Rng::integer: lo > hi");
     std::uniform_int_distribution<long long> dist(lo, hi);
     return dist(engine_);
 }
