@@ -9,20 +9,25 @@
 /// derive independent child streams via `child(index)`.
 ///
 /// The engine behind `Rng` is `Mt19937_64`, an MT19937-64 whose output
-/// sequence is, for every seed, exactly that of `std::mt19937_64`; the std
-/// distributions `gauss()`, `index()` and `integer()` use consume it draw for
-/// draw as they would the std engine. It differs only in when the state is
-/// built. The std engine seeds all 312 state words up front and twists all of
-/// them before the first output; `Mt19937_64` works through its first block
-/// lazily: output j < 156 reads only seed words j, j+1 and j+156, so each
-/// draw seeds just the words the next output needs and twists one word.
+/// sequence is, for every seed, exactly that of the standard library's
+/// `mt19937_64`; the std distributions `gauss()`, `index()` and `integer()`
+/// use consume it draw for draw as they would the std engine. It differs
+/// only in when the state is built. The std engine seeds all 312 state words
+/// up front and twists all of them before the first output; `Mt19937_64`
+/// works through its first block lazily: output j < 156 reads only seed
+/// words j, j+1 and j+156, so each draw seeds just the words the next
+/// output needs and twists one word.
 /// From the 313th draw on it runs the standard full twist every 312 draws.
 /// A Monte Carlo sample drawing a handful of numbers from a fresh
-/// `child(i)` stream therefore pays for ~160 seeded words instead of 936
-/// seeded-and-twisted ones (roughly 0.4 us instead of 3.9 us per stream).
-/// `test_util`'s `Mt19937_64.*` and `Rng.*MatchesReference*` tests pin the
-/// bit identity against `std::mt19937_64` and against a std-engine-backed
-/// `Rng` kept in tests/support; the golden digests depend on it too.
+/// `child(i)` stream therefore pays for ~160 seeded words instead of 624
+/// seeded and 312 twisted ones: about 0.4 us instead of 3.5 us per stream
+/// (`BM_RngChildFirstDraw*` in bench_spice_kernel, 4-vCPU Xeon, GCC 12).
+/// Bit identity is the contract: `test_util`'s `Mt19937_64.*` tests pin it
+/// against the standard library's engine (its known answer, >1,000 seeds at
+/// draw counts around 156 and 312, copies taken mid-block), and
+/// `Rng.StreamsMatchStdEngineReference` pins every draw method and child
+/// stream against `testsupport::ReferenceRng`, the same `Rng` over the std
+/// engine. Every golden digest depends on it too.
 
 #include <array>
 #include <cstddef>
@@ -32,8 +37,8 @@
 namespace ypm {
 
 /// MT19937-64 with a lazily seeded and twisted first block. Same outputs
-/// as `std::mt19937_64` for the same seed (see the file comment); a
-/// UniformRandomBitGenerator over the full 64-bit range.
+/// as the standard library's `mt19937_64` for the same seed (see the file
+/// comment); a UniformRandomBitGenerator over the full 64-bit range.
 class Mt19937_64 {
 public:
     using result_type = std::uint64_t;

@@ -12,6 +12,7 @@
 #include "spice/measure.hpp"
 #include "util/error.hpp"
 #include "util/mathx.hpp"
+#include "util/rng.hpp"
 
 namespace ypm::testsupport {
 
@@ -203,6 +204,44 @@ pareto_front_indices(const std::vector<std::vector<double>>& objectives,
         if (!dominated) front.push_back(i);
     }
     return front;
+}
+
+ReferenceRng::ReferenceRng(std::uint64_t seed) : seed_(seed) {
+    std::uint64_t s = seed;
+    engine_.seed(splitmix64(s));
+}
+
+ReferenceRng ReferenceRng::child(std::uint64_t stream) const {
+    std::uint64_t s = seed_ ^ (0xD1B54A32D192ED03ull * (stream + 1));
+    return ReferenceRng(splitmix64(s));
+}
+
+double ReferenceRng::uniform01() {
+    return static_cast<double>(engine_() >> 11) * 0x1.0p-53;
+}
+
+double ReferenceRng::gauss() {
+    std::normal_distribution<double> dist(0.0, 1.0);
+    return dist(engine_);
+}
+
+std::size_t ReferenceRng::index(std::size_t n) {
+    std::uniform_int_distribution<std::size_t> dist(0, n - 1);
+    return dist(engine_);
+}
+
+long long ReferenceRng::integer(long long lo, long long hi) {
+    std::uniform_int_distribution<long long> dist(lo, hi);
+    return dist(engine_);
+}
+
+bool ReferenceRng::bernoulli(double p) { return uniform01() < p; }
+
+std::vector<std::size_t> ReferenceRng::permutation(std::size_t n) {
+    std::vector<std::size_t> idx(n);
+    std::iota(idx.begin(), idx.end(), std::size_t{0});
+    for (std::size_t i = n; i > 1; --i) std::swap(idx[i - 1], idx[index(i)]);
+    return idx;
 }
 
 } // namespace ypm::testsupport

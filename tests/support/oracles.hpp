@@ -2,13 +2,15 @@
 /// \file oracles.hpp
 /// \brief Reference implementations that tests and benches compare the
 ///        production paths against, bit for bit: the rebuild-per-point
-///        circuit measurements, a textbook partial-pivot LU and the naive
-///        Pareto filter. They live
+///        circuit measurements, a textbook partial-pivot LU, the naive
+///        Pareto filter and a std::mt19937_64-backed Rng. They live
 ///        in the ypm_test_support library rather than src/ because nothing
 ///        but a comparison runs them.
 
 #include <complex>
 #include <cstddef>
+#include <cstdint>
+#include <random>
 #include <vector>
 
 #include "circuits/filter.hpp"
@@ -72,5 +74,26 @@ extern template class ReferenceLu<std::complex<double>>;
 [[nodiscard]] std::vector<std::size_t>
 pareto_front_indices(const std::vector<std::vector<double>>& objectives,
                      const std::vector<moo::ObjectiveSpec>& specs);
+
+/// ypm::Rng as it was on std::mt19937_64: the same SplitMix64 seeding,
+/// stream derivation and draw methods over the std engine. ypm::Rng, on its
+/// lazily seeded Mt19937_64, must produce the same streams bit for bit.
+class ReferenceRng {
+public:
+    explicit ReferenceRng(std::uint64_t seed);
+
+    [[nodiscard]] ReferenceRng child(std::uint64_t stream) const;
+    [[nodiscard]] double uniform01();
+    [[nodiscard]] double gauss();
+    [[nodiscard]] std::size_t index(std::size_t n);
+    [[nodiscard]] long long integer(long long lo, long long hi);
+    [[nodiscard]] bool bernoulli(double p);
+    [[nodiscard]] std::vector<std::size_t> permutation(std::size_t n);
+    [[nodiscard]] std::mt19937_64& engine() { return engine_; }
+
+private:
+    std::uint64_t seed_;
+    std::mt19937_64 engine_;
+};
 
 } // namespace ypm::testsupport

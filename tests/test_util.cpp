@@ -5,9 +5,13 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <set>
 #include <thread>
 
+#include "support/oracles.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/mathx.hpp"
@@ -222,6 +226,111 @@ TEST(Rng, PermutationIsAPermutation) {
 TEST(Rng, IndexStaysInRange) {
     Rng rng(11);
     for (int i = 0; i < 1000; ++i) EXPECT_LT(rng.index(7), 7u);
+}
+
+TEST(Rng, InvalidRangesThrowBeforeDrawing) {
+    Rng rng(21), twin(21);
+    EXPECT_THROW((void)rng.index(0), InvalidInputError);
+    EXPECT_THROW((void)rng.integer(3, 2), InvalidInputError);
+    EXPECT_THROW((void)rng.integer(std::numeric_limits<long long>::max(),
+                                   std::numeric_limits<long long>::min()),
+                 InvalidInputError);
+    // No draw was consumed: the stream continues where it stood.
+    for (int i = 0; i < 10; ++i) EXPECT_EQ(rng.engine()(), twin.engine()());
+    EXPECT_EQ(rng.index(1), 0u);
+    EXPECT_EQ(rng.integer(-4, -4), -4);
+}
+
+// The engine behind Rng must reproduce std::mt19937_64 output for output;
+// every golden digest rests on it.
+
+static_assert(std::uniform_random_bit_generator<Mt19937_64>);
+static_assert(Mt19937_64::min() == 0);
+static_assert(Mt19937_64::max() == std::numeric_limits<std::uint64_t>::max());
+
+TEST(Mt19937_64, StandardKnownAnswer) {
+    // [rand.predef]: the 10000th consecutive invocation of a
+    // default-constructed mt19937_64 produces 9981545732273789042.
+    Mt19937_64 engine;
+    for (int i = 1; i < 10000; ++i) (void)engine();
+    EXPECT_EQ(engine(), 9981545732273789042ull);
+}
+
+/// 0-4 and UINT64_MAX, then SplitMix64-derived seeds.
+std::vector<std::uint64_t> oracle_seeds(std::size_t derived) {
+    std::vector<std::uint64_t> seeds = {0, 1, 2, 3, 4,
+                                        std::numeric_limits<std::uint64_t>::max()};
+    std::uint64_t state = 0x5EEDull;
+    for (std::size_t i = 0; i < derived; ++i) seeds.push_back(splitmix64(state));
+    return seeds;
+}
+
+TEST(Mt19937_64, MatchesStdEngineAcrossLazyBoundaries) {
+    // Draw counts straddle the end of the lazily seeded half (156), the end
+    // of the lazily twisted first block (312) and the first full twists.
+    for (std::uint64_t seed : oracle_seeds(1000)) {
+        for (int draws : {1, 155, 156, 157, 311, 312, 313, 624, 2000}) {
+            Mt19937_64 engine(seed);
+            std::mt19937_64 reference(seed);
+            for (int i = 0; i < draws; ++i)
+                ASSERT_EQ(engine(), reference())
+                    << "seed " << seed << ", draw " << i << " of " << draws;
+        }
+    }
+}
+
+TEST(Mt19937_64, CopyPartWayThroughFirstBlockContinuesIdentically) {
+    for (std::uint64_t seed : oracle_seeds(8)) {
+        for (int drawn : {0, 1, 77, 155, 156, 157, 250, 311, 312, 313}) {
+            Mt19937_64 original(seed);
+            std::mt19937_64 reference(seed);
+            for (int i = 0; i < drawn; ++i) {
+                (void)original();
+                (void)reference();
+            }
+            Mt19937_64 copy = original;
+            Mt19937_64 assigned(seed + 1);
+            (void)assigned();
+            assigned = original;
+            for (int i = 0; i < 700; ++i) {
+                const std::uint64_t want = reference();
+                ASSERT_EQ(original(), want) << "seed " << seed << ", copy at " << drawn;
+                ASSERT_EQ(copy(), want) << "seed " << seed << ", copy at " << drawn;
+                ASSERT_EQ(assigned(), want) << "seed " << seed << ", copy at " << drawn;
+            }
+        }
+    }
+}
+
+TEST(Rng, StreamsMatchStdEngineReference) {
+    // Every draw method against testsupport::ReferenceRng (the same Rng over
+    // std::mt19937_64), in an interleaving that crosses the lazy first block
+    // with one-, two- and variable-draw consumers.
+    for (std::uint64_t seed : oracle_seeds(40)) {
+        Rng rng(seed);
+        testsupport::ReferenceRng ref(seed);
+        for (int round = 0; round < 60; ++round) {
+            ASSERT_EQ(rng.uniform01(), ref.uniform01()) << "seed " << seed;
+            ASSERT_EQ(rng.gauss(), ref.gauss()) << "seed " << seed;
+            ASSERT_EQ(rng.index(7), ref.index(7)) << "seed " << seed;
+            ASSERT_EQ(rng.index(std::size_t{1} << 62), ref.index(std::size_t{1} << 62));
+            ASSERT_EQ(rng.integer(-5, 5), ref.integer(-5, 5)) << "seed " << seed;
+            ASSERT_EQ(rng.integer(std::numeric_limits<long long>::min(),
+                                  std::numeric_limits<long long>::max()),
+                      ref.integer(std::numeric_limits<long long>::min(),
+                                  std::numeric_limits<long long>::max()));
+            ASSERT_EQ(rng.bernoulli(0.3), ref.bernoulli(0.3)) << "seed " << seed;
+        }
+        ASSERT_EQ(rng.permutation(50), ref.permutation(50)) << "seed " << seed;
+        for (std::uint64_t stream : {0ull, 1ull, 2ull, 199ull, 1ull << 40}) {
+            Rng child = rng.child(stream);
+            testsupport::ReferenceRng ref_child = ref.child(stream);
+            for (int i = 0; i < 8; ++i)
+                ASSERT_EQ(child.gauss(), ref_child.gauss())
+                    << "seed " << seed << ", stream " << stream;
+            ASSERT_EQ(child.engine()(), ref_child.engine()());
+        }
+    }
 }
 
 // ------------------------------------------------------------ thread pool
