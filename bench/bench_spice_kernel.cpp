@@ -315,6 +315,49 @@ void BM_ObsDisarmedSpan(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsDisarmedSpan);
 
+// Cost of one per-item RNG stream: the engine derives base.child(i) for
+// every Monte Carlo item, and a sample draws a handful of numbers from it.
+// Each row has a Reference twin on testsupport::ReferenceRng (the same Rng
+// over std::mt19937_64, which seeds and twists all 312 state words before
+// its first output). The ...Gauss rows draw 64 standard normals, a
+// process sample's worth. The bench-smoke CI job gates
+// BM_RngChildFirstDraw's median against a fixed ns ceiling.
+template <typename R>
+void child_stream(benchmark::State& state, int gaussians) {
+    if (Rng(42).child(7).gauss() != testsupport::ReferenceRng(42).child(7).gauss()) {
+        state.SkipWithError("Rng diverges from the std::mt19937_64 reference");
+        return;
+    }
+    const R base(42);
+    std::uint64_t stream = 0;
+    for (auto _ : state) {
+        R child = base.child(stream++);
+        if (gaussians == 0) {
+            benchmark::DoNotOptimize(child.engine()());
+        } else {
+            double sum = 0.0;
+            for (int i = 0; i < gaussians; ++i) sum += child.gauss();
+            benchmark::DoNotOptimize(sum);
+        }
+    }
+}
+
+void BM_RngChildFirstDraw(benchmark::State& state) { child_stream<Rng>(state, 0); }
+BENCHMARK(BM_RngChildFirstDraw);
+
+void BM_RngChildFirstDrawReference(benchmark::State& state) {
+    child_stream<testsupport::ReferenceRng>(state, 0);
+}
+BENCHMARK(BM_RngChildFirstDrawReference);
+
+void BM_RngChild64Gauss(benchmark::State& state) { child_stream<Rng>(state, 64); }
+BENCHMARK(BM_RngChild64Gauss);
+
+void BM_RngChild64GaussReference(benchmark::State& state) {
+    child_stream<testsupport::ReferenceRng>(state, 64);
+}
+BENCHMARK(BM_RngChild64GaussReference);
+
 void BM_FilterChunkRebuildPerPoint(benchmark::State& state) {
     const circuits::FilterEvaluator evaluator{circuits::FilterConfig{},
                                               circuits::FilterSpecMask{}};

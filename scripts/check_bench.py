@@ -8,6 +8,7 @@ Gates:
   mc_overlap       bench_spice_kernel --benchmark_filter='BM_OtaMcParetoPoints.*'
   yield_is         bench_yield_is (rare-spec and bimodal-mixture scenarios)
   sparse_lu        bench_spice_kernel --benchmark_filter='BM_OtaAcLu.*'
+  child_stream     bench_spice_kernel --benchmark_filter='BM_RngChildFirstDraw.*'
 
 The timing gates read the median aggregates of a repeated run
 (--benchmark_repetitions=N --benchmark_report_aggregates_only=true).
@@ -62,6 +63,14 @@ THRESHOLDS = {
     # Xeon container, GCC 12, Release, 9 repetitions of 0.2 s); the floor
     # sits between, so losing the skip fails and noise does not.
     "sparse_lu_min_ratio": 1.5,
+    # One per-item RNG stream (Rng::child plus its first draw), in absolute
+    # ns, the setup every Monte Carlo item pays. Measured median 380-430 ns
+    # with the lazily seeded Mt19937_64 and 3.4-3.7 us for the
+    # std::mt19937_64 reference row, which seeds and twists all 312 words
+    # up front (4-vCPU Xeon container, GCC 12, Release, 7 repetitions of
+    # 0.3 s); the ceiling sits between, so an eager engine fails and noise
+    # does not.
+    "child_stream_max_ns": 1500.0,
 }
 
 
@@ -132,6 +141,17 @@ def sparse_lu(data, check):
                f"{inplace:.0f} -> {ratio:.2f}x (>= {floor}x)")
 
 
+def child_stream(data, check):
+    ns = medians(data, "cpu_time")
+    ours = ns["BM_RngChildFirstDraw_median"]
+    reference = ns.get("BM_RngChildFirstDrawReference_median")
+    context = f", std::mt19937_64 reference {reference:.0f} ns" if reference else ""
+    ceiling = THRESHOLDS["child_stream_max_ns"]
+    check.gate(ours <= ceiling,
+               f"child stream + first draw {ours:.0f} ns (<= {ceiling:.0f} ns)"
+               f"{context}")
+
+
 def yield_is(data, check):
     c = by_family(data)
     ref = c["BM_YieldBruteForceReference"]
@@ -181,6 +201,7 @@ GATES = {
     "mc_overlap": mc_overlap,
     "yield_is": yield_is,
     "sparse_lu": sparse_lu,
+    "child_stream": child_stream,
 }
 
 
