@@ -6,7 +6,7 @@ Usage:
       Exports the committed files of each commit (git archive) into
       .bench_build/ab/<commit>/ and runs that checkout's ypmbench/run.py
       (which builds there on its first run) in pairs: 10 paper_flow and
-      6 synth_yield pairs at --trace 0, then 4 + 4 at --trace 1, each run
+      10 synth_yield pairs at --trace 0, then 4 + 4 at --trace 1, each run
       BENCHMARK.json's run_seconds long. Pair k of a (workload, trace) runs
       both sides at --seed k + 1; the parent runs first on even k, the head
       on odd k. Writes BENCH_<N>.json (every run, per-metric medians and
@@ -18,8 +18,9 @@ Usage:
       the sides of a pair, or bench_diff.py finds a regression.
   bench_ab.py --fixtures <dir>
       Self-test on canned results, without running ypmbench: the pair
-      order, and the assembly of <dir>/bench_diff.{a,b}.json (the real
-      parent and head paper_flow runs of BENCH_17.json) into
+      order against the newest BENCH_<N>.json (a change to PLAN needs a
+      ledger run to it), and the assembly of <dir>/bench_diff.{a,b}.json
+      (the real parent and head paper_flow runs of BENCH_17.json) into
       BENCH_17.json's metrics.
 
 The sides run back to back on one host; files from different hosts or
@@ -42,7 +43,7 @@ ROOT = Path(__file__).resolve().parent.parent
 AB_DIR = ROOT / ".bench_build" / "ab"
 SIDES = ("parent", "head")
 # (workload, trace, pairs): ten pairs give the gain rule's nine-in-ten test.
-PLAN = (("paper_flow", 0, 10), ("synth_yield", 0, 6),
+PLAN = (("paper_flow", 0, 10), ("synth_yield", 0, 10),
         ("paper_flow", 1, 4), ("synth_yield", 1, 4))
 
 
@@ -264,21 +265,26 @@ def canned_pairs(parent_results, head_results, digests):
     return pairs
 
 
+def latest_ledger():
+    return max(ROOT.glob("BENCH_*.json"), key=lambda p: int(p.stem.split("_")[1]))
+
+
 def self_test(directory):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     expected = json.loads((ROOT / "BENCH_17.json").read_text())
     failures = []
 
-    # BENCH_17.json was run by hand to the same plan: its seeds and first
+    # The newest ledger was run to the current plan: its seeds and first
     # sides per (workload, trace) are the order this driver must produce.
+    latest = json.loads(latest_ledger().read_text())
     order = list(schedule(PLAN))
-    for key, want in expected["runs"].items():
+    for key, want in latest["runs"].items():
         pairs = [(seed, sides) for w, t, seed, sides in order if key_of(w, t) == key]
         if ([seed for seed, _ in pairs] != want["seeds"] or
                 [sides[0] for _, sides in pairs] != want["first_side"] or
                 any(sorted(sides) != sorted(SIDES) for _, sides in pairs)):
             failures.append(f"schedule of {key}: {pairs}")
-    if len(order) != sum(entry["pairs"] for entry in expected["runs"].values()):
+    if len(order) != sum(entry["pairs"] for entry in latest["runs"].values()):
         failures.append(f"schedule has {len(order)} pairs")
 
     parent = bench_diff.load_results(Path(directory) / "bench_diff.a.json")
