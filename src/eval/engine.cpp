@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -227,13 +228,11 @@ void Engine::dispatch_chunks(Pending& pending, ChunkKernelFn kernel,
         for (std::size_t k = lo; k < hi; ++k)
             reqs.push_back(&p->batch.items[p->misses[k]]);
         // Item i (batch index) gets base.child(i), whichever chunk it lands
-        // in; deterministic batches pass an empty span.
+        // in, built by the batch constructor; deterministic batches pass an
+        // empty span.
         std::vector<Rng> rngs;
-        if (base) {
-            rngs.reserve(hi - lo);
-            for (std::size_t k = lo; k < hi; ++k)
-                rngs.push_back(base->child(p->misses[k]));
-        }
+        if (base)
+            base->children(std::span(p->misses).subspan(lo, hi - lo), rngs);
         auto out = (*eval)(reqs, rngs);
         if (out.size() != reqs.size())
             throw InvalidInputError(

@@ -18,6 +18,7 @@ std::uint64_t splitmix64(std::uint64_t& state) {
 
 namespace {
 
+constexpr std::uint64_t kSeedMultiplier = 6364136223846793005ull;
 constexpr std::uint64_t kMatrixA = 0xB5026F5AA96619E9ull;
 constexpr std::uint64_t kUpperMask = ~std::uint64_t{0} << 31;
 constexpr std::uint64_t kLowerMask = ~kUpperMask;
@@ -41,7 +42,7 @@ void Mt19937_64::refill() {
         const std::uint32_t need = std::min(next_ + m + 1, n);
         std::uint64_t word = state_[seeded_ - 1];
         for (; seeded_ < need; ++seeded_) {
-            word = 6364136223846793005ull * (word ^ (word >> 62)) + seeded_;
+            word = kSeedMultiplier * (word ^ (word >> 62)) + seeded_;
             state_[seeded_] = word;
         }
         const std::uint32_t k = next_;
@@ -59,20 +60,55 @@ void Mt19937_64::refill() {
     next_ = 0;
 }
 
+template <std::size_t L>
+void Mt19937_64::seed_first_outputs(const std::array<Mt19937_64*, L>& engines) {
+    std::array<result_type, L> word{};
+    for (std::size_t l = 0; l < L; ++l) word[l] = engines[l]->state_[0];
+    for (std::uint32_t k = 1; k <= m; ++k)
+        for (std::size_t l = 0; l < L; ++l) {
+            word[l] = kSeedMultiplier * (word[l] ^ (word[l] >> 62)) + k;
+            engines[l]->state_[k] = word[l];
+        }
+    for (std::size_t l = 0; l < L; ++l) engines[l]->seeded_ = m + 1;
+}
+
 namespace {
 
 // Run the seed through SplitMix64 so that nearby user seeds (0, 1, 2...)
 // do not produce correlated engine states.
 std::uint64_t mixed_seed(std::uint64_t seed) { return splitmix64(seed); }
 
+std::uint64_t child_seed(std::uint64_t parent, std::uint64_t stream) {
+    std::uint64_t s = parent ^ (0xD1B54A32D192ED03ull * (stream + 1));
+    return splitmix64(s);
+}
+
 } // namespace
 
 Rng::Rng(std::uint64_t seed) : seed_(seed), engine_(mixed_seed(seed)) {}
 
 Rng Rng::child(std::uint64_t stream) const {
-    std::uint64_t s = seed_ ^ (0xD1B54A32D192ED03ull * (stream + 1));
-    const std::uint64_t derived = splitmix64(s);
-    return Rng(derived);
+    return Rng(child_seed(seed_, stream));
+}
+
+void Rng::children(std::span<const std::size_t> streams,
+                   std::vector<Rng>& out) const {
+    const std::size_t first = out.size();
+    out.reserve(first + streams.size());
+    for (std::size_t stream : streams)
+        out.emplace_back(child_seed(seed_, stream));
+    // Lanes of 8, then one group each of 4, 2 and 1 for the remainder.
+    auto seed = [&out]<std::size_t L>(std::size_t i) {
+        std::array<Mt19937_64*, L> engines{};
+        for (std::size_t l = 0; l < L; ++l) engines[l] = &out[i + l].engine_;
+        Mt19937_64::seed_first_outputs(engines);
+        return i + L;
+    };
+    std::size_t i = first;
+    while (out.size() - i >= 8) i = seed.operator()<8>(i);
+    if (out.size() - i >= 4) i = seed.operator()<4>(i);
+    if (out.size() - i >= 2) i = seed.operator()<2>(i);
+    if (out.size() - i >= 1) (void)seed.operator()<1>(i);
 }
 
 double Rng::uniform01() {
@@ -81,11 +117,6 @@ double Rng::uniform01() {
 }
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform01(); }
-
-double Rng::gauss() {
-    std::normal_distribution<double> dist(0.0, 1.0);
-    return dist(engine_);
-}
 
 double Rng::gauss(double mean, double sigma) { return mean + sigma * gauss(); }
 

@@ -10,13 +10,13 @@
 ///
 /// The engine behind `Rng` is `Mt19937_64`, an MT19937-64 whose output
 /// sequence is, for every seed, exactly that of the standard library's
-/// `mt19937_64`; the std distributions `gauss()`, `index()` and `integer()`
-/// use consume it draw for draw as they would the std engine. It differs
-/// only in when the state is built. The std engine seeds all 312 state words
-/// up front and twists all of them before the first output; `Mt19937_64`
-/// works through its first block lazily: output j < 156 reads only seed
-/// words j, j+1 and j+156, so each draw seeds just the words the next
-/// output needs and twists one word.
+/// `mt19937_64`; `gauss()` and the std distributions `index()` and
+/// `integer()` use consume it draw for draw as they would the std engine.
+/// It differs only in when the state is built. The std engine seeds all 312
+/// state words up front and twists all of them before the first output;
+/// `Mt19937_64` works through its first block lazily: output j < 156 reads
+/// only seed words j, j+1 and j+156, so each draw seeds just the words the
+/// next output needs and twists one word.
 /// From the 313th draw on it runs the standard full twist every 312 draws.
 /// A Monte Carlo sample drawing a handful of numbers from a fresh
 /// `child(i)` stream therefore pays for ~160 seeded words instead of 624
@@ -28,10 +28,27 @@
 /// `Rng.StreamsMatchStdEngineReference` pins every draw method and child
 /// stream against `testsupport::ReferenceRng`, the same `Rng` over the std
 /// engine. Every golden digest depends on it too.
+///
+/// Two per-item costs are cut further, with the same outputs:
+///  - Batch seeding. The first output reads seed word 156, and the seeding
+///    recurrence is one serial multiply chain. `children()` builds a whole
+///    chunk's streams in place and seeds words 1-156 of up to eight of them
+///    in one loop, so their independent chains overlap instead of running
+///    back to back. The engine's chunk task derives its streams this way;
+///    each stream stays output-identical to `child(i)`
+///    (`Rng.ChildrenMatchChildDrawForDraw`; `BM_RngChildBatchFirstDraw`).
+///  - An inline polar normal. `gauss()` is libstdc++'s
+///    `std::normal_distribution` written out with the same operations in
+///    the same order, minus the distribution object and the second value
+///    of the polar pair, which a fresh distribution per call threw away.
+///    `Rng.StreamsMatchStdEngineReference` pins it against
+///    `std::normal_distribution` over `std::mt19937_64`.
 
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace ypm {
@@ -59,8 +76,16 @@ public:
     }
 
 private:
+    friend class Rng;
+
     static constexpr std::uint32_t n = 312;
     static constexpr std::uint32_t m = 156;
+
+    /// Seed words [1, m] - all that output 0 reads - of L freshly
+    /// constructed engines, their chains interleaved. Leaves each engine
+    /// exactly where its lazy path would have put it.
+    template <std::size_t L>
+    static void seed_first_outputs(const std::array<Mt19937_64*, L>& engines);
 
     /// Make state_[next_] ready: in the first block seed what it reads and
     /// twist that one word; after it, twist the whole block.
@@ -84,14 +109,32 @@ public:
     /// stream index); children of distinct indices are decorrelated.
     [[nodiscard]] Rng child(std::uint64_t stream) const;
 
+    /// Append child(streams[i]) for every i to `out`, built in place and
+    /// seeded together (see the file comment). Each appended stream is
+    /// output-identical to the child() it replaces.
+    void children(std::span<const std::size_t> streams,
+                  std::vector<Rng>& out) const;
+
     /// Uniform double in [0, 1).
     [[nodiscard]] double uniform01();
 
     /// Uniform double in [lo, hi).
     [[nodiscard]] double uniform(double lo, double hi);
 
-    /// Standard normal draw.
-    [[nodiscard]] double gauss();
+    /// Standard normal draw: libstdc++'s polar method, inline (see the
+    /// file comment).
+    [[nodiscard]] double gauss() {
+        double x, y, r2;
+        do {
+            x = 2.0 * canonical() - 1.0;
+            y = 2.0 * canonical() - 1.0;
+            r2 = x * x + y * y;
+        } while (r2 > 1.0 || r2 == 0.0);
+        const double mult = std::sqrt(-2.0 * std::log(r2) / r2);
+        // The std path's `ret * stddev + mean` at 1 and 0; + 0.0 turns -0
+        // into +0 there too.
+        return y * mult * 1.0 + 0.0;
+    }
 
     /// Normal draw with given mean and standard deviation.
     [[nodiscard]] double gauss(double mean, double sigma);
@@ -117,6 +160,13 @@ public:
     [[nodiscard]] Mt19937_64& engine() { return engine_; }
 
 private:
+    /// std::generate_canonical<double, 53> over a 64-bit engine: one draw
+    /// scaled by 2^-64, clamped below 1.
+    double canonical() {
+        const double u = static_cast<double>(engine_()) * 0x1.0p-64;
+        return u < 1.0 ? u : 0x1.fffffffffffffp-1;
+    }
+
     std::uint64_t seed_;
     Mt19937_64 engine_;
 };

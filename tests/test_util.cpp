@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <random>
 #include <set>
 #include <thread>
@@ -331,6 +332,55 @@ TEST(Rng, StreamsMatchStdEngineReference) {
             ASSERT_EQ(child.engine()(), ref_child.engine()());
         }
     }
+}
+
+TEST(Rng, ChildrenMatchChildDrawForDraw) {
+    // The batch constructor seeds up to eight streams' first outputs in one
+    // interleaved loop; every stream must stay child(id) draw for draw.
+    // Batch sizes 1-17 cover full lanes and every remainder group; ids are
+    // not contiguous; draw counts straddle the lazy boundaries; copies are
+    // taken mid-block; `out` may already hold streams.
+    const std::vector<int> draw_counts = {1, 155, 156, 157, 311, 312, 313, 700};
+    std::size_t checked = 0;
+    for (std::uint64_t seed : oracle_seeds(300)) {
+        const Rng base(seed);
+        std::uint64_t state = seed;
+        for (std::size_t size = 1; size <= 17; ++size) {
+            std::vector<std::size_t> ids(size);
+            for (std::size_t& id : ids) id = splitmix64(state) % 100000;
+            std::vector<Rng> out;
+            if (size % 3 == 0) out.push_back(base.child(999999));
+            const std::size_t first = out.size();
+            base.children(ids, out);
+            ASSERT_EQ(out.size(), first + size);
+            if (first == 1) {
+                ASSERT_EQ(out[0].seed(), base.child(999999).seed());
+            }
+            for (std::size_t i = 0; i < size; ++i) {
+                Rng& batched = out[first + i];
+                Rng want = base.child(ids[i]);
+                ASSERT_EQ(batched.seed(), want.seed());
+                const int draws = draw_counts[(i + size) % draw_counts.size()];
+                const int copy_at = draws / 2;
+                std::optional<Rng> copy;
+                for (int d = 0; d < draws; ++d) {
+                    if (d == copy_at) copy = batched;
+                    ASSERT_EQ(batched.engine()(), want.engine()())
+                        << "seed " << seed << ", size " << size << ", stream "
+                        << i << ", draw " << d;
+                }
+                Rng want_from_copy = base.child(ids[i]);
+                for (int d = 0; d < copy_at; ++d)
+                    (void)want_from_copy.engine()();
+                for (int d = copy_at; d < draws + 20; ++d)
+                    ASSERT_EQ(copy->engine()(), want_from_copy.engine()())
+                        << "seed " << seed << ", size " << size << ", copy of "
+                        << "stream " << i << " at draw " << copy_at;
+                ++checked;
+            }
+        }
+    }
+    EXPECT_EQ(checked, oracle_seeds(300).size() * 153);
 }
 
 // ------------------------------------------------------------ thread pool
