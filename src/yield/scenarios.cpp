@@ -22,9 +22,16 @@ std::vector<double> draw_mixture_u(Rng& rng,
         const process::ProposalComponent* c =
             mix.components.empty() ? nullptr : &mix.components.front();
         log_w = 0.0;
+        if (c == nullptr ||
+            (c->mu.empty() && c->sigma.empty() && c->scale == 1.0)) {
+            // Nominal: u = 0 + 1 * z and every log weight term is +0
+            // (log 1 = +0, z^2/2 - u^2/2 = +0), so log_w stays exactly +0.
+            for (std::size_t i = 0; i < dim; ++i) u[i] = 0.0 + rng.gauss();
+            return u;
+        }
         for (std::size_t i = 0; i < dim; ++i) {
-            const double m = (c != nullptr && !c->mu.empty()) ? c->mu[i] : 0.0;
-            const double s = c != nullptr ? c->scale_at(i) : 1.0;
+            const double m = c->mu.empty() ? 0.0 : c->mu[i];
+            const double s = c->scale_at(i);
             const double z = rng.gauss();
             u[i] = m + s * z;
             log_w += std::log(s) + 0.5 * z * z - 0.5 * u[i] * u[i];

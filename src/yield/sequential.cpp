@@ -74,8 +74,9 @@ SequentialYieldRunner::SequentialYieldRunner(eval::Engine& engine,
     if (config_.refit_min_failures == 0) config_.refit_min_failures = 1;
     // Zero retired samples must report the vacuous interval [0, 1], not a
     // default-constructed point interval [0, 0] pretending certainty.
-    estimate_ = weighted_yield_from_flags({}, {});
+    estimate_ = FailSideMoments{}.estimate();
     pilot_estimate_ = estimate_;
+    stages_.push_back(estimate_); // the open stage, empty so far
 }
 
 void SequentialYieldRunner::submit_pilot() {
@@ -99,12 +100,9 @@ void SequentialYieldRunner::finish_pilot() {
         // Pilot estimate: the pilot proposal is widened, so it is itself a
         // (low-accuracy) importance-sampled estimate - a useful sanity
         // diagnostic next to the main stage.
-        std::vector<bool> flags;
-        std::vector<double> log_weights;
-        append_flags_and_weights(pilot.rows, specs_,
-                                 specs_.size() + 1 + dimension_, flags,
-                                 log_weights);
-        pilot_estimate_ = weighted_yield_from_flags(flags, log_weights);
+        FailSideMoments moments;
+        moments.add_rows(pilot.rows, specs_, specs_.size() + 1 + dimension_);
+        pilot_estimate_ = moments.estimate();
         fit_ = fit_shift(pilot.rows, specs_, dimension_, config_.shift_fit);
         pilot_failures_ = fit_.pilot_failures;
         span.arg("failures", static_cast<double>(pilot_failures_));
@@ -173,14 +171,12 @@ bool SequentialYieldRunner::retire_chunk() {
 }
 
 void SequentialYieldRunner::fold_rows(const mc::McResult& result) {
-    const std::size_t first = flags_.size();
-    append_flags_and_weights(result.rows, specs_, main_arity_, flags_,
-                             log_weights_);
-    if (record_main_u_) {
+    for (const std::vector<double>& row : result.rows) {
+        const bool pass = row_passes(row, specs_, main_arity_);
+        stage_.add(pass, row[specs_.size()]);
         // Accumulate the failing records (with their exact per-proposal log
         // weights) for the cross-entropy refit.
-        for (std::size_t k = 0; k < result.rows.size(); ++k)
-            if (!flags_[first + k]) fail_rows_.push_back(result.rows[k]);
+        if (record_main_u_ && !pass) fail_rows_.push_back(row);
     }
     retired_samples_ += result.rows.size();
     ++stage_chunks_;
@@ -203,13 +199,8 @@ void SequentialYieldRunner::fold_rows(const mc::McResult& result) {
 }
 
 void SequentialYieldRunner::update_estimate() {
-    if (stages_.empty()) {
-        estimate_ = weighted_yield_from_flags(flags_, log_weights_);
-        return;
-    }
-    std::vector<WeightedYieldEstimate> all = stages_;
-    all.push_back(weighted_yield_from_flags(flags_, log_weights_));
-    estimate_ = combine_stage_estimates(all);
+    stages_.back() = stage_.estimate();
+    estimate_ = combine_stage_estimates(stages_);
 }
 
 void SequentialYieldRunner::maybe_refit() {
@@ -227,12 +218,12 @@ void SequentialYieldRunner::maybe_refit() {
     fit_ = refit_shift(fail_rows_, specs_, dimension_, config_.shift_fit);
     bind_main_kernel(fit_);
 
-    // Close the current stage: its samples were drawn from the old
-    // proposal, so its estimate is combined per-stage with the stages to
-    // come (never re-pooled under the new proposal's weights).
-    stages_.push_back(weighted_yield_from_flags(flags_, log_weights_));
-    flags_.clear();
-    log_weights_.clear();
+    // Close the current stage (its estimate is already stages_.back()): its
+    // samples were drawn from the old proposal, so its estimate is combined
+    // per-stage with the stages to come (never re-pooled under the new
+    // proposal's weights).
+    stage_ = FailSideMoments{};
+    stages_.push_back(stage_.estimate());
     stage_chunks_ = 0;
     ++refits_done_;
     YieldMetrics::get().refits.add();
@@ -273,9 +264,7 @@ SequentialYieldResult SequentialYieldRunner::finish() {
     result.shift = fit_.shift;
     result.proposal = main_proposal_;
     result.stage_estimates = stages_;
-    if (!flags_.empty())
-        result.stage_estimates.push_back(
-            weighted_yield_from_flags(flags_, log_weights_));
+    if (stage_.samples() == 0) result.stage_estimates.pop_back();
     result.refinements = refits_done_;
     result.shift_pilot_failures = pilot_failures_;
     result.samples_used = retired_samples_;

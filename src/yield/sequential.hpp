@@ -23,6 +23,12 @@
 ///     fail-side moments); samples are never re-weighted under one
 ///     proposal's formula.
 ///
+/// Each stage has one reduction, a yield::FailSideMoments that every
+/// retired chunk is folded into: the calling thread's retire cost is
+/// O(chunk), not a re-reduction of the stage, and the sums run in sample
+/// order, so the estimate after each chunk is the one a single pass over
+/// the stage's samples gives.
+///
 /// Determinism: every chunk's RNG streams derive from the runner's own Rng
 /// in submission order, exactly as mc::submit_monte_carlo derives them, so
 /// the retired estimate and samples_used are bit-identical for any inflight
@@ -210,6 +216,8 @@ private:
     [[nodiscard]] SequentialYieldResult finish();
 
     void bind_main_kernel(const ShiftFit& fit);
+    /// Fold one retired chunk into the open stage: O(chunk), the stage's
+    /// earlier samples are never revisited.
     void fold_rows(const mc::McResult& result);
     /// CE refinement trigger, checked after each fold.
     void maybe_refit();
@@ -243,10 +251,11 @@ private:
     std::size_t submitted_samples_ = 0;
     std::size_t retired_samples_ = 0;
     std::size_t discarded_samples_ = 0;
-    std::vector<bool> flags_;            ///< current stage accumulators
-    std::vector<double> log_weights_;
+    FailSideMoments stage_; ///< the open stage's samples, folded per chunk
     std::size_t stage_chunks_ = 0;
-    std::vector<WeightedYieldEstimate> stages_; ///< closed CE stages
+    /// One estimate per CE stage; the back is the open stage's, refreshed
+    /// after each fold.
+    std::vector<WeightedYieldEstimate> stages_;
     std::vector<std::vector<double>> fail_rows_; ///< failing u records (CE)
     std::size_t refits_done_ = 0;
     WeightedYieldEstimate estimate_;

@@ -33,14 +33,8 @@ WeightedYieldEstimate unweighted_from_counts(std::size_t samples,
     return e;
 }
 
-/// The unweighted reduction: identical numbers to mc::yield_from_flags.
-WeightedYieldEstimate unweighted_estimate(const std::vector<bool>& pass) {
-    const mc::YieldEstimate base = mc::yield_from_flags(pass);
-    return unweighted_from_counts(base.samples, base.passes);
-}
-
 /// The weighted estimator from pooled fail-side moments - shared by the
-/// single-run path (weighted_yield_from_flags) and the per-stage
+/// single-run path (FailSideMoments::estimate) and the per-stage
 /// combination (combine_stage_estimates), so their CI and fallback
 /// behaviour can never drift apart.
 WeightedYieldEstimate weighted_from_moments(std::size_t n, std::size_t passes,
@@ -107,48 +101,52 @@ WeightedYieldEstimate weighted_from_moments(std::size_t n, std::size_t passes,
 
 } // namespace
 
+void FailSideMoments::add(bool pass, double log_weight) {
+    if (!std::isfinite(log_weight))
+        throw InvalidInputError("FailSideMoments: non-finite log weight");
+    ++samples_;
+    if (log_weight != 0.0) any_weighted_ = true;
+    if (pass) {
+        ++passes_;
+        return;
+    }
+    // Unnormalized fail-side estimator (see header): the likelihood ratio
+    // is exact, so E_q[w * fail] is the true failure probability and only
+    // the failing samples' (bounded) weights enter the estimate. The
+    // pass-side weights - unbounded under a failure-directed shift - never
+    // touch the sums.
+    const double w = std::exp(log_weight);
+    x_sum_ += w;
+    x2_sum_ += w * w;
+    w_max_ = std::max(w_max_, w);
+}
+
+void FailSideMoments::add_rows(const std::vector<std::vector<double>>& rows,
+                               const std::vector<mc::Spec>& specs,
+                               std::size_t arity) {
+    for (const auto& row : rows)
+        add(row_passes(row, specs, arity), row[specs.size()]);
+}
+
+WeightedYieldEstimate FailSideMoments::estimate() const {
+    if (!any_weighted_) return unweighted_from_counts(samples_, passes_);
+    if (!std::isfinite(x_sum_))
+        throw NumericalError(
+            "FailSideMoments: fail-side weight overflow (shift points away "
+            "from the failure region?)");
+    return weighted_from_moments(samples_, passes_, x_sum_, x2_sum_, w_max_);
+}
+
 WeightedYieldEstimate
 weighted_yield_from_flags(const std::vector<bool>& pass,
                           const std::vector<double>& log_weights) {
     if (!log_weights.empty() && log_weights.size() != pass.size())
         throw InvalidInputError(
             "weighted_yield_from_flags: flag/weight size mismatch");
-
-    bool any_weighted = false;
-    for (double lw : log_weights) {
-        if (!std::isfinite(lw))
-            throw InvalidInputError(
-                "weighted_yield_from_flags: non-finite log weight");
-        if (lw != 0.0) any_weighted = true;
-    }
-    if (!any_weighted) return unweighted_estimate(pass);
-
-    // Unnormalized fail-side estimator (see header): the likelihood ratio
-    // is exact, so E_q[w * fail] is the true failure probability and only
-    // the failing samples' (bounded) weights enter the estimate. The
-    // pass-side weights - unbounded under a failure-directed shift - never
-    // touch the sums.
-    const std::size_t n = pass.size();
-    double x_sum = 0.0;  // sum of w_i * fail_i
-    double x2_sum = 0.0; // sum of (w_i * fail_i)^2
-    double w_max = 0.0;  // largest fail-side weight
-    std::size_t passes = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (pass[i]) {
-            ++passes;
-            continue;
-        }
-        const double w = std::exp(log_weights[i]);
-        x_sum += w;
-        x2_sum += w * w;
-        w_max = std::max(w_max, w);
-    }
-    if (!std::isfinite(x_sum))
-        throw NumericalError(
-            "weighted_yield_from_flags: fail-side weight overflow (shift "
-            "points away from the failure region?)");
-
-    return weighted_from_moments(n, passes, x_sum, x2_sum, w_max);
+    FailSideMoments moments;
+    for (std::size_t i = 0; i < pass.size(); ++i)
+        moments.add(pass[i], log_weights.empty() ? 0.0 : log_weights[i]);
+    return moments.estimate();
 }
 
 WeightedYieldEstimate
@@ -157,7 +155,7 @@ combine_stage_estimates(const std::vector<WeightedYieldEstimate>& stages) {
     live.reserve(stages.size());
     for (const WeightedYieldEstimate& s : stages)
         if (s.samples > 0) live.push_back(&s);
-    if (live.empty()) return weighted_yield_from_flags({}, {});
+    if (live.empty()) return FailSideMoments{}.estimate();
     if (live.size() == 1) return *live.front();
 
     std::size_t n = 0, passes = 0;
@@ -180,35 +178,23 @@ combine_stage_estimates(const std::vector<WeightedYieldEstimate>& stages) {
     return weighted_from_moments(n, passes, x_sum, x2_sum, w_max);
 }
 
-void append_flags_and_weights(const std::vector<std::vector<double>>& rows,
-                              const std::vector<mc::Spec>& specs,
-                              std::size_t arity, std::vector<bool>& flags,
-                              std::vector<double>& log_weights) {
-    flags.reserve(flags.size() + rows.size());
-    log_weights.reserve(log_weights.size() + rows.size());
-    for (const auto& row : rows) {
-        if (row.size() != arity)
-            throw InvalidInputError(
-                "yield kernel row arity mismatch (expected the spec "
-                "performances followed by the log-weight column)");
-        bool all = true;
-        for (std::size_t c = 0; c < specs.size(); ++c)
-            if (!specs[c].pass(row[c])) {
-                all = false;
-                break;
-            }
-        flags.push_back(all);
-        log_weights.push_back(row[specs.size()]);
-    }
+bool row_passes(const std::vector<double>& row,
+                const std::vector<mc::Spec>& specs, std::size_t arity) {
+    if (row.size() != arity)
+        throw InvalidInputError(
+            "yield kernel row arity mismatch (expected the spec "
+            "performances followed by the log-weight column)");
+    for (std::size_t c = 0; c < specs.size(); ++c)
+        if (!specs[c].pass(row[c])) return false;
+    return true;
 }
 
 WeightedYieldEstimate
 estimate_weighted_yield(const std::vector<std::vector<double>>& rows,
                         const std::vector<mc::Spec>& specs) {
-    std::vector<bool> flags;
-    std::vector<double> log_weights;
-    append_flags_and_weights(rows, specs, specs.size() + 1, flags, log_weights);
-    return weighted_yield_from_flags(flags, log_weights);
+    FailSideMoments moments;
+    moments.add_rows(rows, specs, specs.size() + 1);
+    return moments.estimate();
 }
 
 } // namespace ypm::yield

@@ -30,6 +30,12 @@
 /// reduce bit-identically to the unweighted mc::yield_from_flags / Wilson
 /// path.
 ///
+/// There is one reduction: FailSideMoments folds one sample at a time into
+/// the fail-side moments, in sample order. weighted_yield_from_flags is a
+/// loop over it, and the sequential runner keeps one per proposal stage and
+/// folds each retired chunk into it, so a fold costs O(chunk) rather than a
+/// re-reduction of the whole stage, with the same sums in the same order.
+///
 /// Caveat: a *simulation* failure (NaN performances) counts as a die
 /// failure, per the repo-wide convention that convergence failures degrade
 /// yield. A sim failure deep on the pass side of a shifted proposal
@@ -79,6 +85,38 @@ struct WeightedYieldEstimate {
     }
 };
 
+/// The running fail-side reduction behind every estimate in this file: n,
+/// the raw pass count, sum(w_i * fail_i), sum((w_i * fail_i)^2), the largest
+/// fail-side weight and whether any log weight was nonzero. Folding samples
+/// one at a time, in any number of calls, gives the same bits as folding
+/// them all at once.
+class FailSideMoments {
+public:
+    /// Fold one sample. \throws ypm::InvalidInputError on a non-finite log
+    /// weight.
+    void add(bool pass, double log_weight);
+
+    /// Fold yield-kernel rows (layout and throws: row_passes).
+    void add_rows(const std::vector<std::vector<double>>& rows,
+                  const std::vector<mc::Spec>& specs, std::size_t arity);
+
+    /// The estimate over every sample folded so far (the vacuous [0, 1]
+    /// estimate before the first). All-zero log weights give the unweighted
+    /// Wilson reduction. \throws ypm::NumericalError when the fail-side
+    /// weight sum overflowed.
+    [[nodiscard]] WeightedYieldEstimate estimate() const;
+
+    [[nodiscard]] std::size_t samples() const { return samples_; }
+
+private:
+    std::size_t samples_ = 0;
+    std::size_t passes_ = 0;
+    double x_sum_ = 0.0;  ///< sum of w_i * fail_i
+    double x2_sum_ = 0.0; ///< sum of (w_i * fail_i)^2
+    double w_max_ = 0.0;  ///< largest fail-side weight
+    bool any_weighted_ = false;
+};
+
 /// Estimate from per-sample pass flags and log likelihood ratios
 /// (log_weights[i] = log of nominal density over proposal density at sample
 /// i). Sizes must match; an empty log_weights vector means all-zero.
@@ -121,12 +159,11 @@ estimate_weighted_yield(const std::vector<std::vector<double>>& rows,
 
 /// The shared row convention of every yield kernel: columns are the spec
 /// performances, then the log weight, then optional extra columns (a
-/// pilot's u record). Appends one pass flag (all specs pass; NaN fails)
-/// and one log weight per row. \throws ypm::InvalidInputError when a row's
-/// size differs from `arity` (pass specs.size() + 1 + extra columns).
-void append_flags_and_weights(const std::vector<std::vector<double>>& rows,
+/// pilot's u record). True when every spec passes (NaN fails).
+/// \throws ypm::InvalidInputError when the row's size differs from `arity`
+/// (pass specs.size() + 1 + extra columns).
+[[nodiscard]] bool row_passes(const std::vector<double>& row,
                               const std::vector<mc::Spec>& specs,
-                              std::size_t arity, std::vector<bool>& flags,
-                              std::vector<double>& log_weights);
+                              std::size_t arity);
 
 } // namespace ypm::yield

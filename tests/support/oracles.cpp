@@ -1,5 +1,6 @@
 #include "support/oracles.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -204,6 +205,38 @@ pareto_front_indices(const std::vector<std::vector<double>>& objectives,
         if (!dominated) front.push_back(i);
     }
     return front;
+}
+
+ReferenceFailMoments
+reference_fail_moments(const std::vector<bool>& pass,
+                       const std::vector<double>& log_weights) {
+    ReferenceFailMoments r;
+    r.samples = pass.size();
+    for (double lw : log_weights) {
+        if (!std::isfinite(lw))
+            throw InvalidInputError(
+                "reference_fail_moments: non-finite log weight");
+        if (lw != 0.0) r.weighted = true;
+    }
+    for (bool p : pass)
+        if (p) ++r.passes;
+    if (!r.weighted) {
+        const std::size_t fails = r.samples - r.passes;
+        r.x_sum = r.x2_sum = static_cast<double>(fails);
+        r.w_max = fails > 0 ? 1.0 : 0.0;
+        return r;
+    }
+    for (std::size_t i = 0; i < pass.size(); ++i) {
+        if (pass[i]) continue;
+        const double w = std::exp(log_weights[i]);
+        r.x_sum += w;
+        r.x2_sum += w * w;
+        r.w_max = std::max(r.w_max, w);
+    }
+    if (!std::isfinite(r.x_sum))
+        throw NumericalError(
+            "reference_fail_moments: fail-side weight overflow");
+    return r;
 }
 
 ReferenceRng::ReferenceRng(std::uint64_t seed) : seed_(seed) {

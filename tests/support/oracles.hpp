@@ -3,7 +3,8 @@
 /// \brief Reference implementations that tests and benches compare the
 ///        production paths against, bit for bit: the rebuild-per-point
 ///        circuit measurements, a textbook partial-pivot LU, the naive
-///        Pareto filter and a std::mt19937_64-backed Rng. They live
+///        Pareto filter, a std::mt19937_64-backed Rng and the two-pass
+///        fail-side yield reduction. They live
 ///        in the ypm_test_support library rather than src/ because nothing
 ///        but a comparison runs them.
 
@@ -74,6 +75,29 @@ extern template class ReferenceLu<std::complex<double>>;
 [[nodiscard]] std::vector<std::size_t>
 pareto_front_indices(const std::vector<std::vector<double>>& objectives,
                      const std::vector<moo::ObjectiveSpec>& specs);
+
+/// Raw moments of a fail-side yield reduction, in the fields
+/// yield::WeightedYieldEstimate reports them (under unit weights: the
+/// failure count twice and 1/0).
+struct ReferenceFailMoments {
+    std::size_t samples = 0;
+    std::size_t passes = 0;
+    double x_sum = 0.0;
+    double x2_sum = 0.0;
+    double w_max = 0.0;
+    bool weighted = false;
+};
+
+/// The fail-side reduction as weighted_yield_from_flags once wrote it: one
+/// pass over all log weights (validate, detect a weighted run), then a
+/// second summing exp(log weight) over the failing samples. An empty
+/// log_weights means all zero. yield::FailSideMoments, which folds one
+/// sample at a time, must give the same moments bit for bit.
+/// \throws ypm::InvalidInputError on a non-finite log weight,
+///         ypm::NumericalError when the weighted fail-side sum overflows.
+[[nodiscard]] ReferenceFailMoments
+reference_fail_moments(const std::vector<bool>& pass,
+                       const std::vector<double>& log_weights);
 
 /// ypm::Rng as it was on std::mt19937_64: the same SplitMix64 seeding,
 /// stream derivation and draw methods over the std engine. ypm::Rng, on its

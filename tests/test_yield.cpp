@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
@@ -21,6 +22,7 @@
 #include "process/process_card.hpp"
 #include "process/sampler.hpp"
 #include "process/variation.hpp"
+#include "support/oracles.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "yield/scenarios.hpp"
@@ -243,6 +245,33 @@ TEST(MixtureSampler, MixtureLikelihoodRatioIntegratesToOne) {
     EXPECT_NEAR(w_sum / n, 1.0, 0.05);
 }
 
+TEST(MixtureSampler, NominalDrawMixtureUMatchesGeneralFormula) {
+    // With no proposal component, or one nominal component, draw_mixture_u
+    // skips the log-weight accumulation; u and log_w (exactly +0) must
+    // equal the general single-component formula's, here reached through an
+    // explicit all-zero mean.
+    const std::size_t dim = 64;
+    process::ProposalMixture general = process::ProposalMixture::nominal();
+    general.components[0].mu.assign(dim, 0.0);
+    for (const process::ProposalMixture& nominal :
+         {process::ProposalMixture{}, process::ProposalMixture::nominal()}) {
+        for (std::uint64_t seed = 0; seed < 200; ++seed) {
+            Rng fast_rng(seed), general_rng(seed);
+            double fast_w = 1.0, general_w = 1.0;
+            const std::vector<double> fast =
+                draw_mixture_u(fast_rng, nominal, dim, fast_w);
+            const std::vector<double> want =
+                draw_mixture_u(general_rng, general, dim, general_w);
+            ASSERT_EQ(fast, want) << "seed " << seed;
+            ASSERT_EQ(fast_w, 0.0);
+            ASSERT_FALSE(std::signbit(fast_w));
+            ASSERT_EQ(general_w, 0.0);
+            ASSERT_FALSE(std::signbit(general_w));
+            ASSERT_EQ(fast_rng.engine()(), general_rng.engine()());
+        }
+    }
+}
+
 TEST(MixtureSampler, ValidatesComponents) {
     const process::ProcessSampler sampler(process::ProcessCard::c35(),
                                           process::VariationSpec::c35());
@@ -455,6 +484,133 @@ TEST(WeightedYield, CombineStagesEdgeCases) {
     EXPECT_EQ(pooled.ci_low, direct.ci_low);
     EXPECT_EQ(pooled.ci_high, direct.ci_high);
     EXPECT_EQ(pooled.ess, direct.ess);
+}
+
+/// Fold (pass, log_weights) into FailSideMoments in chunks of 1..chunk_max
+/// samples, checking the running estimate after each chunk the way the
+/// sequential runner does.
+yield::FailSideMoments fold_in_chunks(const std::vector<bool>& pass,
+                                      const std::vector<double>& log_weights,
+                                      std::size_t chunk_max, Rng& rng) {
+    yield::FailSideMoments moments;
+    std::size_t i = 0;
+    while (i < pass.size()) {
+        const std::size_t end =
+            std::min(pass.size(), i + 1 + rng.index(chunk_max));
+        for (; i < end; ++i)
+            moments.add(pass[i], log_weights.empty() ? 0.0 : log_weights[i]);
+        (void)moments.estimate();
+    }
+    return moments;
+}
+
+/// The folded estimate must carry the two-pass oracle's moments bit for bit
+/// and equal weighted_yield_from_flags over the same samples in every field.
+void expect_matches_oracle(const std::vector<bool>& pass,
+                           const std::vector<double>& log_weights, Rng& rng) {
+    const testsupport::ReferenceFailMoments want =
+        testsupport::reference_fail_moments(pass, log_weights);
+    const yield::WeightedYieldEstimate got =
+        fold_in_chunks(pass, log_weights, 40, rng).estimate();
+    EXPECT_EQ(got.samples, want.samples);
+    EXPECT_EQ(got.passes, want.passes);
+    EXPECT_EQ(got.weighted, want.weighted);
+    EXPECT_EQ(got.fail_weight_sum, want.x_sum);
+    EXPECT_EQ(got.fail_weight_sq_sum, want.x2_sum);
+    EXPECT_EQ(got.fail_weight_max, want.w_max);
+
+    const yield::WeightedYieldEstimate once =
+        yield::weighted_yield_from_flags(pass, log_weights);
+    EXPECT_EQ(got.yield, once.yield);
+    EXPECT_EQ(got.ci_low, once.ci_low);
+    EXPECT_EQ(got.ci_high, once.ci_high);
+    EXPECT_EQ(got.ess, once.ess);
+    EXPECT_EQ(got.max_weight_share, once.max_weight_share);
+    EXPECT_EQ(got.fail_weight_sum, once.fail_weight_sum);
+}
+
+TEST(FailSideMoments, ChunkedFoldMatchesTwoPassReduction) {
+    Rng rng(2024);
+    for (int trial = 0; trial < 400; ++trial) {
+        const std::size_t n = rng.index(300);
+        const double fail_p = rng.uniform(0.0, 0.2);
+        const bool weighted = trial % 4 != 0;
+        std::vector<bool> pass(n);
+        std::vector<double> log_w(weighted ? n : 0);
+        for (std::size_t i = 0; i < n; ++i) {
+            pass[i] = !rng.bernoulli(fail_p);
+            if (weighted)
+                log_w[i] = trial % 4 == 1 ? rng.gauss(-3.0, 2.0) : 0.0;
+        }
+        if (weighted && n > 0 && trial % 4 != 1) log_w[rng.index(n)] = 0.25;
+        expect_matches_oracle(pass, log_w, rng);
+    }
+}
+
+TEST(FailSideMoments, ZeroAndNegativeZeroLogWeightsAreUnweighted) {
+    Rng rng(5);
+    const std::vector<bool> pass = {true, false, true, true, false, true};
+    for (double zero : {0.0, -0.0}) {
+        const std::vector<double> log_w(pass.size(), zero);
+        expect_matches_oracle(pass, log_w, rng);
+        const yield::WeightedYieldEstimate e =
+            fold_in_chunks(pass, log_w, 3, rng).estimate();
+        const mc::YieldEstimate plain = mc::yield_from_flags(pass);
+        EXPECT_FALSE(e.weighted);
+        EXPECT_EQ(e.yield, plain.yield);
+        EXPECT_EQ(e.ci_low, plain.ci_low);
+        EXPECT_EQ(e.ci_high, plain.ci_high);
+    }
+    // No sample at all: the vacuous interval.
+    const yield::WeightedYieldEstimate empty =
+        yield::FailSideMoments{}.estimate();
+    EXPECT_EQ(empty.samples, 0u);
+    EXPECT_EQ(empty.ci_low, 0.0);
+    EXPECT_EQ(empty.ci_high, 1.0);
+}
+
+TEST(FailSideMoments, ZeroOneAndTwoFailures) {
+    // The CI fallbacks switch on the failure count; each must come out of
+    // the chunked fold exactly as out of the two-pass reduction.
+    Rng rng(9);
+    for (std::size_t fails = 0; fails <= 2; ++fails) {
+        std::vector<bool> pass(200, true);
+        std::vector<double> log_w(200, 0.05);
+        for (std::size_t k = 0; k < fails; ++k) {
+            pass[17 + 50 * k] = false;
+            log_w[17 + 50 * k] = std::log(1e-3);
+        }
+        expect_matches_oracle(pass, log_w, rng);
+        EXPECT_EQ(yield::weighted_yield_from_flags(pass, log_w).samples -
+                      yield::weighted_yield_from_flags(pass, log_w).passes,
+                  fails);
+    }
+}
+
+TEST(FailSideMoments, ThrowsLikeTheTwoPassReduction) {
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+        for (bool pass : {true, false}) {
+            yield::FailSideMoments moments;
+            moments.add(true, 0.5);
+            EXPECT_THROW(moments.add(pass, bad), InvalidInputError);
+            EXPECT_THROW((void)testsupport::reference_fail_moments(
+                             {true, pass}, {0.5, bad}),
+                         InvalidInputError);
+        }
+    }
+    // exp(710) overflows: the weighted fail-side sum is not finite.
+    const std::vector<bool> pass = {false, true, false};
+    const std::vector<double> log_w = {710.0, 0.0, 1.0};
+    yield::FailSideMoments moments;
+    for (std::size_t i = 0; i < pass.size(); ++i)
+        moments.add(pass[i], log_w[i]);
+    EXPECT_THROW((void)moments.estimate(), NumericalError);
+    EXPECT_THROW((void)testsupport::reference_fail_moments(pass, log_w),
+                 NumericalError);
+    EXPECT_THROW((void)yield::weighted_yield_from_flags(pass, log_w),
+                 NumericalError);
 }
 
 TEST(WeightedYield, RejectsBadInput) {
