@@ -320,8 +320,11 @@ BENCHMARK(BM_ObsDisarmedSpan);
 // Each row has a Reference twin on testsupport::ReferenceRng (the same Rng
 // over std::mt19937_64, which seeds and twists all 312 state words before
 // its first output). The ...Gauss rows draw 64 standard normals, a
-// process sample's worth. The bench-smoke CI job gates
-// BM_RngChildFirstDraw's median against a fixed ns ceiling.
+// process sample's worth. BM_RngChildBatchFirstDraw builds the streams the
+// way the engine's chunk task does, eight at a time with Rng::children, and
+// times one stream plus its first draw per iteration. The bench-smoke CI
+// job gates the BM_RngChildFirstDraw and BM_RngChildBatchFirstDraw medians
+// against fixed ns ceilings.
 template <typename R>
 void child_stream(benchmark::State& state, int gaussians) {
     if (Rng(42).child(7).gauss() != testsupport::ReferenceRng(42).child(7).gauss()) {
@@ -349,6 +352,32 @@ void BM_RngChildFirstDrawReference(benchmark::State& state) {
     child_stream<testsupport::ReferenceRng>(state, 0);
 }
 BENCHMARK(BM_RngChildFirstDrawReference);
+
+void BM_RngChildBatchFirstDraw(benchmark::State& state) {
+    constexpr std::size_t kBatch = 8;
+    const Rng base(42);
+    std::vector<std::size_t> ids(kBatch);
+    std::vector<Rng> batch;
+    for (std::size_t k = 0; k < kBatch; ++k) ids[k] = 3 * k + 1;
+    base.children(ids, batch);
+    for (std::size_t k = 0; k < kBatch; ++k)
+        if (batch[k].engine()() != base.child(ids[k]).engine()()) {
+            state.SkipWithError("Rng::children diverges from Rng::child");
+            return;
+        }
+    std::size_t next = kBatch;
+    for (auto _ : state) {
+        if (next == kBatch) {
+            // A fresh vector per batch, as the engine's chunk task builds.
+            for (std::size_t& id : ids) id += kBatch;
+            batch = std::vector<Rng>();
+            base.children(ids, batch);
+            next = 0;
+        }
+        benchmark::DoNotOptimize(batch[next++].engine()());
+    }
+}
+BENCHMARK(BM_RngChildBatchFirstDraw);
 
 void BM_RngChild64Gauss(benchmark::State& state) { child_stream<Rng>(state, 64); }
 BENCHMARK(BM_RngChild64Gauss);
