@@ -12,9 +12,14 @@
 ///   YPM_BENCH_MC_POINTS  front points given MC    (default 200; 0 = all,
 ///                        the paper runs all ~1022 - slower)
 ///   YPM_BENCH_DIR        artifact cache directory (default ypm_bench_artifacts)
+///
+/// The cache is keyed: a flow run writes cache_key.txt (the knobs above and
+/// the seed) next to its artifacts, and a cache whose key differs from the
+/// current knobs is rebuilt, never reused.
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
 
 #include "core/behav_model.hpp"
@@ -68,22 +73,68 @@ inline core::ModelArtifacts cached_artifacts() {
     return art;
 }
 
-inline bool artifacts_present() {
+/// The settings behind a flow run's artifacts, as one line.
+inline std::string cache_key(const core::FlowConfig& cfg) {
+    return "pop=" + std::to_string(cfg.ga.population) +
+           " gens=" + std::to_string(cfg.ga.generations) +
+           " mc=" + std::to_string(cfg.mc_samples) +
+           " mc_points=" + std::to_string(cfg.max_mc_points) +
+           " seed=" + std::to_string(cfg.seed);
+}
+
+inline std::filesystem::path cache_key_path() {
+    return std::filesystem::path(artifact_dir()) / "cache_key.txt";
+}
+
+/// True when artifact_dir() holds artifacts built with the current knobs;
+/// otherwise `why` says what is missing or stale.
+inline bool artifacts_present(std::string& why) {
     const auto art = cached_artifacts();
-    return std::filesystem::exists(art.gain_delta_tbl) &&
-           std::filesystem::exists(art.f3db_tbl) &&
-           std::filesystem::exists(art.param_tbls.back());
+    if (!std::filesystem::exists(art.gain_delta_tbl) ||
+        !std::filesystem::exists(art.f3db_tbl) ||
+        !std::filesystem::exists(art.param_tbls.back())) {
+        why = "no cached artifacts";
+        return false;
+    }
+    std::ifstream in(cache_key_path());
+    std::string key;
+    if (!std::getline(in, key)) {
+        why = "cached artifacts without a cache key";
+        return false;
+    }
+    const std::string want = cache_key(paper_flow_config());
+    if (key != want) {
+        why = "cached artifacts were built with " + key + ", not " + want;
+        return false;
+    }
+    return true;
+}
+
+/// Run the flow with paper_flow_config(), refreshing the artifact cache and
+/// its key. The old key goes first, so artifacts a failed run left half
+/// written are never taken for a match.
+inline core::FlowResult run_paper_flow() {
+    const core::FlowConfig cfg = paper_flow_config();
+    std::filesystem::remove(cache_key_path());
+    const core::YieldFlow flow(circuits::OtaConfig{}, cfg);
+    core::FlowResult result = flow.run();
+    // A flow with too few front points writes no artifacts; leave the
+    // cache keyless then, so older artifacts are not taken for these.
+    if (!result.artifacts.gain_delta_tbl.empty())
+        std::ofstream(cache_key_path()) << cache_key(cfg) << '\n';
+    return result;
 }
 
 /// Load the MC-enriched front from cache, or run the full flow (and cache).
 inline std::vector<core::FrontPointData> load_or_build_front() {
-    if (artifacts_present()) {
+    std::string why;
+    if (artifacts_present(why)) {
         log::info("bench: reusing cached artifacts in ", artifact_dir());
         return core::read_front_from_artifacts(cached_artifacts());
     }
-    log::info("bench: no cache - running the full flow (WBGA + MC)");
-    const core::YieldFlow flow(circuits::OtaConfig{}, paper_flow_config());
-    return flow.run().front;
+    log::warn("bench: ", why, " in ", artifact_dir(),
+              " - running the full flow (WBGA + MC)");
+    return run_paper_flow().front;
 }
 
 inline std::string fmt2(double v) { return str::fmt_fixed(v, 2); }

@@ -58,9 +58,8 @@ void experiment() {
     std::printf("\n=== E5 / Table 5: design parameter summary & CPU time ===\n");
 
     // Fresh flow run with timing (also refreshes the artifact cache).
-    auto cfg = benchx::paper_flow_config();
-    const core::YieldFlow flow(circuits::OtaConfig{}, cfg);
-    const core::FlowResult result = flow.run();
+    const auto cfg = benchx::paper_flow_config();
+    const core::FlowResult result = benchx::run_paper_flow();
 
     TextTable t({"Parameter", "paper (Table 5)", "measured"});
     t.add_row({"No. generations", "100", std::to_string(cfg.ga.generations)});
