@@ -595,8 +595,9 @@ TEST(FailSideMoments, ThrowsLikeTheTwoPassReduction) {
             yield::FailSideMoments moments;
             moments.add(true, 0.5);
             EXPECT_THROW(moments.add(pass, bad), InvalidInputError);
-            EXPECT_THROW((void)testsupport::reference_fail_moments(
-                             {true, pass}, {0.5, bad}),
+            const std::vector<bool> flags = {true, pass};
+            const std::vector<double> lw = {0.5, bad};
+            EXPECT_THROW((void)testsupport::reference_fail_moments(flags, lw),
                          InvalidInputError);
         }
     }
