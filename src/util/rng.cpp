@@ -36,28 +36,34 @@ constexpr std::uint64_t twist(std::uint64_t far, std::uint64_t cur,
 
 void Mt19937_64::refill() {
     if (next_ < n) {
-        // First block. Word k < n - m reads seed words k, k+1 and k+m (the
-        // twisted words below k are already final); from k = n - m on every
-        // word is seeded.
-        const std::uint32_t need = std::min(next_ + m + 1, n);
+        // First block, in runs that double: ready_ goes 1, 2, 4, ..., 256,
+        // 312, so a stream of d draws comes here about log2(d) times. Word
+        // k < n - m reads seed words k, k+1 and k+m (the twisted words below
+        // k are already final); from k = n - m on every word is seeded.
+        const std::uint32_t end = std::min(std::max(2 * next_, next_ + 1), n);
+        const std::uint32_t need = std::min(end + m, n);
         std::uint64_t word = state_[seeded_ - 1];
         for (; seeded_ < need; ++seeded_) {
             word = kSeedMultiplier * (word ^ (word >> 62)) + seeded_;
             state_[seeded_] = word;
         }
-        const std::uint32_t k = next_;
-        state_[k] = twist(state_[(k + m) % n], state_[k], state_[(k + 1) % n]);
-        ready_ = k + 1;
+        twist_words(next_, end);
+        ready_ = end;
         return;
     }
-    // The std::mersenne_twister_engine block twist, in place.
-    std::uint32_t k = 0;
-    for (; k < n - m; ++k)
-        state_[k] = twist(state_[k + m], state_[k], state_[k + 1]);
-    for (; k < n - 1; ++k)
-        state_[k] = twist(state_[k + m - n], state_[k], state_[k + 1]);
-    state_[n - 1] = twist(state_[m - 1], state_[n - 1], state_[0]);
+    twist_words(0, n);
     next_ = 0;
+}
+
+void Mt19937_64::twist_words(std::uint32_t begin, std::uint32_t end) {
+    // The std::mersenne_twister_engine block twist, in place, over words
+    // [begin, end).
+    std::uint32_t k = begin;
+    for (; k < std::min(end, n - m); ++k)
+        state_[k] = twist(state_[k + m], state_[k], state_[k + 1]);
+    for (; k < std::min(end, n - 1); ++k)
+        state_[k] = twist(state_[k + m - n], state_[k], state_[k + 1]);
+    if (k < end) state_[k] = twist(state_[m - 1], state_[k], state_[0]);
 }
 
 template <std::size_t L>
@@ -117,6 +123,30 @@ double Rng::uniform01() {
 }
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform01(); }
+
+void Rng::gauss(std::span<double> out) {
+    // Blocks of up to kBlock normals. The accepted (y, r^2) pairs come first:
+    // every attempt writes its pair at slot j and only an accepted one moves
+    // j on, so a rejection costs no branch. The transform then runs over the
+    // whole block, its logs independent of each other and of the draws.
+    constexpr std::size_t kBlock = 64;
+    double r2s[kBlock];
+    for (std::size_t first = 0; first < out.size(); first += kBlock) {
+        const std::size_t count = std::min(kBlock, out.size() - first);
+        double* ys = out.data() + first;
+        std::size_t j = 0;
+        while (j < count) {
+            const double x = 2.0 * canonical() - 1.0;
+            const double y = 2.0 * canonical() - 1.0;
+            const double r2 = x * x + y * y;
+            ys[j] = y;
+            r2s[j] = r2;
+            j += static_cast<std::size_t>((r2 <= 1.0) & (r2 != 0.0));
+        }
+        for (std::size_t i = 0; i < count; ++i)
+            ys[i] = polar_normal(ys[i], r2s[i]);
+    }
+}
 
 double Rng::gauss(double mean, double sigma) { return mean + sigma * gauss(); }
 

@@ -15,8 +15,11 @@
 /// It differs only in when the state is built. The std engine seeds all 312
 /// state words up front and twists all of them before the first output;
 /// `Mt19937_64` works through its first block lazily: output j < 156 reads
-/// only seed words j, j+1 and j+156, so each draw seeds just the words the
-/// next output needs and twists one word.
+/// only seed words j, j+1 and j+156, so a refill seeds just the words the
+/// next run of outputs reads and twists that run. The runs double (1, 1, 2,
+/// 4, ..., 128, 56 words), so a stream of d draws refills about log2(d)
+/// times, not d times, and its first draw still seeds and twists no more
+/// than it reads.
 /// From the 313th draw on it runs the standard full twist every 312 draws.
 /// A Monte Carlo sample drawing a handful of numbers from a fresh
 /// `child(i)` stream therefore pays for ~160 seeded words instead of 624
@@ -24,12 +27,13 @@
 /// (`BM_RngChildFirstDraw*` in bench_spice_kernel, 4-vCPU Xeon, GCC 12).
 /// Bit identity is the contract: `test_util`'s `Mt19937_64.*` tests pin it
 /// against the standard library's engine (its known answer, >1,000 seeds at
-/// draw counts around 156 and 312, copies taken mid-block), and
-/// `Rng.StreamsMatchStdEngineReference` pins every draw method and child
-/// stream against `testsupport::ReferenceRng`, the same `Rng` over the std
-/// engine. Every golden digest depends on it too.
+/// draw counts around 156 and 312 and around every run's end, copies taken
+/// mid-block and mid-run), and `Rng.StreamsMatchStdEngineReference` pins
+/// every draw method and child stream against `testsupport::ReferenceRng`,
+/// the same `Rng` over the std engine. Every golden digest depends on it
+/// too.
 ///
-/// Two per-item costs are cut further, with the same outputs:
+/// The per-item costs are cut further, with the same outputs:
 ///  - Batch seeding. The first output reads seed word 156, and the seeding
 ///    recurrence is one serial multiply chain. `children()` builds a whole
 ///    chunk's streams in place and seeds words 1-156 of up to eight of them
@@ -43,6 +47,19 @@
 ///    of the polar pair, which a fresh distribution per call threw away.
 ///    `Rng.StreamsMatchStdEngineReference` pins it against
 ///    `std::normal_distribution` over `std::mt19937_64`.
+///  - A branch-free canonical(). GCC converts a uint64_t to double with a
+///    branch on the top bit, which mispredicts on half of all random words.
+///    `canonical_of()` converts the two 32-bit halves exactly and rounds
+///    once in their sum (`u64_to_double()`), and clamps the word rather
+///    than the result. `Rng.BranchFreeCanonicalMatchesStd` pins both
+///    against the cast and `std::generate_canonical<double, 64>`.
+///  - Batched polar normals. `gauss(span)` first draws the accepted
+///    (y, r^2) pairs, moving the slot on by the acceptance flag instead of
+///    branching, then transforms them all in a second loop, where the logs
+///    pipeline. Its values, and where it leaves the stream, are those of
+///    the same number of `gauss()` calls (`Rng.GaussSpanMatchesScalarCalls`;
+///    `BM_RngChild64GaussSpan`); both share one `polar_normal()`.
+///    `yield::draw_mixture_u` draws a sample's normals with it.
 
 #include <array>
 #include <cmath>
@@ -87,9 +104,13 @@ private:
     template <std::size_t L>
     static void seed_first_outputs(const std::array<Mt19937_64*, L>& engines);
 
-    /// Make state_[next_] ready: in the first block seed what it reads and
-    /// twist that one word; after it, twist the whole block.
+    /// Make state_[next_] ready: in the first block seed what the next run
+    /// of words reads and twist that run, each run as long as all before it;
+    /// after the first block, twist the whole block.
     void refill();
+
+    /// Twist words [begin, end) in place, as the standard block twist does.
+    void twist_words(std::uint32_t begin, std::uint32_t end);
 
     // Value-initialised so that copying a part-seeded engine reads no
     // indeterminate words.
@@ -98,6 +119,26 @@ private:
     std::uint32_t ready_ = 0;  ///< words [0, ready_) are twisted
     std::uint32_t seeded_ = 1; ///< words [0, seeded_) hold seed values
 };
+
+/// static_cast<double>(w), rounded to nearest even, without the branch on
+/// the top bit that GCC emits for it on x86-64 (a branch that mispredicts on
+/// half of all random words): the two 32-bit halves convert exactly, their
+/// sum is w exactly, and the one rounded add rounds it as the cast does.
+[[nodiscard]] inline double u64_to_double(std::uint64_t w) {
+    const double hi =
+        static_cast<double>(static_cast<std::uint32_t>(w >> 32)) * 0x1.0p32;
+    return hi + static_cast<double>(static_cast<std::uint32_t>(w));
+}
+
+/// std::generate_canonical<double, 64> of one 64-bit engine word: w scaled
+/// by 2^-64, with the words whose double rounds up to 2^64 (w >= 2^64 -
+/// 1024) clamped to 2^64 - 2048, whose image is the largest double below 1.
+/// Clamping the word is a min, not a compare on the result.
+[[nodiscard]] inline double canonical_of(std::uint64_t w) {
+    constexpr std::uint64_t kLargestBelowOne = ~std::uint64_t{0} - 2047;
+    return u64_to_double(w < kLargestBelowOne ? w : kLargestBelowOne) *
+           0x1.0p-64;
+}
 
 /// Mt19937_64 with SplitMix64-based seeding and stream derivation.
 class Rng {
@@ -124,17 +165,19 @@ public:
     /// Standard normal draw: libstdc++'s polar method, inline (see the
     /// file comment).
     [[nodiscard]] double gauss() {
-        double x, y, r2;
+        double y, r2;
         do {
-            x = 2.0 * canonical() - 1.0;
+            const double x = 2.0 * canonical() - 1.0;
             y = 2.0 * canonical() - 1.0;
             r2 = x * x + y * y;
         } while (r2 > 1.0 || r2 == 0.0);
-        const double mult = std::sqrt(-2.0 * std::log(r2) / r2);
-        // The std path's `ret * stddev + mean` at 1 and 0; + 0.0 turns -0
-        // into +0 there too.
-        return y * mult * 1.0 + 0.0;
+        return polar_normal(y, r2);
     }
+
+    /// Fill `out` with standard normal draws: the values, and the stream
+    /// position after, of out.size() successive gauss() calls (see the file
+    /// comment).
+    void gauss(std::span<double> out);
 
     /// Normal draw with given mean and standard deviation.
     [[nodiscard]] double gauss(double mean, double sigma);
@@ -160,11 +203,13 @@ public:
     [[nodiscard]] Mt19937_64& engine() { return engine_; }
 
 private:
-    /// std::generate_canonical<double, 53> over a 64-bit engine: one draw
-    /// scaled by 2^-64, clamped below 1.
-    double canonical() {
-        const double u = static_cast<double>(engine_()) * 0x1.0p-64;
-        return u < 1.0 ? u : 0x1.fffffffffffffp-1;
+    /// std::generate_canonical<double, 64> over this engine: one draw.
+    double canonical() { return canonical_of(engine_()); }
+
+    /// The polar method's normal from an accepted pair: the std path's
+    /// `ret * stddev + mean` at 1 and 0; + 0.0 turns -0 into +0 there too.
+    static double polar_normal(double y, double r2) {
+        return y * std::sqrt(-2.0 * std::log(r2) / r2) * 1.0 + 0.0;
     }
 
     std::uint64_t seed_;

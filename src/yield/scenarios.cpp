@@ -17,22 +17,23 @@ namespace ypm::yield {
 std::vector<double> draw_mixture_u(Rng& rng,
                                    const process::ProposalMixture& mix,
                                    std::size_t dim, double& log_w) {
-    std::vector<double> u(dim, 0.0);
+    std::vector<double> u(dim);
     if (mix.components.size() <= 1) {
         const process::ProposalComponent* c =
             mix.components.empty() ? nullptr : &mix.components.front();
         log_w = 0.0;
+        rng.gauss(u); // z, in place
         if (c == nullptr ||
             (c->mu.empty() && c->sigma.empty() && c->scale == 1.0)) {
-            // Nominal: u = 0 + 1 * z and every log weight term is +0
-            // (log 1 = +0, z^2/2 - u^2/2 = +0), so log_w stays exactly +0.
-            for (std::size_t i = 0; i < dim; ++i) u[i] = 0.0 + rng.gauss();
+            // Nominal: u = 0 + 1 * z = z, since gauss() never returns -0,
+            // and every log weight term is +0 (log 1 = +0, z^2/2 - u^2/2 =
+            // +0), so log_w stays exactly +0.
             return u;
         }
         for (std::size_t i = 0; i < dim; ++i) {
             const double m = c->mu.empty() ? 0.0 : c->mu[i];
             const double s = c->scale_at(i);
-            const double z = rng.gauss();
+            const double z = u[i];
             u[i] = m + s * z;
             log_w += std::log(s) + 0.5 * z * z - 0.5 * u[i] * u[i];
         }
@@ -40,9 +41,10 @@ std::vector<double> draw_mixture_u(Rng& rng,
     }
     const std::size_t k = mix.pick_component(rng.uniform01());
     const process::ProposalComponent& c = mix.components[k];
+    rng.gauss(u);
     for (std::size_t i = 0; i < dim; ++i) {
         const double m = c.mu.empty() ? 0.0 : c.mu[i];
-        u[i] = m + c.scale_at(i) * rng.gauss();
+        u[i] = m + c.scale_at(i) * u[i];
     }
     log_w = mix.log_weight_of(u);
     return u;

@@ -95,12 +95,14 @@ scenario_reference(eval::Engine& engine, const Scenario& scenario,
 
 /// Draw one standardized coordinate vector from a mixture proposal the way
 /// the synthetic scenario kernels do - the reference implementation the
-/// unit tests also exercise directly. Zero/one component replays the
-/// single-shift incremental formula (bit-identical to plain gauss() draws
-/// at the nominal proposal, log weight exactly 0); >= 2 components consume
-/// one uniform for the component pick and compute the log weight against
-/// the brute-force mixture density. Honours per-dimension sigma
-/// (ProposalComponent::scale_at) in both paths.
+/// unit tests also exercise directly. The dim normals come from one
+/// batched Rng::gauss(span) call, equal to dim successive gauss() draws.
+/// Zero/one component replays the single-shift incremental formula
+/// (bit-identical to plain gauss() draws at the nominal proposal, where it
+/// skips the log weight terms: log_w is exactly +0); >= 2 components
+/// consume one uniform for the component pick before the normals and
+/// compute the log weight against the brute-force mixture density. Honours
+/// per-dimension sigma (ProposalComponent::scale_at) in both paths.
 [[nodiscard]] std::vector<double>
 draw_mixture_u(Rng& rng, const process::ProposalMixture& mix, std::size_t dim,
                double& log_w);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -267,10 +269,13 @@ std::vector<std::uint64_t> oracle_seeds(std::size_t derived) {
 }
 
 TEST(Mt19937_64, MatchesStdEngineAcrossLazyBoundaries) {
-    // Draw counts straddle the end of the lazily seeded half (156), the end
-    // of the lazily twisted first block (312) and the first full twists.
+    // Draw counts straddle the end of every doubling run of the lazily
+    // twisted first block (1, 2, 4, ..., 256, 312), the end of the lazily
+    // seeded half (156) and the first full twists.
     for (std::uint64_t seed : oracle_seeds(1000)) {
-        for (int draws : {1, 155, 156, 157, 311, 312, 313, 624, 2000}) {
+        for (int draws : {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63,
+                          64, 65, 127, 128, 129, 155, 156, 157, 255, 256, 257,
+                          311, 312, 313, 624, 2000}) {
             Mt19937_64 engine(seed);
             std::mt19937_64 reference(seed);
             for (int i = 0; i < draws; ++i)
@@ -282,7 +287,10 @@ TEST(Mt19937_64, MatchesStdEngineAcrossLazyBoundaries) {
 
 TEST(Mt19937_64, CopyPartWayThroughFirstBlockContinuesIdentically) {
     for (std::uint64_t seed : oracle_seeds(8)) {
-        for (int drawn : {0, 1, 77, 155, 156, 157, 250, 311, 312, 313}) {
+        // Mid-run copies too: 3, 6, ..., 192 and 284 lie inside the runs
+        // that end at 4, 8, ..., 256 and 312.
+        for (int drawn : {0, 1, 3, 6, 12, 24, 48, 77, 96, 155, 156, 157, 192,
+                          250, 284, 311, 312, 313}) {
             Mt19937_64 original(seed);
             std::mt19937_64 reference(seed);
             for (int i = 0; i < drawn; ++i) {
@@ -299,6 +307,52 @@ TEST(Mt19937_64, CopyPartWayThroughFirstBlockContinuesIdentically) {
                 ASSERT_EQ(copy(), want) << "seed " << seed << ", copy at " << drawn;
                 ASSERT_EQ(assigned(), want) << "seed " << seed << ", copy at " << drawn;
             }
+        }
+    }
+}
+
+/// A UniformRandomBitGenerator that returns one fixed word, so the std
+/// algorithms can be fed chosen engine outputs.
+struct FixedWord {
+    using result_type = std::uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+    result_type word;
+    result_type operator()() const { return word; }
+};
+
+void expect_conversions_match(std::uint64_t w) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(u64_to_double(w)),
+              std::bit_cast<std::uint64_t>(static_cast<double>(w)))
+        << "word " << w;
+    FixedWord engine{w};
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(canonical_of(w)),
+              std::bit_cast<std::uint64_t>(
+                  std::generate_canonical<double, 64>(engine)))
+        << "word " << w;
+}
+
+TEST(Rng, BranchFreeCanonicalMatchesStd) {
+    // u64_to_double against the cast and canonical_of (Rng's canonical()
+    // of one engine word) against std::generate_canonical, bit for bit:
+    // edge words, every word whose double rounds up to 2^64, and 10^7
+    // random words.
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    constexpr std::uint64_t k53 = std::uint64_t{1} << 53;
+    constexpr std::uint64_t k63 = std::uint64_t{1} << 63;
+    for (std::uint64_t w : {std::uint64_t{0}, std::uint64_t{1}, k53 - 1, k53,
+                            k53 + 1, k63 - 1, k63, k63 + 1, kMax - 2048,
+                            kMax - 2047, kMax - 2046})
+        expect_conversions_match(w);
+    for (std::uint64_t w = kMax - 1024; w != 0; ++w) expect_conversions_match(w);
+    std::uint64_t state = 0xC0FFEEull;
+    for (int i = 0; i < 10'000'000; ++i) {
+        const std::uint64_t w = splitmix64(state);
+        // Low and high halves alone too, where the other half adds nothing.
+        expect_conversions_match(w);
+        if (i % 8 == 0) {
+            expect_conversions_match(w >> 32);
+            expect_conversions_match(w << 32);
         }
     }
 }
@@ -381,6 +435,34 @@ TEST(Rng, ChildrenMatchChildDrawForDraw) {
         }
     }
     EXPECT_EQ(checked, oracle_seeds(300).size() * 153);
+}
+
+TEST(Rng, GaussSpanMatchesScalarCalls) {
+    // gauss(span) against out.size() successive gauss() calls: sizes
+    // around its 64-normal blocks, on fresh streams and on streams warmed so
+    // that the fill crosses draws 156 and 312; the stream's next draw after
+    // the fill must agree too.
+    std::size_t checked = 0;
+    for (std::uint64_t seed : oracle_seeds(60)) {
+        for (int warm : {0, 1, 100, 150, 155, 156, 157, 250, 311, 312, 313, 700}) {
+            for (std::size_t size : {0, 1, 2, 63, 64, 65, 129}) {
+                Rng batched = Rng(seed).child(static_cast<std::uint64_t>(warm));
+                for (int i = 0; i < warm; ++i) (void)batched.engine()();
+                Rng scalar = batched;
+                std::vector<double> z(size, -1.0);
+                batched.gauss(z);
+                for (std::size_t i = 0; i < size; ++i)
+                    ASSERT_EQ(std::bit_cast<std::uint64_t>(z[i]),
+                              std::bit_cast<std::uint64_t>(scalar.gauss()))
+                        << "seed " << seed << ", warm " << warm << ", size "
+                        << size << ", normal " << i;
+                ASSERT_EQ(batched.engine()(), scalar.engine()())
+                    << "seed " << seed << ", warm " << warm << ", size " << size;
+                ++checked;
+            }
+        }
+    }
+    EXPECT_EQ(checked, oracle_seeds(60).size() * 12 * 7);
 }
 
 // ------------------------------------------------------------ thread pool
