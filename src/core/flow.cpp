@@ -57,6 +57,12 @@ private:
 /// kernel maps to {gain, pm}, so it needs its own key space.
 constexpr std::uint64_t kBodeTag = 0x626f6465; // "bode"
 
+/// Front hygiene limits on a point's MC run (see FlowConfig): its 3-sigma
+/// relative variation of gain or phase margin, in %, and its share of
+/// failed samples.
+constexpr double kMaxFrontDeltaPct = 25.0;
+constexpr double kMaxFrontMcFailureRatio = 0.2;
+
 } // namespace
 
 YieldFlow::YieldFlow(circuits::OtaConfig ota, FlowConfig config)
@@ -315,7 +321,7 @@ FlowResult YieldFlow::run() const {
                 mc::wait_monte_carlo(engine, std::move(stage.mc));
             point.mc_failures = mc_result.failed();
             if (static_cast<double>(point.mc_failures) >
-                config_.max_front_mc_failure_ratio *
+                kMaxFrontMcFailureRatio *
                     static_cast<double>(config_.mc_samples))
                 continue;
             const auto gain_var = mc_result.column_variation(0);
@@ -324,8 +330,8 @@ FlowResult YieldFlow::run() const {
             point.dpm_pct = pm_var.delta_3sigma_pct;
             point.dgain_halfrange_pct = gain_var.delta_halfrange_pct;
             point.dpm_halfrange_pct = pm_var.delta_halfrange_pct;
-            if (point.dgain_pct > config_.max_front_delta_pct ||
-                point.dpm_pct > config_.max_front_delta_pct)
+            if (point.dgain_pct > kMaxFrontDeltaPct ||
+                point.dpm_pct > kMaxFrontDeltaPct)
                 continue;
             point.design_id = design_id++;
             result.front.push_back(point);

@@ -45,12 +45,11 @@ struct FlowConfig {
 
     /// Front hygiene: extreme Pareto endpoints (near-zero phase margin,
     /// exploding relative variation, frequent MC failures) are useless in a
-    /// model and poison the spline tables; points violating these limits
-    /// are dropped from the variation model.
+    /// model and poison the spline tables; points below these limits, or
+    /// past the fixed variation and MC-failure limits in flow.cpp, are
+    /// dropped from the variation model.
     double min_front_pm_deg = 10.0;
     double min_front_gain_db = 1.0;
-    double max_front_delta_pct = 25.0;
-    double max_front_mc_failure_ratio = 0.2;
 
     /// Yield certification (step 4, after the hygiene filters): when
     /// non-empty, every surviving front point's parametric yield against
