@@ -12,6 +12,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <complex>
 #include <cstdint>
 #include <cstring>
@@ -323,8 +324,9 @@ BENCHMARK(BM_ObsDisarmedSpan);
 // process sample's worth. BM_RngChildBatchFirstDraw builds the streams the
 // way the engine's chunk task does, eight at a time with Rng::children, and
 // times one stream plus its first draw per iteration. The bench-smoke CI
-// job gates the BM_RngChildFirstDraw and BM_RngChildBatchFirstDraw medians
-// against fixed ns ceilings.
+// job gates the BM_RngChildFirstDraw, BM_RngChildBatchFirstDraw,
+// BM_RngChild64Gauss and BM_RngChild64GaussSpan medians against fixed ns
+// ceilings.
 template <typename R>
 void child_stream(benchmark::State& state, int gaussians) {
     if (Rng(42).child(7).gauss() != testsupport::ReferenceRng(42).child(7).gauss()) {
@@ -381,6 +383,36 @@ BENCHMARK(BM_RngChildBatchFirstDraw);
 
 void BM_RngChild64Gauss(benchmark::State& state) { child_stream<Rng>(state, 64); }
 BENCHMARK(BM_RngChild64Gauss);
+
+// The same 64 normals from one batched Rng::gauss(span) call, as
+// draw_mixture_u draws a sample's coordinates; checked against 64 scalar
+// gauss() calls and the stream's next draw before timing.
+void BM_RngChild64GaussSpan(benchmark::State& state) {
+    constexpr std::size_t kNormals = 64;
+    std::array<double, kNormals> z{};
+    Rng scalar = Rng(42).child(7);
+    Rng batched = scalar;
+    batched.gauss(z);
+    for (double v : z)
+        if (v != scalar.gauss()) {
+            state.SkipWithError("gauss(span) diverges from gauss()");
+            return;
+        }
+    if (batched.engine()() != scalar.engine()()) {
+        state.SkipWithError("gauss(span) leaves the stream elsewhere");
+        return;
+    }
+    const Rng base(42);
+    std::uint64_t stream = 0;
+    for (auto _ : state) {
+        Rng child = base.child(stream++);
+        child.gauss(z);
+        double sum = 0.0;
+        for (double v : z) sum += v;
+        benchmark::DoNotOptimize(sum);
+    }
+}
+BENCHMARK(BM_RngChild64GaussSpan);
 
 void BM_RngChild64GaussReference(benchmark::State& state) {
     child_stream<testsupport::ReferenceRng>(state, 64);
