@@ -25,7 +25,7 @@ constexpr std::uint64_t kLowerMask = ~kUpperMask;
 
 /// One word of the MT recurrence: x_k' = x_{k+m} ^ twist(x_k, x_{k+1}).
 /// The matrix term is masked rather than selected: a branch on the low bit
-/// mispredicts half the time in the one-word-per-draw first block.
+/// would mispredict on half of all words.
 constexpr std::uint64_t twist(std::uint64_t far, std::uint64_t cur,
                               std::uint64_t nxt) {
     const std::uint64_t y = (cur & kUpperMask) | (nxt & kLowerMask);
