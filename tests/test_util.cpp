@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -321,15 +320,15 @@ struct FixedWord {
     result_type operator()() const { return word; }
 };
 
-void expect_conversions_match(std::uint64_t w) {
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(u64_to_double(w)),
-              std::bit_cast<std::uint64_t>(static_cast<double>(w)))
-        << "word " << w;
+/// u64_to_double(w) against the cast and canonical_of(w) against
+/// std::generate_canonical, bit for bit.
+bool conversions_match(std::uint64_t w) {
     FixedWord engine{w};
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(canonical_of(w)),
-              std::bit_cast<std::uint64_t>(
-                  std::generate_canonical<double, 64>(engine)))
-        << "word " << w;
+    return std::bit_cast<std::uint64_t>(u64_to_double(w)) ==
+               std::bit_cast<std::uint64_t>(static_cast<double>(w)) &&
+           std::bit_cast<std::uint64_t>(canonical_of(w)) ==
+               std::bit_cast<std::uint64_t>(
+                   std::generate_canonical<double, 64>(engine));
 }
 
 TEST(Rng, BranchFreeCanonicalMatchesStd) {
@@ -343,16 +342,17 @@ TEST(Rng, BranchFreeCanonicalMatchesStd) {
     for (std::uint64_t w : {std::uint64_t{0}, std::uint64_t{1}, k53 - 1, k53,
                             k53 + 1, k63 - 1, k63, k63 + 1, kMax - 2048,
                             kMax - 2047, kMax - 2046})
-        expect_conversions_match(w);
-    for (std::uint64_t w = kMax - 1024; w != 0; ++w) expect_conversions_match(w);
+        ASSERT_TRUE(conversions_match(w)) << "word " << w;
+    for (std::uint64_t w = kMax - 1024; w != 0; ++w)
+        ASSERT_TRUE(conversions_match(w)) << "word " << w;
     std::uint64_t state = 0xC0FFEEull;
     for (int i = 0; i < 10'000'000; ++i) {
         const std::uint64_t w = splitmix64(state);
+        ASSERT_TRUE(conversions_match(w)) << "word " << w;
         // Low and high halves alone too, where the other half adds nothing.
-        expect_conversions_match(w);
         if (i % 8 == 0) {
-            expect_conversions_match(w >> 32);
-            expect_conversions_match(w << 32);
+            ASSERT_TRUE(conversions_match(w >> 32)) << "word " << (w >> 32);
+            ASSERT_TRUE(conversions_match(w << 32)) << "word " << (w << 32);
         }
     }
 }
