@@ -10,12 +10,15 @@ Usage:
       BENCHMARK.json's run_seconds long. Pair k of a (workload, trace) runs
       both sides at --seed k + 1; the parent runs first on even k, the head
       on odd k. Writes BENCH_<N>.json (every run, per-metric medians and
-      quartiles, head wins/losses, digests) at the root of this checkout,
+      quartiles, head wins/losses, digests, host steal) at the root of
+      this checkout,
       and per (workload, trace) the two lists of result lines that
       bench_diff.py compares, as .bench_build/ab/results/<workload>.trace<t>
       .{parent,head}.json. Prints bench_diff.py's verdict for each --trace 0
-      workload. Exits 1 if a run is not correct, a digest differs between
-      the sides of a pair, or bench_diff.py finds a regression.
+      workload, and names every pair in which either side ran while host
+      steal took more than 5 % of the CPU time. Exits 1 if a run is not
+      correct, a digest differs between the sides of a pair, or
+      bench_diff.py finds a regression.
   bench_ab.py --fixtures <dir>
       Self-test on canned results, without running ypmbench: the pair
       order against the newest BENCH_<N>.json (a change to PLAN needs a
@@ -24,10 +27,14 @@ Usage:
       BENCH_17.json's metrics.
 
 The sides run back to back on one host; files from different hosts or
-hours differ by more than most bounds.
+hours differ by more than most bounds. On a shared virtual machine the
+hypervisor can also take CPU time away during a run (steal), so each run
+records the share of all CPUs' time that /proc/stat counted as steal
+while it ran: a slow pair on a busy host reads as such.
 """
 
 import argparse
+import io
 import json
 import os
 import statistics
@@ -45,6 +52,28 @@ SIDES = ("parent", "head")
 # (workload, trace, pairs): ten pairs give the gain rule's nine-in-ten test.
 PLAN = (("paper_flow", 0, 10), ("synth_yield", 0, 10),
         ("paper_flow", 1, 4), ("synth_yield", 1, 4))
+# A pair where either side saw more steal than this is named by verdict().
+BUSY_STEAL = 0.05
+
+
+def cpu_jiffies():
+    """(steal, total) jiffies of all CPUs so far, from /proc/stat; (0, 0)
+    where it cannot be read."""
+    try:
+        fields = Path("/proc/stat").read_text().splitlines()[0].split()
+    except (OSError, IndexError):
+        return 0, 0
+    # user nice system idle iowait irq softirq steal (guest time is already
+    # inside user and nice)
+    values = [int(v) for v in fields[1:9]]
+    return (values[7] if len(values) == 8 else 0), sum(values)
+
+
+def steal_fraction(before, after):
+    """Share of the CPU time between two cpu_jiffies() readings that was
+    steal; 0 when no time passed."""
+    total = after[1] - before[1]
+    return (after[0] - before[0]) / total if total > 0 else 0.0
 
 
 def summary(values):
@@ -86,16 +115,20 @@ def export(commit):
 
 
 def run_side(tree, workload, trace, seed, seconds):
-    """One run.py call: its report line (meta, digest) and result line."""
+    """One run.py call: its report line (meta, digest), result line and the
+    host steal share while it ran."""
+    before = cpu_jiffies()
     proc = subprocess.run(
         [sys.executable, str(tree / "ypmbench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
+    steal = steal_fraction(before, cpu_jiffies())
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"run failed in {tree}: {workload} seed {seed}")
     lines = proc.stdout.strip().splitlines()
-    return {"report": json.loads(lines[0]), "result": json.loads(lines[-1])}
+    return {"report": json.loads(lines[0]), "result": json.loads(lines[-1]),
+            "steal": steal}
 
 
 def metric_block(spec_metric, parent_values, head_values):
@@ -132,6 +165,8 @@ def assemble_runs(spec, trace, pairs):
         entry[f"{side}_digests"] = [p[side]["report"]["digest"] for p in pairs]
     for side in SIDES:
         entry[f"{side}_correct"] = all(p[side]["result"]["correct"] for p in pairs)
+    for side in SIDES:
+        entry[f"{side}_steal"] = [p[side]["steal"] for p in pairs]
     entry["metrics"] = {}
     for m in declared:
         values = {side: [p[side]["result"]["metrics"][m["name"]]["value"]
@@ -160,7 +195,10 @@ def assemble(spec, info, records):
             "per metric come from ypmbench/steadiness.py summary(); *_runs "
             "list every run in pair order. head_wins / head_losses count pairs "
             "where the head is better / worse in the metric's BENCHMARK.json "
-            "direction (ties count for neither). All runs made are listed."),
+            "direction (ties count for neither). *_steal list, per run, the "
+            "share of all CPUs' time /proc/stat counted as steal while it ran; "
+            "summary.busy_pairs names the pairs where either side exceeded "
+            f"{BUSY_STEAL:.0%}. All runs made are listed."),
         "host": {k: first[k] for k in ("nproc", "workers", "cpu", "compiler",
                                        "build_type")},
     }
@@ -189,8 +227,21 @@ def assemble(spec, info, records):
                   for key, entry in runs.items()
                   for seed, a, b in zip(entry["seeds"], entry["parent_digests"],
                                         entry["head_digests"]) if a != b]
+    max_steal = {}
+    for (workload, _), pairs in records.items():
+        for p in pairs:
+            for side in SIDES:
+                max_steal[workload] = max(max_steal.get(workload, 0.0),
+                                          p[side]["steal"])
+    busy = [{"pair": f"{key} seed {seed}", "parent_steal": a, "head_steal": b}
+            for key, entry in runs.items()
+            for seed, a, b in zip(entry["seeds"], entry["parent_steal"],
+                                  entry["head_steal"])
+            if max(a, b) > BUSY_STEAL]
     ledger["summary"] = {
         "end_to_end": end_to_end,
+        "max_steal": max_steal,
+        "busy_pairs": busy,
         "digests_equal": not mismatched,
         "digest_mismatches": mismatched,
         "all_correct": all(entry[f"{side}_correct"]
@@ -223,6 +274,10 @@ def verdict(ledger, diffs, out):
         ok = bench_diff.diff(parent_path, head_path, out) and ok
     for miss in ledger["summary"]["digest_mismatches"]:
         print(f"digest differs: {miss}", file=out)
+    for busy in ledger["summary"]["busy_pairs"]:
+        print(f"host steal above {BUSY_STEAL:.0%}: {busy['pair']} (parent "
+              f"{busy['parent_steal']:.1%}, head {busy['head_steal']:.1%})",
+              file=out)
     return ok
 
 
@@ -251,17 +306,21 @@ def run(args):
     return verdict(ledger, side_lists(records, AB_DIR / "results"), sys.stdout)
 
 
-def canned_pairs(parent_results, head_results, digests):
-    """Pairs as the driver records them, from two lists of result lines."""
+def canned_pairs(parent_results, head_results, digests, steals=None):
+    """Pairs as the driver records them, from two lists of result lines
+    (host steal per side from `steals`, else none)."""
     meta = {"nproc": 4, "workers": 4, "cpu": "canned", "compiler": "canned",
             "build_type": "Release", "src_lines": 0}
     pairs = []
-    for (workload, trace, seed, order), p, h, d in zip(
+    steals = steals or [(0.0, 0.0)] * len(parent_results)
+    for (workload, trace, seed, order), p, h, d, st in zip(
             schedule((("paper_flow", 0, len(parent_results)),)),
-            parent_results, head_results, digests):
+            parent_results, head_results, digests, steals):
         pairs.append({"seed": seed, "first_side": order[0],
-                      "parent": {"report": {"meta": meta, "digest": d[0]}, "result": p},
-                      "head": {"report": {"meta": meta, "digest": d[1]}, "result": h}})
+                      "parent": {"report": {"meta": meta, "digest": d[0]},
+                                 "result": p, "steal": st[0]},
+                      "head": {"report": {"meta": meta, "digest": d[1]},
+                               "result": h, "steal": st[1]}})
     return pairs
 
 
@@ -290,8 +349,13 @@ def self_test(directory):
     parent = bench_diff.load_results(Path(directory) / "bench_diff.a.json")
     head = bench_diff.load_results(Path(directory) / "bench_diff.b.json")
     same = [(f"{i:016x}", f"{i:016x}") for i in range(len(parent))]
+    # Steal shares as /proc/stat gives them on a busy afternoon: pair 3 has
+    # one side above the 5 % line.
+    steals = [(0.004, 0.01), (0.02, 0.0), (0.0, 0.003), (0.031, 0.153),
+              (0.0, 0.0), (0.012, 0.006), (0.0, 0.05), (0.001, 0.0),
+              (0.0, 0.002), (0.009, 0.011)][:len(parent)]
     info = {"pr": 0, "change": "canned", "parent": "a", "head": "b"}
-    records = {("paper_flow", 0): canned_pairs(parent, head, same)}
+    records = {("paper_flow", 0): canned_pairs(parent, head, same, steals)}
     ledger = assemble(spec, info, records)
     want = expected["runs"]["paper_flow.trace0"]
     got = ledger["runs"]["paper_flow.trace0"]
@@ -303,10 +367,20 @@ def self_test(directory):
                   ledger["summary"]["end_to_end"]["paper_flow.wall_s"]["head_wins"] == 10)
     if not summary_ok:
         failures.append("summary of the canned runs")
+    if (got["parent_steal"] != [st[0] for st in steals] or
+            got["head_steal"] != [st[1] for st in steals] or
+            ledger["summary"]["max_steal"] != {"paper_flow": 0.153}):
+        failures.append("steal shares of the canned runs")
+    if [b["pair"] for b in ledger["summary"]["busy_pairs"]] != [
+            "paper_flow.trace0 seed 4"]:
+        failures.append("the busy pair (seed 4, head steal 15.3 %) is not named")
     with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "w") as sink:
         diffs = side_lists(records, Path(tmp))
-        if not verdict(ledger, diffs, sink):
+        named = io.StringIO()
+        if not verdict(ledger, diffs, named):
             failures.append("canned parent -> head should pass")
+        if "host steal above 5%: paper_flow.trace0 seed 4" not in named.getvalue():
+            failures.append("verdict does not name the busy pair")
         swapped = {("paper_flow", 0): canned_pairs(head, parent, same)}
         if verdict(assemble(spec, info, swapped), side_lists(swapped, Path(tmp)), sink):
             failures.append("canned head -> parent should fail (wall_s regression)")
