@@ -481,8 +481,7 @@ double consume_variation(const mc::McResult& result) {
 }
 
 eval::ChunkKernelFn bode_kernel(const circuits::OtaEvaluator& evaluator) {
-    return [&evaluator](const std::vector<const eval::EvalRequest*>& requests,
-                        std::span<Rng>) {
+    return [&evaluator](const std::vector<const eval::EvalRequest*>& requests) {
         std::vector<circuits::OtaSizing> sizings;
         for (const eval::EvalRequest* r : requests)
             sizings.push_back(circuits::OtaSizing::from_vector(r->params));
@@ -558,7 +557,7 @@ run_points_async(eval::Engine& engine, const circuits::OtaEvaluator& evaluator,
     return out;
 }
 
-bool rows_bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
+bool rows_bits_equal(std::span<const double> a, std::span<const double> b) {
     if (a.size() != b.size()) return false;
     return a.empty() ||
            std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
@@ -585,10 +584,9 @@ bool async_mc_matches_blocking_once(std::size_t samples) {
                                         checked_samples, ra, sink_a);
         for (std::size_t p = 0; p < sizings.size(); ++p) {
             if (!rows_bits_equal(a[p].bode, b[p].bode)) return false;
-            if (a[p].mc.rows.size() != b[p].mc.rows.size()) return false;
-            for (std::size_t i = 0; i < a[p].mc.rows.size(); ++i)
-                if (!rows_bits_equal(a[p].mc.rows[i], b[p].mc.rows[i]))
-                    return false;
+            if (a[p].mc.rows.arity() != b[p].mc.rows.arity() ||
+                !rows_bits_equal(a[p].mc.rows.values(), b[p].mc.rows.values()))
+                return false;
         }
         return true;
     }();

@@ -231,7 +231,7 @@ sampled_yield(const FilterEvaluator& evaluator, OtaModelKind kind,
         mc::ChunkSampleFn([&](std::span<const std::size_t>,
                               std::span<Rng> rngs) {
             const auto proto = evaluator.lease(kind);
-            std::vector<std::vector<double>> rows;
+            eval::RowBlock rows(1);
             rows.reserve(rngs.size());
             for (Rng& sample_rng : rngs) {
                 const bool pass =
@@ -242,9 +242,9 @@ sampled_yield(const FilterEvaluator& evaluator, OtaModelKind kind,
         }));
 
     std::vector<bool> flags;
-    flags.reserve(result.rows.size());
-    for (const auto& row : result.rows)
-        flags.push_back(!row.empty() && row[0] == 1.0);
+    flags.reserve(result.size());
+    for (std::size_t i = 0; i < result.size(); ++i)
+        flags.push_back(result.row(i)[0] == 1.0);
     return mc::yield_from_flags(flags);
 }
 

@@ -25,8 +25,7 @@ measure_rows(const OtaEvaluator& evaluator,
 } // namespace
 
 eval::ChunkKernelFn ota_objectives_chunk_kernel(const OtaEvaluator& evaluator) {
-    return [&evaluator](const std::vector<const eval::EvalRequest*>& requests,
-                        std::span<Rng>) {
+    return [&evaluator](const std::vector<const eval::EvalRequest*>& requests) {
         std::vector<OtaSizing> sizings;
         sizings.reserve(requests.size());
         for (const eval::EvalRequest* r : requests)

@@ -45,8 +45,7 @@ CornerSweep run_corner_sweep(eval::Engine& engine,
     const auto evals = engine.evaluate(
         std::move(batch),
         eval::ChunkKernelFn([&](const std::vector<const eval::EvalRequest*>&
-                                    requests,
-                                std::span<Rng>) {
+                                    requests) {
             std::vector<circuits::OtaSizing> sizings;
             std::vector<process::Realization> reals;
             sizings.reserve(requests.size());

@@ -240,8 +240,7 @@ FlowResult YieldFlow::run() const {
         Rng mc_rng = rng.child(2);
 
         const eval::ChunkKernelFn bode_kernel =
-            [&](const std::vector<const eval::EvalRequest*>& requests,
-                std::span<Rng>) {
+            [&](const std::vector<const eval::EvalRequest*>& requests) {
                 std::vector<circuits::OtaSizing> sizings;
                 sizings.reserve(requests.size());
                 for (const eval::EvalRequest* r : requests)

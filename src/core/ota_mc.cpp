@@ -1,6 +1,8 @@
 #include "core/ota_mc.hpp"
 
+#include <algorithm>
 #include <limits>
+#include <span>
 
 namespace ypm::core {
 
@@ -42,7 +44,7 @@ mc::McTicket submit_ota_monte_carlo(eval::Engine& engine,
             for (Rng& sample_rng : rngs)
                 reals.push_back(sampler.sample(sample_rng, geometries));
             const auto perfs = evaluator.measure_chunk(sizing, reals);
-            std::vector<std::vector<double>> rows;
+            eval::RowBlock rows(2);
             rows.reserve(perfs.size());
             for (const circuits::OtaPerformance& perf : perfs) {
                 if (!perf.valid)
@@ -62,42 +64,36 @@ ota_yield_kernel_factory(const circuits::OtaEvaluator& evaluator,
     spice::Circuit proto = circuits::build_ota_testbench(sizing, evaluator.config());
     auto geometries = proto.mos_geometries();
 
-    return [&evaluator, &sampler, sizing, geometries = std::move(geometries)](
-               const process::ProposalMixture& proposal,
-               bool record_u) -> mc::ChunkSampleFn {
-        return [&evaluator, &sampler, sizing, geometries, proposal, record_u](
+    const std::size_t dimension =
+        process::SampleShift::dimension(geometries.size());
+
+    return [&evaluator, &sampler, sizing, geometries = std::move(geometries),
+            dimension](const process::ProposalMixture& proposal,
+                       bool record_u) -> mc::ChunkSampleFn {
+        return [&evaluator, &sampler, sizing, geometries, dimension, proposal,
+                record_u](
                    std::span<const std::size_t>, std::span<Rng> rngs) {
             constexpr double nan_v = std::numeric_limits<double>::quiet_NaN();
             std::vector<process::Realization> reals;
-            std::vector<double> log_weights;
-            std::vector<std::vector<double>> us;
             reals.reserve(rngs.size());
-            log_weights.reserve(rngs.size());
-            if (record_u) us.reserve(rngs.size());
+            // Each row is {gain, pm, log_w[, u...]}: the draws fill the
+            // weight and u columns, the chunk measurement the first two.
+            eval::RowBlock rows(3 + (record_u ? dimension : 0));
+            rows.reserve(rngs.size());
             for (Rng& sample_rng : rngs) {
                 process::ShiftedDraw draw =
                     sampler.sample_mixture(sample_rng, geometries, proposal, record_u);
                 reals.push_back(std::move(draw.realization));
-                log_weights.push_back(draw.log_weight);
-                if (record_u) us.push_back(std::move(draw.u));
+                const std::span<double> row = rows.append_row();
+                row[2] = draw.log_weight;
+                if (record_u)
+                    std::copy(draw.u.begin(), draw.u.end(), row.begin() + 3);
             }
             const auto perfs = evaluator.measure_chunk(sizing, reals);
-            std::vector<std::vector<double>> rows;
-            rows.reserve(perfs.size());
             for (std::size_t k = 0; k < perfs.size(); ++k) {
-                std::vector<double> row;
-                row.reserve(3 + (record_u ? us[k].size() : 0));
-                if (!perfs[k].valid) {
-                    row.push_back(nan_v);
-                    row.push_back(nan_v);
-                } else {
-                    row.push_back(perfs[k].gain_db);
-                    row.push_back(perfs[k].pm_deg);
-                }
-                row.push_back(log_weights[k]);
-                if (record_u)
-                    row.insert(row.end(), us[k].begin(), us[k].end());
-                rows.push_back(std::move(row));
+                const std::span<double> row = rows.row(k);
+                row[0] = perfs[k].valid ? perfs[k].gain_db : nan_v;
+                row[1] = perfs[k].valid ? perfs[k].pm_deg : nan_v;
             }
             return rows;
         };

@@ -3,9 +3,9 @@
 /// \brief LRU memoisation cache for point evaluations.
 ///
 /// Keys are bit-exact: the parameter vector's double bit patterns, the
-/// process key and a salt (batch tag, or the derived stream seed for
-/// stochastic kernels) are hashed together, so a hit can only occur for a
-/// request that is guaranteed to reproduce the cached values. Typical wins:
+/// process key and a salt (the batch tag) are hashed together, so a hit can
+/// only occur for a request that is guaranteed to reproduce the cached
+/// values. Typical wins:
 /// GA elites re-entering the population every generation, sensitivity
 /// probes landing on already-optimised points, repeated corner sweeps.
 

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstddef>
+#include <mutex>
+#include <numeric>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -29,7 +32,7 @@ namespace {
 /// A fresh evaluation failed when its row carries a NaN (the moo::Problem
 /// contract) or is empty (a kernel that signals failure by returning no
 /// values - the NaN scan alone cannot see those).
-bool row_failed(const std::vector<double>& values) {
+bool row_failed(std::span<const double> values) {
     if (values.empty()) return true;
     for (double v : values)
         if (std::isnan(v)) return true;
@@ -70,18 +73,31 @@ std::atomic<std::uint64_t> g_batch_seq{0};
 /// before the queue drops its reference.
 struct Engine::Pending {
     const Engine* owner = nullptr;     ///< rejects tickets waited elsewhere
+    std::size_t items = 0;             ///< design points or samples
+    ThreadPool::Job job;               ///< invalid when dispatched inline
+    std::exception_ptr error;          ///< first kernel error, if any
+    std::uint64_t seq = 0;             ///< process-wide batch id (tracing)
+    util::TickNs submitted_at = 0;     ///< submit stamp (engine.batch span)
+    bool retired = false;
+    bool taken = false;                ///< results consumed by a wait()
+
+    // Design-point batch.
     EvalBatch batch;                   ///< owned copy; jobs read items from it
     std::vector<EvalResult> results;
     std::vector<std::size_t> misses;   ///< batch indices needing evaluation
     std::vector<CacheKey> keys;        ///< per-item keys (cache enabled only)
     std::vector<std::pair<std::size_t, std::size_t>> aliases; ///< (dup, source)
-    ThreadPool::Job job;               ///< invalid when dispatched inline
-    std::exception_ptr error;          ///< first kernel error, if any
-    std::uint64_t seq = 0;             ///< process-wide batch id (tracing)
-    util::TickNs submitted_at = 0;     ///< submit stamp (engine.batch span)
     bool use_cache = false;
-    bool retired = false;
-    bool taken = false;                ///< results consumed by a wait()
+
+    // Sample batch.
+    bool sampled = false;
+    std::optional<Rng> base;           ///< sample i draws from base->child(i)
+    std::vector<std::size_t> ids;      ///< 0..items-1, sliced per chunk
+    /// The batch's rows: sized by the first chunk to finish, which fixes
+    /// the arity, then filled in place by every chunk at its own offset.
+    RowBlock rows;
+    std::once_flag rows_sized;
+    std::atomic<std::size_t> nan_rows{0}; ///< rows holding a NaN
 };
 
 Engine::Engine(EngineConfig config)
@@ -119,24 +135,40 @@ EngineCounters Engine::counters() const {
     return counters_;
 }
 
-Engine::Ticket Engine::submit_impl(EvalBatch batch, ChunkKernelFn kernel,
-                                   std::optional<Rng> base) {
-    const util::TickNs t0 = util::now_ns();
+std::shared_ptr<Engine::Pending> Engine::make_pending() const {
     auto pending = std::make_shared<Pending>();
     pending->owner = this;
-    pending->batch = std::move(batch);
     pending->seq = g_batch_seq.fetch_add(1, std::memory_order_relaxed) + 1;
-    pending->submitted_at = t0;
+    pending->submitted_at = util::now_ns();
+    return pending;
+}
+
+void Engine::enqueue(const std::shared_ptr<Pending>& pending) {
+    {
+        const util::MutexLock lock(mutex_);
+        queue_.push_back(pending);
+        counters_.wall_seconds += util::seconds_since(pending->submitted_at);
+    }
+    if (!obs::Tracer::enabled()) return;
+    const std::size_t evaluated =
+        pending->sampled ? pending->items : pending->misses.size();
+    obs::Tracer::record_complete(
+        "engine.submit", "engine", pending->submitted_at, util::now_ns(),
+        {{"batch", static_cast<double>(pending->seq)},
+         {"items", static_cast<double>(pending->items)},
+         {"misses", static_cast<double>(evaluated)},
+         {"cache_hits", static_cast<double>(pending->items - evaluated -
+                                            pending->aliases.size())}});
+}
+
+Engine::Ticket Engine::submit(EvalBatch batch, ChunkKernelFn kernel) {
+    const std::shared_ptr<Pending> pending = make_pending();
+    pending->batch = std::move(batch);
     const std::size_t n = pending->batch.size();
+    pending->items = n;
     pending->results.resize(n);
     pending->use_cache = cache_.capacity() > 0;
-    // Cache salt: the batch tag for deterministic batches; per item stream
-    // for stochastic ones, so only a replay of the same stream can hit.
     const std::uint64_t tag = pending->batch.tag;
-    const std::uint64_t base_seed = base ? base->seed() : 0;
-    const auto salt_of = [&](std::size_t i) {
-        return base ? mix64(tag, mix64(base_seed, i)) : tag;
-    };
 
     // Front phase, on the submitting thread: ledger request count, cache
     // lookups and within-batch dedup. Happens in submission order, so the
@@ -151,11 +183,11 @@ Engine::Ticket Engine::submit_impl(EvalBatch batch, ChunkKernelFn kernel,
         std::unordered_map<CacheKey, std::size_t, CacheKeyHash> first_seen;
         for (std::size_t i = 0; i < n; ++i) {
             const EvalRequest& item = pending->batch.items[i];
-            if (!pending->use_cache || !item.cacheable) {
+            if (!pending->use_cache) {
                 pending->misses.push_back(i);
                 continue;
             }
-            pending->keys[i] = CacheKey{item.params, item.process_key, salt_of(i)};
+            pending->keys[i] = CacheKey{item.params, item.process_key, tag};
             if (auto hit = cache_.find(pending->keys[i])) {
                 pending->results[i].values = std::move(*hit);
                 pending->results[i].from_cache = true;
@@ -184,71 +216,114 @@ Engine::Ticket Engine::submit_impl(EvalBatch batch, ChunkKernelFn kernel,
     // Start the misses. Parallel engines enqueue pool jobs and return
     // immediately; serial engines evaluate inline here (still deferring
     // ledger/cache retirement to wait(), so both paths retire identically).
-    dispatch_chunks(*pending, std::move(kernel), std::move(base));
-
-    {
-        const util::MutexLock lock(mutex_);
-        queue_.push_back(pending);
-        counters_.wall_seconds += util::seconds_since(t0);
-    }
-    if (obs::Tracer::enabled())
-        obs::Tracer::record_complete(
-            "engine.submit", "engine", t0, util::now_ns(),
-            {{"batch", static_cast<double>(pending->seq)},
-             {"items", static_cast<double>(n)},
-             {"misses", static_cast<double>(pending->misses.size())},
-             {"cache_hits", static_cast<double>(front_hits)}});
-    return Ticket(std::move(pending));
+    Pending* p = pending.get();
+    const std::size_t count = pending->misses.size();
+    dispatch_chunks(
+        *pending, count, chunk_size(count),
+        [p, kernel = std::move(kernel)](std::size_t, std::size_t lo,
+                                        std::size_t hi) {
+            std::vector<const EvalRequest*> reqs;
+            reqs.reserve(hi - lo);
+            for (std::size_t k = lo; k < hi; ++k)
+                reqs.push_back(&p->batch.items[p->misses[k]]);
+            auto out = kernel(reqs);
+            if (out.size() != reqs.size())
+                throw InvalidInputError(
+                    "eval::Engine: chunk kernel returned wrong batch size");
+            for (std::size_t k = lo; k < hi; ++k)
+                p->results[p->misses[k]].values = std::move(out[k - lo]);
+        });
+    enqueue(pending);
+    return Ticket(pending);
 }
 
-void Engine::dispatch_chunks(Pending& pending, ChunkKernelFn kernel,
-                             std::optional<Rng> base) {
-    const std::size_t count = pending.misses.size();
-    if (count == 0) return;
+Engine::SampleTicket Engine::submit(std::size_t samples, SampleKernelFn kernel,
+                                    Rng& rng) {
+    const std::shared_ptr<Pending> pending = make_pending();
+    pending->sampled = true;
+    pending->items = samples;
+    // Same derivation as the original Monte Carlo runner: one child stream
+    // per sample from the caller's RNG (identical for any thread count),
+    // with the parent advanced once at submission so successive batches
+    // differ.
+    pending->base = rng.child(rng.engine()());
+    pending->ids.resize(samples);
+    std::iota(pending->ids.begin(), pending->ids.end(), std::size_t{0});
+    {
+        const util::MutexLock lock(mutex_);
+        counters_.requests += samples;
+    }
+    EngineMetrics::get().requests.add(samples);
+
+    Pending* p = pending.get();
+    dispatch_chunks(
+        *pending, samples, chunk_size(samples),
+        [p, kernel = std::move(kernel)](std::size_t, std::size_t lo,
+                                        std::size_t hi) {
+            // Sample i gets base.child(i), whichever chunk it lands in,
+            // built by the batch constructor.
+            const auto ids =
+                std::span<const std::size_t>(p->ids).subspan(lo, hi - lo);
+            std::vector<Rng> rngs;
+            p->base->children(ids, rngs);
+            const RowBlock block = kernel(ids, rngs);
+            if (block.size() != ids.size())
+                throw InvalidInputError(
+                    "eval::Engine: sample kernel returned the wrong row count");
+            // The chunk joins its rows into the batch's block itself, while
+            // they are still in this worker's cache, and counts their NaN
+            // rows: retirement on the calling thread only takes the block.
+            std::call_once(p->rows_sized, [&] {
+                p->rows = RowBlock(block.arity(), p->items);
+            });
+            if (block.arity() != p->rows.arity())
+                throw InvalidInputError(
+                    "eval::Engine: sample kernel returned rows of differing "
+                    "arity");
+            std::size_t nan_rows = 0;
+            for (std::size_t k = 0; k < block.size(); ++k)
+                if (row_failed(block.row(k))) ++nan_rows;
+            std::copy(block.values().begin(), block.values().end(),
+                      p->rows.values().begin() +
+                          static_cast<std::ptrdiff_t>(lo * block.arity()));
+            p->nan_rows.fetch_add(nan_rows, std::memory_order_relaxed);
+        });
+    enqueue(pending);
+    return SampleTicket(pending);
+}
+
+std::size_t Engine::chunk_size(std::size_t count) {
     // Worker-sized chunks keep chunk kernels busy without starving the
     // pool; boundaries never change the element-wise results.
     const std::size_t workers =
         config_.parallel ? std::max<std::size_t>(pool().size(), 1) : 1;
-    const std::size_t chunk =
-        std::max<std::size_t>(1, (count + workers * 4 - 1) / (workers * 4));
-    const std::size_t n_chunks = (count + chunk - 1) / chunk;
+    return std::max<std::size_t>(1, (count + workers * 4 - 1) / (workers * 4));
+}
 
-    Pending* p = &pending;
-    // Shared so the closure stays copyable (std::function requirement).
-    auto eval = std::make_shared<ChunkKernelFn>(std::move(kernel));
-    auto run_chunk = [p, eval, base, chunk, count](std::size_t c) {
-        const std::size_t lo = c * chunk;
-        const std::size_t hi = std::min(count, lo + chunk);
+void Engine::dispatch_chunks(
+    Pending& pending, std::size_t count, std::size_t size,
+    std::function<void(std::size_t, std::size_t, std::size_t)> chunk) {
+    if (count == 0) return;
+    const std::size_t n_chunks = (count + size - 1) / size;
+    const std::uint64_t seq = pending.seq;
+    auto run = [seq, size, count, chunk = std::move(chunk)](std::size_t c) {
+        const std::size_t lo = c * size;
+        const std::size_t hi = std::min(count, lo + size);
         obs::Span span("engine.kernel", "kernel");
-        span.arg("batch", static_cast<double>(p->seq));
+        span.arg("batch", static_cast<double>(seq));
         span.arg("chunk", static_cast<double>(c));
         span.arg("items", static_cast<double>(hi - lo));
-        std::vector<const EvalRequest*> reqs;
-        reqs.reserve(hi - lo);
-        for (std::size_t k = lo; k < hi; ++k)
-            reqs.push_back(&p->batch.items[p->misses[k]]);
-        // Item i (batch index) gets base.child(i), whichever chunk it lands
-        // in, built by the batch constructor; deterministic batches pass an
-        // empty span.
-        std::vector<Rng> rngs;
-        if (base)
-            base->children(std::span(p->misses).subspan(lo, hi - lo), rngs);
-        auto out = (*eval)(reqs, rngs);
-        if (out.size() != reqs.size())
-            throw InvalidInputError(
-                "eval::Engine: chunk kernel returned wrong batch size");
-        for (std::size_t k = lo; k < hi; ++k)
-            p->results[p->misses[k]].values = std::move(out[k - lo]);
+        chunk(c, lo, hi);
     };
     if (!config_.parallel) {
         try {
-            for (std::size_t c = 0; c < n_chunks; ++c) run_chunk(c);
+            for (std::size_t c = 0; c < n_chunks; ++c) run(c);
         } catch (...) {
             pending.error = std::current_exception();
         }
         return;
     }
-    pending.job = pool().parallel_for_async(n_chunks, std::move(run_chunk));
+    pending.job = pool().parallel_for_async(n_chunks, std::move(run));
 }
 
 void Engine::retire_head() {
@@ -267,8 +342,11 @@ void Engine::retire_head() {
             error = std::current_exception();
         }
     }
+    // The job's completion orders every chunk's count before this load.
+    std::size_t batch_failures = head->nan_rows.load(std::memory_order_relaxed);
 
-    std::size_t batch_failures = 0;
+    const std::size_t evaluated =
+        head->sampled ? head->items : head->misses.size();
     {
         const util::MutexLock lock(mutex_);
         head->retired = true;
@@ -281,7 +359,8 @@ void Engine::retire_head() {
             return;
         }
 
-        counters_.evaluations += head->misses.size();
+        counters_.evaluations += evaluated;
+        counters_.failures += batch_failures;
         for (std::size_t idx : head->misses) {
             EvalResult& r = head->results[idx];
             r.failure = row_failed(r.values);
@@ -290,8 +369,7 @@ void Engine::retire_head() {
             // NaN rows self-describe their failure, so caching them still
             // spares the re-simulation of a known-failing point; empty rows
             // would come back looking successful, so they stay out.
-            if (head->use_cache && head->batch.items[idx].cacheable &&
-                !r.values.empty())
+            if (head->use_cache && !r.values.empty())
                 cache_.insert(head->keys[idx], r.values);
         }
         for (const auto& [dup, source] : head->aliases) {
@@ -312,7 +390,7 @@ void Engine::retire_head() {
     // Observational only, outside the engine lock: process-wide counters
     // and the batch's submit-to-retire span.
     EngineMetrics& metrics = EngineMetrics::get();
-    metrics.evaluations.add(head->misses.size());
+    metrics.evaluations.add(evaluated);
     metrics.cache_hits.add(head->aliases.size());
     metrics.dedup_aliases.add(head->aliases.size());
     metrics.failures.add(batch_failures);
@@ -320,15 +398,14 @@ void Engine::retire_head() {
         obs::Tracer::record_complete(
             "engine.batch", "engine", head->submitted_at, util::now_ns(),
             {{"batch", static_cast<double>(head->seq)},
-             {"items", static_cast<double>(head->results.size())},
-             {"evaluations", static_cast<double>(head->misses.size())},
+             {"items", static_cast<double>(head->items)},
+             {"evaluations", static_cast<double>(evaluated)},
              {"aliases", static_cast<double>(head->aliases.size())},
              {"failures", static_cast<double>(batch_failures)}});
 }
 
-std::vector<EvalResult> Engine::wait(Ticket ticket) {
+void Engine::retire_through(const std::shared_ptr<Pending>& pending) {
     const util::TickNs t0 = util::now_ns();
-    const std::shared_ptr<Pending> pending = std::move(ticket.pending_);
     if (!pending)
         throw InvalidInputError("eval::Engine::wait: invalid ticket");
     // Reject foreign tickets before retiring anything: without this check
@@ -360,29 +437,23 @@ std::vector<EvalResult> Engine::wait(Ticket ticket) {
             "engine.wait", "engine", t0, util::now_ns(),
             {{"batch", static_cast<double>(pending->seq)}});
     if (pending->error) std::rethrow_exception(pending->error);
+}
+
+std::vector<EvalResult> Engine::wait(Ticket ticket) {
+    const std::shared_ptr<Pending> pending = std::move(ticket.pending_);
+    retire_through(pending);
     return std::move(pending->results);
 }
 
-Engine::Ticket Engine::submit(EvalBatch batch, ChunkKernelFn kernel) {
-    return submit_impl(std::move(batch), std::move(kernel), std::nullopt);
-}
-
-Engine::Ticket Engine::submit(EvalBatch batch, ChunkKernelFn kernel, Rng& rng) {
-    // Same derivation as the original Monte Carlo runner: one child stream
-    // per item from the caller's RNG (identical for any thread count), with
-    // the parent advanced once at submission so successive batches differ.
-    return submit_impl(std::move(batch), std::move(kernel),
-                       rng.child(rng.engine()()));
+RowBlock Engine::wait(SampleTicket ticket) {
+    const std::shared_ptr<Pending> pending = std::move(ticket.pending_);
+    retire_through(pending);
+    return std::move(pending->rows);
 }
 
 std::vector<EvalResult> Engine::evaluate(EvalBatch batch,
                                          const ChunkKernelFn& kernel) {
     return wait(submit(std::move(batch), kernel));
-}
-
-std::vector<EvalResult> Engine::evaluate(EvalBatch batch,
-                                         const ChunkKernelFn& kernel, Rng& rng) {
-    return wait(submit(std::move(batch), kernel, rng));
 }
 
 } // namespace ypm::eval

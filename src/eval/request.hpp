@@ -1,12 +1,13 @@
 #pragma once
 /// \file request.hpp
-/// \brief Value types of the unified evaluation engine.
+/// \brief Value types of the engine's design-point batches.
 ///
-/// Every repeated-testbench workload in the Fig. 3 flow (GA populations,
-/// per-Pareto-point Monte Carlo, corner sweeps, sensitivity probes) is a
-/// batch of point evaluations. These types describe one such batch in a
-/// consumer-neutral way so a single engine can schedule, memoise and count
-/// all of them.
+/// The deterministic repeated-testbench workloads of the Fig. 3 flow (GA
+/// populations, corner sweeps, sensitivity probes, the nominal Bode
+/// re-measure) are batches of point evaluations. These types describe one
+/// such batch in a consumer-neutral way so a single engine can schedule,
+/// memoise and count all of them. Monte Carlo samples are not requests:
+/// they travel as sample batches (see engine.hpp and row_block.hpp).
 
 #include <cmath>
 #include <cstdint>
@@ -19,13 +20,12 @@ namespace ypm::eval {
 inline constexpr std::uint64_t kNominalProcess = 0;
 
 /// One evaluation point: a designable-parameter vector plus an opaque
-/// process key. Results with equal (params, process_key, batch tag,
-/// stochastic stream) are assumed interchangeable - the key must therefore
-/// encode everything that selects the process point (corner id, sample id).
+/// process key. Results with equal (params, process_key, batch tag) are
+/// assumed interchangeable - the key must therefore encode everything that
+/// selects the process point (corner id).
 struct EvalRequest {
     std::vector<double> params;               ///< designable parameters
-    std::uint64_t process_key = kNominalProcess; ///< corner / sample / nominal
-    bool cacheable = true;                    ///< false for one-shot MC samples
+    std::uint64_t process_key = kNominalProcess; ///< corner / nominal
 };
 
 /// A batch of requests evaluated through one kernel. `tag` namespaces the
@@ -43,13 +43,14 @@ struct EvalBatch {
     nominal(const std::vector<std::vector<double>>& points) {
         EvalBatch batch;
         batch.items.reserve(points.size());
-        for (const auto& p : points) batch.items.push_back({p, kNominalProcess, true});
+        for (const auto& p : points)
+            batch.items.push_back({p, kNominalProcess});
         return batch;
     }
 
     void add(std::vector<double> params,
-             std::uint64_t process_key = kNominalProcess, bool cacheable = true) {
-        items.push_back({std::move(params), process_key, cacheable});
+             std::uint64_t process_key = kNominalProcess) {
+        items.push_back({std::move(params), process_key});
     }
 
     [[nodiscard]] std::size_t size() const { return items.size(); }

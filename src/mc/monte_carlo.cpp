@@ -7,7 +7,7 @@
 namespace ypm::mc {
 
 namespace {
-bool row_failed(const std::vector<double>& row) {
+bool row_failed(std::span<const double> row) {
     for (double v : row)
         if (std::isnan(v)) return true;
     return false;
@@ -24,7 +24,7 @@ void McResult::ensure_finalized() const {
     failure_mask_.assign(rows.size(), 0);
     failed_ = 0;
     for (std::size_t i = 0; i < rows.size(); ++i) {
-        failure_mask_[i] = row_failed(rows[i]) ? 1 : 0;
+        failure_mask_[i] = row_failed(rows.row(i)) ? 1 : 0;
         if (failure_mask_[i]) ++failed_;
     }
     finalized_ = true;
@@ -46,14 +46,12 @@ Summary McResult::column_summary(std::size_t col) const {
 
 std::vector<double> McResult::column(std::size_t col) const {
     ensure_finalized();
+    if (col >= rows.arity() && !rows.empty())
+        throw InvalidInputError("McResult::column: column out of range");
     std::vector<double> out;
     out.reserve(rows.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        if (failure_mask_[i] != 0) continue;
-        if (col >= rows[i].size())
-            throw InvalidInputError("McResult::column: column out of range");
-        out.push_back(rows[i][col]);
-    }
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        if (failure_mask_[i] == 0) out.push_back(rows.row(i)[col]);
     if (out.empty())
         throw NumericalError("McResult::column: every sample failed");
     return out;
@@ -62,31 +60,6 @@ std::vector<double> McResult::column(std::size_t col) const {
 VariationMetrics McResult::column_variation(std::size_t col) const {
     return variation_metrics(column(col));
 }
-
-namespace {
-
-/// The shared sampling discipline: a non-cacheable one-shot batch with the
-/// sample index as process key.
-eval::EvalBatch sample_batch(std::size_t samples) {
-    eval::EvalBatch batch;
-    batch.items.resize(samples);
-    for (std::size_t i = 0; i < samples; ++i) {
-        batch.items[i].process_key = i;
-        batch.items[i].cacheable = false;
-    }
-    return batch;
-}
-
-McResult collect_rows(std::vector<eval::EvalResult> evals) {
-    McResult result;
-    result.rows.resize(evals.size());
-    for (std::size_t i = 0; i < evals.size(); ++i)
-        result.rows[i] = std::move(evals[i].values);
-    result.finalize();
-    return result;
-}
-
-} // namespace
 
 McResult run_monte_carlo(eval::Engine& engine, const McConfig& config, Rng& rng,
                          const ChunkSampleFn& fn) {
@@ -97,26 +70,16 @@ McTicket submit_monte_carlo(eval::Engine& engine, const McConfig& config,
                             Rng& rng, const ChunkSampleFn& fn) {
     if (config.samples == 0)
         throw InvalidInputError("submit_monte_carlo: need >= 1 sample");
-
-    eval::EvalBatch batch = sample_batch(config.samples);
-    // The adapter owns a copy of fn: the chunk jobs may still be running
+    // The engine owns a copy of fn: the chunk jobs may still be running
     // after the submitting scope has moved on to the next Pareto point.
-    return McTicket{engine.submit(
-        std::move(batch),
-        eval::ChunkKernelFn(
-            [fn](const std::vector<const eval::EvalRequest*>& requests,
-                 std::span<Rng> rngs) {
-                std::vector<std::size_t> ids;
-                ids.reserve(requests.size());
-                for (const eval::EvalRequest* r : requests)
-                    ids.push_back(r->process_key);
-                return fn(ids, rngs);
-            }),
-        rng)};
+    return McTicket{engine.submit(config.samples, fn, rng)};
 }
 
 McResult wait_monte_carlo(eval::Engine& engine, McTicket ticket) {
-    return collect_rows(engine.wait(std::move(ticket.ticket)));
+    McResult result;
+    result.rows = engine.wait(std::move(ticket.ticket));
+    result.finalize();
+    return result;
 }
 
 } // namespace ypm::mc

@@ -5,11 +5,12 @@
 /// The runner owns only the sampling discipline: N samples, each evaluated
 /// with an independent deterministic RNG child stream, with failed samples
 /// (NaN performances) tracked separately so convergence failures degrade
-/// yield instead of silently vanishing. Scheduling, parallelism and
-/// accounting are delegated to the caller's evaluation engine; samples
-/// reach the kernel in worker-sized chunks.
+/// yield instead of silently vanishing. A run is one engine sample batch:
+/// scheduling, parallelism and accounting are the engine's, samples reach
+/// the kernel in worker-sized chunks, and the batch's rows come back as one
+/// flat eval::RowBlock - no sample owns a heap object between the kernel
+/// and the yield fold.
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -24,8 +25,16 @@ struct McConfig {
 };
 
 struct McResult {
-    /// rows[i] = performance vector of sample i (may contain NaN on failure)
-    std::vector<std::vector<double>> rows;
+    /// Row i = performance vector of sample i (may contain NaN on failure),
+    /// stored flat.
+    eval::RowBlock rows;
+
+    /// Samples in the result.
+    [[nodiscard]] std::size_t size() const { return rows.size(); }
+    /// Performance vector of sample i.
+    [[nodiscard]] std::span<const double> row(std::size_t i) const {
+        return rows.row(i);
+    }
 
     /// Scan rows once, recording the per-row failure mask and the failure
     /// count. Every run path calls this before returning; hand-built
@@ -61,13 +70,13 @@ private:
     mutable bool finalized_ = false;
 };
 
-/// Sample kernel: rows for a group of samples at once; sample_ids[k] is the
-/// Monte Carlo sample index and rngs[k] its child stream. Must be
-/// thread-safe, return one row per sample with the same arity every call,
-/// and keep each row independent of how the samples are grouped into
-/// chunks (boundaries depend on the worker count).
-using ChunkSampleFn = std::function<std::vector<std::vector<double>>(
-    std::span<const std::size_t>, std::span<Rng>)>;
+/// Sample kernel: the rows of a group of samples at once, one flat block
+/// with one row per sample in order; sample_ids[k] is the Monte Carlo
+/// sample index and rngs[k] its child stream. Must be thread-safe, return
+/// rows of the same arity every call, and keep each row independent of how
+/// the samples are grouped into chunks (boundaries depend on the worker
+/// count). The engine's sample kernel shape.
+using ChunkSampleFn = eval::SampleKernelFn;
 
 /// Evaluate `fn` for each sample through a shared engine (one ledger across
 /// the whole flow). Advances `rng` once; bit-identical for any thread count.
@@ -77,7 +86,7 @@ using ChunkSampleFn = std::function<std::vector<std::vector<double>>(
 
 /// Handle of one in-flight Monte Carlo run (async engine dispatch).
 struct McTicket {
-    eval::Engine::Ticket ticket;
+    eval::Engine::SampleTicket ticket;
     [[nodiscard]] bool valid() const { return ticket.valid(); }
 };
 

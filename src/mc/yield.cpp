@@ -77,13 +77,14 @@ YieldEstimate yield_from_flags(const std::vector<bool>& pass) {
     return y;
 }
 
-YieldEstimate estimate_yield(const std::vector<std::vector<double>>& rows,
+YieldEstimate estimate_yield(const eval::RowBlock& rows,
                              const std::vector<Spec>& specs) {
+    if (!rows.empty() && rows.arity() != specs.size())
+        throw InvalidInputError("estimate_yield: row arity mismatch");
     std::vector<bool> flags;
     flags.reserve(rows.size());
-    for (const auto& row : rows) {
-        if (row.size() != specs.size())
-            throw InvalidInputError("estimate_yield: row arity mismatch");
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const std::span<const double> row = rows.row(i);
         bool all = true;
         for (std::size_t c = 0; c < specs.size(); ++c)
             if (!specs[c].pass(row[c])) {

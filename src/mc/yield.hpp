@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "eval/row_block.hpp"
+
 namespace ypm::mc {
 
 /// 97.5th percentile of the standard normal: the z of every 95 % interval
@@ -46,10 +48,10 @@ struct YieldEstimate {
 [[nodiscard]] YieldEstimate yield_from_flags(const std::vector<bool>& pass);
 
 /// Yield of a performance matrix (rows = samples, columns match specs);
-/// a sample passes only if every spec passes.
-[[nodiscard]] YieldEstimate
-estimate_yield(const std::vector<std::vector<double>>& rows,
-               const std::vector<Spec>& specs);
+/// a sample passes only if every spec passes. \throws
+/// ypm::InvalidInputError when the row arity differs from the spec count.
+[[nodiscard]] YieldEstimate estimate_yield(const eval::RowBlock& rows,
+                                           const std::vector<Spec>& specs);
 
 /// 95 % Wilson score interval for a binomial proportion. 0 samples return
 /// the vacuous interval {0, 1}; the interval never collapses to a point (a

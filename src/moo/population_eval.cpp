@@ -8,8 +8,7 @@ evaluate_population(eval::Engine& engine, const Problem& problem,
     return engine.evaluate(
         eval::EvalBatch::nominal(points),
         eval::ChunkKernelFn([&problem](const std::vector<const eval::EvalRequest*>&
-                                           requests,
-                                       std::span<Rng>) {
+                                           requests) {
             std::vector<std::vector<double>> chunk;
             chunk.reserve(requests.size());
             for (const eval::EvalRequest* r : requests) chunk.push_back(r->params);

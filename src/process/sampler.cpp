@@ -1,7 +1,9 @@
 #include "process/sampler.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
 #include <string>
 
 #include "util/error.hpp"
@@ -113,7 +115,7 @@ void ProposalMixture::validate(std::size_t dimension) const {
 namespace {
 
 /// log sum_k exp(terms[k]) without overflow; terms must be non-empty.
-double log_sum_exp(const std::vector<double>& terms) {
+double log_sum_exp(std::span<const double> terms) {
     const double peak = *std::max_element(terms.begin(), terms.end());
     if (!std::isfinite(peak)) return peak; // all -inf (or a NaN poisoning)
     double sum = 0.0;
@@ -125,7 +127,7 @@ double log_sum_exp(const std::vector<double>& terms) {
 /// log products (each already summed over the active dimensions, without
 /// the -dim/2*log(2*pi) constant - it cancels against log phi(u)).
 double log_mixture_density(const std::vector<ProposalComponent>& components,
-                           std::vector<double>& log_q) {
+                           std::span<double> log_q) {
     double total = 0.0;
     for (const ProposalComponent& c : components) total += c.weight;
     for (std::size_t k = 0; k < components.size(); ++k)
@@ -135,11 +137,20 @@ double log_mixture_density(const std::vector<ProposalComponent>& components,
 
 } // namespace
 
-double ProposalMixture::log_weight_of(const std::vector<double>& u) const {
+double ProposalMixture::log_weight_of(std::span<const double> u) const {
     validate(u.size());
     if (components.empty()) return 0.0; // nominal: w = 1 exactly
     double log_p = 0.0;
-    std::vector<double> log_q(components.size(), 0.0);
+    // The per-component sums live on the stack for the mixtures the fits
+    // build (a nominal component plus one per spec), so a synthetic
+    // kernel's draw allocates nothing.
+    constexpr std::size_t kInline = 8;
+    std::array<double, kInline> inline_q{};
+    std::vector<double> heap_q(components.size() > kInline ? components.size()
+                                                           : 0);
+    const std::span<double> log_q =
+        heap_q.empty() ? std::span<double>(inline_q).first(components.size())
+                       : std::span<double>(heap_q);
     for (std::size_t i = 0; i < u.size(); ++i) {
         log_p += -0.5 * u[i] * u[i];
         for (std::size_t k = 0; k < components.size(); ++k) {

@@ -6,6 +6,7 @@
 ///        log likelihood ratios).
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -139,7 +140,7 @@ struct ProposalMixture {
     /// density evaluation used by synthetic yield kernels and tests (the
     /// process sampler computes the same quantity internally, skipping
     /// zero-sigma dimensions). Exactly 0 for an inactive mixture.
-    [[nodiscard]] double log_weight_of(const std::vector<double>& u) const;
+    [[nodiscard]] double log_weight_of(std::span<const double> u) const;
 
     /// \throws ypm::InvalidInputError when any component has a non-positive
     /// or non-finite weight/scale, a non-finite mu entry, a mu or sigma

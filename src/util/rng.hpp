@@ -60,7 +60,14 @@
 ///    the same number of `gauss()` calls (`Rng.GaussSpanMatchesScalarCalls`;
 ///    `BM_RngChild64GaussSpan`); both share one `polar_normal()`.
 ///    `yield::draw_mixture_u` draws a sample's normals with it.
+///  - No zeroed state. The 312-word state is not value-initialised: the
+///    lazy first block writes each word before any output reads it, and
+///    copies carry only the written prefix [0, seeded_), so no unwritten
+///    word is ever read. A stream no longer pays a 2.5 KB memset when it is
+///    built (`Mt19937_64.CopyAssignOverUsedEngineShowsNoStaleWords`,
+///    `Rng.ChildrenCopiedBeforeFirstDrawMatchChild`).
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstddef>
@@ -78,7 +85,26 @@ public:
     using result_type = std::uint64_t;
     static constexpr result_type default_seed = 5489u;
 
+    // The state is not value-initialised: words are written as the lazy
+    // first block seeds them, and [0, seeded_) is all that is ever read,
+    // copies included, so zeroing the 2.5 KB up front would only cost
+    // every per-sample stream a memset.
+    // NOLINTBEGIN(cppcoreguidelines-pro-type-member-init): state_ beyond
+    // seeded_ is written before it is read (see above).
     explicit Mt19937_64(result_type seed = default_seed) { state_[0] = seed; }
+    Mt19937_64(const Mt19937_64& other)
+        : next_(other.next_), ready_(other.ready_), seeded_(other.seeded_) {
+        std::copy_n(other.state_.begin(), seeded_, state_.begin());
+    }
+    // NOLINTEND(cppcoreguidelines-pro-type-member-init)
+    Mt19937_64& operator=(const Mt19937_64& other) {
+        if (this == &other) return *this;
+        next_ = other.next_;
+        ready_ = other.ready_;
+        seeded_ = other.seeded_;
+        std::copy_n(other.state_.begin(), seeded_, state_.begin());
+        return *this;
+    }
 
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~result_type{0}; }
@@ -112,9 +138,7 @@ private:
     /// Twist words [begin, end) in place, as the standard block twist does.
     void twist_words(std::uint32_t begin, std::uint32_t end);
 
-    // Value-initialised so that copying a part-seeded engine reads no
-    // indeterminate words.
-    std::array<result_type, n> state_{};
+    std::array<result_type, n> state_; ///< [0, seeded_) written, see ctor
     std::uint32_t next_ = 0;   ///< index of the next output word
     std::uint32_t ready_ = 0;  ///< words [0, ready_) are twisted
     std::uint32_t seeded_ = 1; ///< words [0, seeded_) hold seed values

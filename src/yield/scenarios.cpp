@@ -14,10 +14,8 @@
 
 namespace ypm::yield {
 
-std::vector<double> draw_mixture_u(Rng& rng,
-                                   const process::ProposalMixture& mix,
-                                   std::size_t dim, double& log_w) {
-    std::vector<double> u(dim);
+void draw_mixture_u(Rng& rng, const process::ProposalMixture& mix,
+                    std::span<double> u, double& log_w) {
     if (mix.components.size() <= 1) {
         const process::ProposalComponent* c =
             mix.components.empty() ? nullptr : &mix.components.front();
@@ -28,42 +26,39 @@ std::vector<double> draw_mixture_u(Rng& rng,
             // Nominal: u = 0 + 1 * z = z, since gauss() never returns -0,
             // and every log weight term is +0 (log 1 = +0, z^2/2 - u^2/2 =
             // +0), so log_w stays exactly +0.
-            return u;
+            return;
         }
-        for (std::size_t i = 0; i < dim; ++i) {
+        for (std::size_t i = 0; i < u.size(); ++i) {
             const double m = c->mu.empty() ? 0.0 : c->mu[i];
             const double s = c->scale_at(i);
             const double z = u[i];
             u[i] = m + s * z;
             log_w += std::log(s) + 0.5 * z * z - 0.5 * u[i] * u[i];
         }
-        return u;
+        return;
     }
     const std::size_t k = mix.pick_component(rng.uniform01());
     const process::ProposalComponent& c = mix.components[k];
     rng.gauss(u);
-    for (std::size_t i = 0; i < dim; ++i) {
+    for (std::size_t i = 0; i < u.size(); ++i) {
         const double m = c.mu.empty() ? 0.0 : c.mu[i];
         u[i] = m + c.scale_at(i) * u[i];
     }
     log_w = mix.log_weight_of(u);
-    return u;
 }
 
 KernelFactory synthetic_factory(double mean, double sigma) {
     return [=](const process::ProposalMixture& mix,
                bool record_u) -> mc::ChunkSampleFn {
         return [=](std::span<const std::size_t>, std::span<Rng> rngs) {
-            std::vector<std::vector<double>> rows;
+            eval::RowBlock rows(record_u ? 3 : 2);
             rows.reserve(rngs.size());
             for (Rng& rng : rngs) {
-                double log_w = 0.0;
-                const std::vector<double> u = draw_mixture_u(rng, mix, 1, log_w);
-                const double value = mean + sigma * u[0];
-                if (record_u)
-                    rows.push_back({value, log_w, u[0]});
-                else
-                    rows.push_back({value, log_w});
+                const std::span<double> row = rows.append_row();
+                double u = 0.0;
+                draw_mixture_u(rng, mix, std::span(&u, 1), row[1]);
+                row[0] = mean + sigma * u;
+                if (record_u) row[2] = u;
             }
             return rows;
         };
@@ -74,15 +69,16 @@ KernelFactory synthetic_bimodal_factory() {
     return [](const process::ProposalMixture& mix,
               bool record_u) -> mc::ChunkSampleFn {
         return [=](std::span<const std::size_t>, std::span<Rng> rngs) {
-            std::vector<std::vector<double>> rows;
+            eval::RowBlock rows(record_u ? 5 : 3);
             rows.reserve(rngs.size());
             for (Rng& rng : rngs) {
-                double log_w = 0.0;
-                const std::vector<double> u = draw_mixture_u(rng, mix, 2, log_w);
-                if (record_u)
-                    rows.push_back({u[0], u[1], log_w, u[0], u[1]});
-                else
-                    rows.push_back({u[0], u[1], log_w});
+                // Rows {u0, u1, log_w[, u0, u1]}: the draw lands in place.
+                const std::span<double> row = rows.append_row();
+                draw_mixture_u(rng, mix, row.first(2), row[2]);
+                if (record_u) {
+                    row[3] = row[0];
+                    row[4] = row[1];
+                }
             }
             return rows;
         };
@@ -101,17 +97,19 @@ KernelFactory highdim_factory(std::size_t dim) {
                  bool record_u) -> mc::ChunkSampleFn {
         return [=](std::span<const std::size_t>, std::span<Rng> rngs) {
             const double inv_norm = 1.0 / std::sqrt(static_cast<double>(dim));
-            std::vector<std::vector<double>> rows;
+            eval::RowBlock rows(2 + (record_u ? dim : 0));
             rows.reserve(rngs.size());
+            // Without a u record the draw needs one scratch vector per
+            // chunk; with one it lands in the row's tail.
+            std::vector<double> scratch(record_u ? 0 : dim);
             for (Rng& rng : rngs) {
-                double log_w = 0.0;
-                const std::vector<double> u =
-                    draw_mixture_u(rng, mix, dim, log_w);
+                const std::span<double> row = rows.append_row();
+                const std::span<double> u =
+                    record_u ? row.subspan(2) : std::span<double>(scratch);
+                draw_mixture_u(rng, mix, u, row[1]);
                 double sum = 0.0;
                 for (double v : u) sum += v;
-                std::vector<double> row{sum * inv_norm, log_w};
-                if (record_u) row.insert(row.end(), u.begin(), u.end());
-                rows.push_back(std::move(row));
+                row[0] = sum * inv_norm;
             }
             return rows;
         };

@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -93,19 +94,20 @@ struct ScenarioOptions {
 scenario_reference(eval::Engine& engine, const Scenario& scenario,
                    std::size_t samples, Rng rng);
 
-/// Draw one standardized coordinate vector from a mixture proposal the way
-/// the synthetic scenario kernels do - the reference implementation the
-/// unit tests also exercise directly. The dim normals come from one
-/// batched Rng::gauss(span) call, equal to dim successive gauss() draws.
+/// Draw one standardized coordinate vector into `u` (its size is the
+/// dimension) from a mixture proposal the way the synthetic scenario
+/// kernels do - the reference implementation the unit tests also exercise
+/// directly. Allocates nothing for mixtures of up to eight components. The
+/// normals come from one batched Rng::gauss(span) call, equal to
+/// u.size() successive gauss() draws.
 /// Zero/one component replays the single-shift incremental formula
 /// (bit-identical to plain gauss() draws at the nominal proposal, where it
 /// skips the log weight terms: log_w is exactly +0); >= 2 components
 /// consume one uniform for the component pick before the normals and
 /// compute the log weight against the brute-force mixture density. Honours
 /// per-dimension sigma (ProposalComponent::scale_at) in both paths.
-[[nodiscard]] std::vector<double>
-draw_mixture_u(Rng& rng, const process::ProposalMixture& mix, std::size_t dim,
-               double& log_w);
+void draw_mixture_u(Rng& rng, const process::ProposalMixture& mix,
+                    std::span<double> u, double& log_w);
 
 /// Synthetic 1-D yield kernel: value = mean + sigma * u with u drawn from
 /// the mixture proposal via draw_mixture_u. Rows {value, log_w[, u]}.

@@ -171,14 +171,15 @@ bool SequentialYieldRunner::retire_chunk() {
 }
 
 void SequentialYieldRunner::fold_rows(const mc::McResult& result) {
-    for (const std::vector<double>& row : result.rows) {
+    for (std::size_t i = 0; i < result.size(); ++i) {
+        const std::span<const double> row = result.row(i);
         const bool pass = row_passes(row, specs_, main_arity_);
         stage_.add(pass, row[specs_.size()]);
         // Accumulate the failing records (with their exact per-proposal log
         // weights) for the cross-entropy refit.
         if (record_main_u_ && !pass) fail_rows_.push_back(row);
     }
-    retired_samples_ += result.rows.size();
+    retired_samples_ += result.size();
     ++stage_chunks_;
     update_estimate();
     trajectory_.emplace_back(retired_samples_, estimate_.half_width());
@@ -188,7 +189,7 @@ void SequentialYieldRunner::fold_rows(const mc::McResult& result) {
     // as trace events, plus the always-on chunk/sample counters.
     YieldMetrics& metrics = YieldMetrics::get();
     metrics.chunks.add();
-    metrics.samples.add(result.rows.size());
+    metrics.samples.add(result.size());
     if (obs::Tracer::enabled())
         obs::Tracer::instant(
             "yield.chunk", "yield",

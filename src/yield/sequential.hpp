@@ -11,10 +11,11 @@
 ///     component per failing spec) or, in the legacy mode, a single
 ///     combined mean shift;
 ///  2. main: fixed-size chunks drawn from the fitted proposal stream
-///     through eval::Engine::submit()/wait() - reusing the stochastic chunk
-///     kernels and the warm PrototypePool - and the run stops early once the
-///     95 % confidence half-width of the weighted estimate (the unnormalized
-///     fail-side form, see yield/weighted.hpp) reaches the target;
+///     through eval::Engine::submit()/wait() as sample batches - reusing
+///     the sample kernels and the warm PrototypePool - and the run stops
+///     early once the 95 % confidence half-width of the weighted estimate
+///     (the unnormalized fail-side form, see yield/weighted.hpp) reaches
+///     the target;
 ///  3. optional cross-entropy refinement: every `refine_after_chunks`
 ///     retired chunks the proposal is re-fitted from the accumulated
 ///     main-stage failing records (yield::refit_shift) and a new stage
@@ -256,7 +257,7 @@ private:
     /// One estimate per CE stage; the back is the open stage's, refreshed
     /// after each fold.
     std::vector<WeightedYieldEstimate> stages_;
-    std::vector<std::vector<double>> fail_rows_; ///< failing u records (CE)
+    eval::RowBlock fail_rows_; ///< failing u records (CE)
     std::size_t refits_done_ = 0;
     WeightedYieldEstimate estimate_;
     std::vector<std::pair<std::size_t, double>> trajectory_;

@@ -24,7 +24,7 @@ void clamp_norm(std::vector<double>& mu, double max_norm) {
 /// centers of gravity of the failing rows, each norm-clamped; a combined
 /// single shift; and the defensive mixture (scale-adapted when the config
 /// asks for it).
-ShiftFit fit_impl(const std::vector<std::vector<double>>& rows,
+ShiftFit fit_impl(const eval::RowBlock& rows,
                   const std::vector<mc::Spec>& specs, std::size_t dimension,
                   const ShiftFitConfig& config, bool importance_weighted) {
     if (!(config.defensive_weight >= 0.0 && config.defensive_weight < 1.0))
@@ -53,11 +53,12 @@ ShiftFit fit_impl(const std::vector<std::vector<double>>& rows,
     if (adapt_scale)
         cog2.assign(specs.size(), std::vector<double>(dimension, 0.0));
     std::vector<double> mass(specs.size(), 0.0);
-    for (const auto& row : rows) {
-        if (row.size() != arity)
-            throw InvalidInputError(
-                "fit_shift: row arity mismatch (expected specs + 1 + "
-                "dimension columns)");
+    if (!rows.empty() && rows.arity() != arity)
+        throw InvalidInputError(
+            "fit_shift: row arity mismatch (expected specs + 1 + "
+            "dimension columns)");
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const std::span<const double> row = rows.row(i);
         double w = 1.0;
         if (importance_weighted) {
             const double lw = row[specs.size()];
@@ -161,13 +162,13 @@ ShiftFit fit_impl(const std::vector<std::vector<double>>& rows,
 
 } // namespace
 
-ShiftFit fit_shift(const std::vector<std::vector<double>>& pilot_rows,
+ShiftFit fit_shift(const eval::RowBlock& pilot_rows,
                    const std::vector<mc::Spec>& specs, std::size_t dimension,
                    const ShiftFitConfig& config) {
     return fit_impl(pilot_rows, specs, dimension, config, false);
 }
 
-ShiftFit refit_shift(const std::vector<std::vector<double>>& rows,
+ShiftFit refit_shift(const eval::RowBlock& rows,
                      const std::vector<mc::Spec>& specs, std::size_t dimension,
                      const ShiftFitConfig& config) {
     return fit_impl(rows, specs, dimension, config, true);

@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "eval/row_block.hpp"
 #include "mc/yield.hpp"
 #include "process/sampler.hpp"
 
@@ -90,7 +91,7 @@ struct ShiftFit {
 /// weighting its few failures by likelihood ratios would let one
 /// near-nominal failure dominate the fit. \throws ypm::InvalidInputError
 /// on arity mismatch or a bad config.
-[[nodiscard]] ShiftFit fit_shift(const std::vector<std::vector<double>>& pilot_rows,
+[[nodiscard]] ShiftFit fit_shift(const eval::RowBlock& pilot_rows,
                                  const std::vector<mc::Spec>& specs,
                                  std::size_t dimension,
                                  const ShiftFitConfig& config = {});
@@ -104,7 +105,7 @@ struct ShiftFit {
 /// may feed either the failing subset or everything. \throws
 /// ypm::InvalidInputError on arity mismatch, a non-finite log weight or a
 /// bad config.
-[[nodiscard]] ShiftFit refit_shift(const std::vector<std::vector<double>>& rows,
+[[nodiscard]] ShiftFit refit_shift(const eval::RowBlock& rows,
                                    const std::vector<mc::Spec>& specs,
                                    std::size_t dimension,
                                    const ShiftFitConfig& config = {});

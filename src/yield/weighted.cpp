@@ -121,11 +121,13 @@ void FailSideMoments::add(bool pass, double log_weight) {
     w_max_ = std::max(w_max_, w);
 }
 
-void FailSideMoments::add_rows(const std::vector<std::vector<double>>& rows,
+void FailSideMoments::add_rows(const eval::RowBlock& rows,
                                const std::vector<mc::Spec>& specs,
                                std::size_t arity) {
-    for (const auto& row : rows)
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const std::span<const double> row = rows.row(i);
         add(row_passes(row, specs, arity), row[specs.size()]);
+    }
 }
 
 WeightedYieldEstimate FailSideMoments::estimate() const {
@@ -178,7 +180,7 @@ combine_stage_estimates(const std::vector<WeightedYieldEstimate>& stages) {
     return weighted_from_moments(n, passes, x_sum, x2_sum, w_max);
 }
 
-bool row_passes(const std::vector<double>& row,
+bool row_passes(std::span<const double> row,
                 const std::vector<mc::Spec>& specs, std::size_t arity) {
     if (row.size() != arity)
         throw InvalidInputError(
@@ -190,7 +192,7 @@ bool row_passes(const std::vector<double>& row,
 }
 
 WeightedYieldEstimate
-estimate_weighted_yield(const std::vector<std::vector<double>>& rows,
+estimate_weighted_yield(const eval::RowBlock& rows,
                         const std::vector<mc::Spec>& specs) {
     FailSideMoments moments;
     moments.add_rows(rows, specs, specs.size() + 1);

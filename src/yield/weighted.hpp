@@ -45,8 +45,10 @@
 /// the estimator, so they are surfaced, not truncated.
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
+#include "eval/row_block.hpp"
 #include "mc/yield.hpp"
 
 namespace ypm::yield {
@@ -97,7 +99,7 @@ public:
     void add(bool pass, double log_weight);
 
     /// Fold yield-kernel rows (layout and throws: row_passes).
-    void add_rows(const std::vector<std::vector<double>>& rows,
+    void add_rows(const eval::RowBlock& rows,
                   const std::vector<mc::Spec>& specs, std::size_t arity);
 
     /// The estimate over every sample folded so far (the vacuous [0, 1]
@@ -154,7 +156,7 @@ combine_stage_estimates(const std::vector<WeightedYieldEstimate>& stages);
 /// if every spec passes (NaN performances fail, preserving the convention
 /// that convergence failures degrade yield).
 [[nodiscard]] WeightedYieldEstimate
-estimate_weighted_yield(const std::vector<std::vector<double>>& rows,
+estimate_weighted_yield(const eval::RowBlock& rows,
                         const std::vector<mc::Spec>& specs);
 
 /// The shared row convention of every yield kernel: columns are the spec
@@ -162,7 +164,7 @@ estimate_weighted_yield(const std::vector<std::vector<double>>& rows,
 /// pilot's u record). True when every spec passes (NaN fails).
 /// \throws ypm::InvalidInputError when the row's size differs from `arity`
 /// (pass specs.size() + 1 + extra columns).
-[[nodiscard]] bool row_passes(const std::vector<double>& row,
+[[nodiscard]] bool row_passes(std::span<const double> row,
                               const std::vector<mc::Spec>& specs,
                               std::size_t arity);
 

@@ -1,12 +1,13 @@
-// Dedicated suite for the engine's one kernel shape (eval::ChunkKernelFn)
-// and its async streaming dispatch, parametrised over {deterministic,
-// stochastic} x {serial, parallel} x {cache on, off}: submit()/wait() must
-// be bit-identical to evaluate() - results, cache behaviour, ledger counters
-// and RNG streams - with tracing on or off, every row must equal the
-// per-request reference, and the fail-row, wrong-arity and foreign-ticket
-// cases must behave identically in every configuration. Plus the ticket
-// discipline (in-order retirement, out-of-order waits, error delivery,
-// misuse) and the overlapped Monte Carlo entry points.
+// Dedicated suite for the engine's two batch kinds and their async
+// streaming dispatch. Design-point batches (eval::ChunkKernelFn) run over
+// {serial, parallel} x {cache on, off}, sample batches (eval::SampleKernelFn)
+// over {serial, parallel}: submit()/wait() must match the blocking pattern
+// - results, cache behaviour, ledger counters and RNG streams - with
+// tracing on or off, every row must equal its per-item reference, and the
+// fail-row, wrong-arity and foreign-ticket cases must behave identically in
+// every configuration. Plus the ticket discipline (in-order retirement,
+// out-of-order waits, error delivery, misuse, destructor drain) and the
+// overlapped Monte Carlo entry points.
 
 #include <gtest/gtest.h>
 
@@ -78,10 +79,16 @@ std::vector<double> fail_kernel(const EvalRequest& r) {
     return toy_kernel(r);
 }
 
-std::vector<double> stochastic_fail_kernel(const EvalRequest& r, Rng& rng) {
-    if (r.params[0] < 0.0) return failure_row(r);
-    return {rng.gauss(r.params[0], 1.0), rng.uniform01()};
+/// The per-sample reference of the sample batches: every seventh sample
+/// (ids 3, 10, ...) fails with a NaN row, the others draw from their stream.
+std::vector<double> sample_row(std::size_t id, Rng& rng) {
+    if (id % 7 == 3) return {nan_v, nan_v};
+    return {rng.gauss(static_cast<double>(id), 1.0), rng.uniform01()};
 }
+
+/// Sample batch sizes of the sample-kernel suite: a repeat, a batch smaller
+/// than the chunk count of a parallel engine, and a single sample.
+const std::vector<std::size_t> kSampleBatches = {17, 17, 3, 1, 40};
 
 /// Bit-identical rows: memcmp over the double bit patterns, so NaN failure
 /// sentinels compare equal to themselves (the equivalence criterion is
@@ -123,18 +130,16 @@ EngineConfig config_with_cache(bool cache) {
     return config;
 }
 
-// ------------------------------------------ the one kernel shape, 8 ways
+// ---------------------------------------- design-point batches, 4 ways
 
 struct EngineCase {
-    bool stochastic;
     bool parallel;
     bool cache;
 };
 
 std::string case_name(const ::testing::TestParamInfo<EngineCase>& info) {
     const EngineCase& c = info.param;
-    return std::string(c.stochastic ? "Stochastic" : "Deterministic") +
-           (c.parallel ? "Parallel" : "Serial") +
+    return std::string("Deterministic") + (c.parallel ? "Parallel" : "Serial") +
            (c.cache ? "CacheOn" : "CacheOff");
 }
 
@@ -147,26 +152,15 @@ protected:
         return config;
     }
 
-    [[nodiscard]] ChunkKernelFn kernel() const {
-        return GetParam().stochastic ? per_item(stochastic_fail_kernel)
-                                     : per_item(fail_kernel);
-    }
-
     /// Submit the whole sequence, either blocking (evaluate per batch) or
-    /// as submit()+wait() per batch; stochastic runs draw from one Rng.
-    [[nodiscard]] std::vector<std::vector<EvalResult>>
-    run(Engine& engine, bool async) const {
-        const ChunkKernelFn k = kernel();
-        Rng rng(42);
+    /// as submit()+wait() per batch.
+    [[nodiscard]] static std::vector<std::vector<EvalResult>>
+    run(Engine& engine, bool async) {
+        const ChunkKernelFn k = per_item(fail_kernel);
         std::vector<std::vector<EvalResult>> out;
-        for (const EvalBatch& batch : batch_sequence()) {
-            if (GetParam().stochastic)
-                out.push_back(async ? engine.wait(engine.submit(batch, k, rng))
-                                    : engine.evaluate(batch, k, rng));
-            else
-                out.push_back(async ? engine.wait(engine.submit(batch, k))
-                                    : engine.evaluate(batch, k));
-        }
+        for (const EvalBatch& batch : batch_sequence())
+            out.push_back(async ? engine.wait(engine.submit(batch, k))
+                                : engine.evaluate(batch, k));
         return out;
     }
 };
@@ -198,27 +192,15 @@ TEST_P(KernelShape, TracingIsBitIdentical) {
     expect_same_counters(plain.counters(), traced.counters());
 }
 
-TEST_P(KernelShape, RowsMatchPerRequestReferenceAndStreams) {
-    // Every row equals its request evaluated alone; stochastic rows use the
-    // documented stream derivation: base = rng.child(rng.engine()()) per
-    // batch, item i gets base.child(i), whichever chunk it lands in.
+TEST_P(KernelShape, RowsMatchPerRequestReference) {
+    // Every row equals its request evaluated alone, cached or not.
     Engine engine(config());
     const auto results = run(engine, true);
     const auto seq = batch_sequence();
-    Rng rng(42);
-    for (std::size_t b = 0; b < seq.size(); ++b) {
-        const Rng base = rng.child(rng.engine()());
-        for (std::size_t i = 0; i < seq[b].size(); ++i) {
-            Rng item_rng = base.child(i);
-            const auto expected =
-                GetParam().stochastic
-                    ? stochastic_fail_kernel(seq[b].items[i], item_rng)
-                    : fail_kernel(seq[b].items[i]);
-            // Stochastic duplicates keep their own streams (salted per
-            // item), so they never alias.
-            expect_bits_identical(results[b][i].values, expected, b, i);
-        }
-    }
+    for (std::size_t b = 0; b < seq.size(); ++b)
+        for (std::size_t i = 0; i < seq[b].size(); ++i)
+            expect_bits_identical(results[b][i].values,
+                                  fail_kernel(seq[b].items[i]), b, i);
 }
 
 TEST_P(KernelShape, LedgerAndCacheAccounting) {
@@ -242,10 +224,6 @@ TEST_P(KernelShape, LedgerAndCacheAccounting) {
     if (!GetParam().cache) {
         EXPECT_EQ(c.cache_hits, 0u);
         EXPECT_EQ(engine.cache_size(), 0u);
-    } else if (GetParam().stochastic) {
-        // Per-item stream salts: a stochastic point never repeats, so
-        // neither the repeated batch nor the in-batch duplicates hit.
-        EXPECT_EQ(c.cache_hits, 0u);
     } else {
         // The repeated 17-point batch plus four in-batch aliases
         // ({2, 3} x 3 and the NaN point's alias).
@@ -266,12 +244,10 @@ TEST_P(KernelShape, ThreadCountInvariant) {
 TEST_P(KernelShape, WrongArityThrowsAtItsOwnTicket) {
     Engine engine(config());
     const ChunkKernelFn short_rows =
-        [](const std::vector<const EvalRequest*>&, std::span<Rng>) {
+        [](const std::vector<const EvalRequest*>&) {
             return std::vector<std::vector<double>>{};
         };
-    Rng rng(1);
-    auto bad = GetParam().stochastic ? engine.submit(toy_batch(4), short_rows, rng)
-                                     : engine.submit(toy_batch(4), short_rows);
+    auto bad = engine.submit(toy_batch(4), short_rows);
     auto good = engine.submit(toy_batch(4, 9.0), per_item(toy_kernel));
     // Waiting the later ticket retires the errored batch on the way; its
     // error stays parked on its own ticket, and the ledger keeps only the
@@ -286,10 +262,7 @@ TEST_P(KernelShape, WrongArityThrowsAtItsOwnTicket) {
 
 TEST_P(KernelShape, ForeignTicketIsRejectedWithoutDraining) {
     Engine owner(config()), other(config());
-    Rng rng(3);
-    auto ticket = GetParam().stochastic
-                      ? owner.submit(toy_batch(6), kernel(), rng)
-                      : owner.submit(toy_batch(6), kernel());
+    auto ticket = owner.submit(toy_batch(6), per_item(fail_kernel));
     auto mine = other.submit(toy_batch(2), per_item(toy_kernel));
     EXPECT_THROW((void)other.wait(ticket), InvalidInputError);
     // The rejection happens before any retirement on either engine.
@@ -299,17 +272,189 @@ TEST_P(KernelShape, ForeignTicketIsRejectedWithoutDraining) {
     EXPECT_EQ(other.wait(mine).size(), 2u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Engine, KernelShape,
-    ::testing::Values(EngineCase{false, false, false},
-                      EngineCase{false, false, true},
-                      EngineCase{false, true, false},
-                      EngineCase{false, true, true},
-                      EngineCase{true, false, false},
-                      EngineCase{true, false, true},
-                      EngineCase{true, true, false},
-                      EngineCase{true, true, true}),
-    case_name);
+INSTANTIATE_TEST_SUITE_P(Engine, KernelShape,
+                         ::testing::Values(EngineCase{false, false},
+                                           EngineCase{false, true},
+                                           EngineCase{true, false},
+                                           EngineCase{true, true}),
+                         case_name);
+
+// --------------------------------------------- sample batches, 2 ways
+
+/// Parametrised over parallel (true) vs serial engines. Sample batches are
+/// never cached, so every engine here keeps its default cache on, which
+/// must stay empty.
+class SampleShape : public ::testing::TestWithParam<bool> {
+protected:
+    [[nodiscard]] EngineConfig config(std::size_t threads = 0) const {
+        EngineConfig config;
+        config.parallel = GetParam();
+        config.threads = threads;
+        return config;
+    }
+
+    /// Submit every batch of kSampleBatches from one Rng, either waiting
+    /// each before the next submit (blocking) or all in flight at once.
+    [[nodiscard]] static std::vector<RowBlock> run(Engine& engine, bool async) {
+        const SampleKernelFn k = testsupport::per_sample(sample_row);
+        Rng rng(42);
+        std::vector<RowBlock> out;
+        if (!async) {
+            for (std::size_t n : kSampleBatches)
+                out.push_back(engine.wait(engine.submit(n, k, rng)));
+            return out;
+        }
+        std::vector<Engine::SampleTicket> tickets;
+        for (std::size_t n : kSampleBatches)
+            tickets.push_back(engine.submit(n, k, rng));
+        for (Engine::SampleTicket& t : tickets) out.push_back(engine.wait(t));
+        return out;
+    }
+};
+
+void expect_same_rows(const std::vector<RowBlock>& a,
+                      const std::vector<RowBlock>& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t s = 0; s < a.size(); ++s) {
+        ASSERT_EQ(a[s].size(), b[s].size()) << "batch " << s;
+        ASSERT_EQ(a[s].arity(), b[s].arity()) << "batch " << s;
+        for (std::size_t i = 0; i < a[s].size(); ++i) {
+            const auto ra = a[s].row(i);
+            const auto rb = b[s].row(i);
+            expect_bits_identical({ra.begin(), ra.end()},
+                                  {rb.begin(), rb.end()}, s, i);
+        }
+    }
+}
+
+TEST_P(SampleShape, SubmitWaitMatchesBlocking) {
+    Engine blocking(config()), async(config());
+    const auto a = run(blocking, false);
+    const auto b = run(async, true);
+    expect_same_rows(a, b);
+    expect_same_counters(blocking.counters(), async.counters());
+}
+
+TEST_P(SampleShape, TracingIsBitIdentical) {
+    obs::Tracer::global().clear();
+    ASSERT_FALSE(obs::Tracer::enabled());
+    Engine plain(config());
+    const auto untraced = run(plain, true);
+
+    obs::Tracer::set_enabled(true);
+    Engine traced(config());
+    const auto traced_rows = run(traced, true);
+    obs::Tracer::set_enabled(false);
+
+    EXPECT_FALSE(obs::Tracer::global().drain().empty());
+    expect_same_rows(untraced, traced_rows);
+    expect_same_counters(plain.counters(), traced.counters());
+}
+
+TEST_P(SampleShape, RowsMatchPerSampleReferenceStreams) {
+    // The documented stream derivation: base = rng.child(rng.engine()())
+    // per batch, sample i gets base.child(i), whichever chunk it lands in.
+    Engine engine(config());
+    const auto rows = run(engine, true);
+    Rng rng(42);
+    for (std::size_t b = 0; b < kSampleBatches.size(); ++b) {
+        const Rng base = rng.child(rng.engine()());
+        ASSERT_EQ(rows[b].size(), kSampleBatches[b]);
+        for (std::size_t i = 0; i < kSampleBatches[b]; ++i) {
+            Rng sample_rng = base.child(i);
+            const auto row = rows[b].row(i);
+            expect_bits_identical({row.begin(), row.end()},
+                                  sample_row(i, sample_rng), b, i);
+        }
+    }
+}
+
+TEST_P(SampleShape, LedgerCountsSamplesAndNanRows) {
+    Engine engine(config());
+    const auto rows = run(engine, true);
+    std::size_t samples = 0, failed = 0;
+    for (const RowBlock& block : rows)
+        for (std::size_t i = 0; i < block.size(); ++i) {
+            ++samples;
+            if (std::isnan(block.row(i)[0])) ++failed;
+        }
+    const EngineCounters c = engine.counters();
+    EXPECT_EQ(c.requests, samples);
+    EXPECT_EQ(c.evaluations, samples);
+    EXPECT_EQ(c.cache_hits, 0u);
+    EXPECT_EQ(c.failures, failed);
+    // Ids 3 and 10 of both 17-sample batches, and 3, 10, ..., 38 of the 40.
+    EXPECT_EQ(failed, 2u * 2u + 6u);
+    EXPECT_EQ(engine.cache_size(), 0u);
+}
+
+TEST_P(SampleShape, ThreadCountInvariant) {
+    EngineConfig serial;
+    serial.parallel = false;
+    Engine reference_engine(serial);
+    const auto reference = run(reference_engine, true);
+    for (std::size_t threads : {1u, 2u, 4u}) {
+        Engine engine(config(threads));
+        expect_same_rows(reference, run(engine, true));
+    }
+}
+
+TEST_P(SampleShape, WrongRowCountThrowsAtItsOwnTicket) {
+    Engine engine(config());
+    const SampleKernelFn one_short = [](std::span<const std::size_t> ids,
+                                        std::span<Rng>) {
+        RowBlock rows(1);
+        for (std::size_t k = 1; k < ids.size(); ++k) rows.push_back({1.0});
+        return rows;
+    };
+    Rng rng(1);
+    auto bad = engine.submit(8, one_short, rng);
+    auto good = engine.submit(8, testsupport::per_sample(sample_row), rng);
+    // Waiting the later ticket retires the errored batch on the way; its
+    // error stays parked on its own ticket, and the ledger keeps only the
+    // errored batch's request count.
+    EXPECT_EQ(engine.wait(good).size(), 8u);
+    EXPECT_THROW((void)engine.wait(bad), InvalidInputError);
+    EXPECT_EQ(engine.counters().requests, 16u);
+    EXPECT_EQ(engine.counters().evaluations, 8u);
+}
+
+TEST_P(SampleShape, WrongArityThrowsAtItsOwnTicket) {
+    // Every engine splits 8 samples into at least four chunks; the chunk
+    // holding sample 0 returns rows one value wider than the rest.
+    Engine engine(config());
+    const SampleKernelFn ragged = [](std::span<const std::size_t> ids,
+                                     std::span<Rng>) {
+        RowBlock rows(ids.front() == 0 ? 2 : 1);
+        for (std::size_t k = 0; k < ids.size(); ++k) (void)rows.append_row();
+        return rows;
+    };
+    Rng rng(1);
+    auto bad = engine.submit(8, ragged, rng);
+    auto good = engine.submit(8, testsupport::per_sample(sample_row), rng);
+    EXPECT_EQ(engine.wait(good).size(), 8u);
+    EXPECT_THROW((void)engine.wait(bad), InvalidInputError);
+    EXPECT_EQ(engine.counters().requests, 16u);
+    EXPECT_EQ(engine.counters().evaluations, 8u);
+}
+
+TEST_P(SampleShape, ForeignTicketIsRejectedWithoutDraining) {
+    Engine owner(config()), other(config());
+    Rng rng(3);
+    auto ticket = owner.submit(6, testsupport::per_sample(sample_row), rng);
+    auto mine = other.submit(toy_batch(2), per_item(toy_kernel));
+    EXPECT_THROW((void)other.wait(ticket), InvalidInputError);
+    EXPECT_EQ(other.in_flight(), 1u);
+    EXPECT_EQ(owner.in_flight(), 1u);
+    EXPECT_EQ(owner.wait(ticket).size(), 6u);
+    EXPECT_EQ(other.wait(mine).size(), 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Engine, SampleShape, ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                             return std::string(info.param ? "Parallel"
+                                                           : "Serial");
+                         });
 
 // ----------------------------------------------------- ticket discipline
 
@@ -374,8 +519,7 @@ TEST(AsyncTickets, CacheVisibilityFollowsRetirementOrder) {
 TEST(AsyncTickets, KernelErrorSurfacesAtTheFaultyTicketsWait) {
     Engine engine;
     auto bad = engine.submit(
-        toy_batch(4),
-        ChunkKernelFn([](const std::vector<const EvalRequest*>&, std::span<Rng>) {
+        toy_batch(4), ChunkKernelFn([](const std::vector<const EvalRequest*>&) {
             return std::vector<std::vector<double>>{}; // wrong arity
         }));
     auto good = engine.submit(toy_batch(4, 9.0), per_item(toy_kernel));
@@ -411,12 +555,32 @@ TEST(AsyncTickets, DestructorDrainsInFlightBatches) {
     EXPECT_EQ(calls.load(), 128);
 }
 
+TEST(AsyncTickets, DestructorDrainsInFlightSampleBatches) {
+    std::atomic<int> calls{0};
+    {
+        Engine engine;
+        const auto counting = testsupport::per_sample(
+            [&calls](std::size_t id, Rng& rng) {
+                calls.fetch_add(1);
+                return sample_row(id, rng);
+            });
+        Rng rng(5);
+        auto t1 = engine.submit(64, counting, rng);
+        auto t2 = engine.submit(toy_batch(8), per_item(toy_kernel));
+        auto t3 = engine.submit(64, counting, rng);
+        (void)t1;
+        (void)t2;
+        (void)t3; // dropped without wait(): the engine must drain safely
+    }
+    EXPECT_EQ(calls.load(), 128);
+}
+
 // --------------------------------------------------- Monte Carlo bridge
 
 TEST(AsyncMc, SubmitWaitMatchesBlockingRunner) {
     const auto chunk_fn = mc::ChunkSampleFn(
         [](std::span<const std::size_t> ids, std::span<Rng> rngs) {
-            std::vector<std::vector<double>> rows;
+            RowBlock rows(2);
             rows.reserve(ids.size());
             for (std::size_t k = 0; k < ids.size(); ++k)
                 rows.push_back({rngs[k].gauss(10.0, 1.0), rngs[k].uniform01()});
@@ -432,9 +596,8 @@ TEST(AsyncMc, SubmitWaitMatchesBlockingRunner) {
     EXPECT_TRUE(ticket.valid());
     const auto async = mc::wait_monte_carlo(e2, std::move(ticket));
 
-    ASSERT_EQ(async.rows.size(), blocking.rows.size());
-    for (std::size_t i = 0; i < blocking.rows.size(); ++i)
-        EXPECT_EQ(async.rows[i], blocking.rows[i]);
+    ASSERT_EQ(async.size(), blocking.size());
+    EXPECT_EQ(async.rows, blocking.rows);
     EXPECT_EQ(async.failed(), blocking.failed());
     expect_same_counters(e1.counters(), e2.counters());
 }
@@ -445,7 +608,7 @@ TEST(AsyncMc, OverlappedRunsMatchSequentialRuns) {
     auto point_fn = [](double mean) {
         return mc::ChunkSampleFn(
             [mean](std::span<const std::size_t> ids, std::span<Rng> rngs) {
-                std::vector<std::vector<double>> rows;
+                RowBlock rows(1);
                 rows.reserve(ids.size());
                 for (std::size_t k = 0; k < ids.size(); ++k)
                     rows.push_back({rngs[k].gauss(mean, 2.0)});

@@ -151,7 +151,7 @@ TEST(OtaMc, VariationInPaperBallpark) {
     Rng rng(3);
     const auto mc = run_ota_monte_carlo(engine, ev, circuits::OtaSizing{},
                                         sampler, 80, rng);
-    EXPECT_EQ(mc.rows.size(), 80u);
+    EXPECT_EQ(mc.size(), 80u);
     EXPECT_LT(mc.failed(), 4u);
     const auto gv = mc.column_variation(0);
     const auto pv = mc.column_variation(1);

@@ -172,8 +172,7 @@ TEST(ShiftFitScale, LearnsWeightedSpreadAroundClampedCenter) {
     // the fitted mean 5 is norm-clamped to 4, and the CE variance around
     // the *clamped* center is E[u^2] - 2*4*E[u] + 16 = 26 - 40 + 16 = 2.
     const std::vector<mc::Spec> specs = {mc::Spec::at_most("v", 3.0)};
-    const std::vector<std::vector<double>> rows = {{4.0, 0.0, 4.0},
-                                                   {6.0, 0.0, 6.0}};
+    const eval::RowBlock rows = {{4.0, 0.0, 4.0}, {6.0, 0.0, 6.0}};
     yield::ShiftFitConfig config;
     config.adapt_scale = true;
     const auto fit = yield::refit_shift(rows, specs, 1, config);
@@ -185,15 +184,14 @@ TEST(ShiftFitScale, LearnsWeightedSpreadAroundClampedCenter) {
 
     // Near-coincident records under-estimate the spread; the min_scale
     // clamp keeps the component from over-shrinking into weight spikes.
-    const std::vector<std::vector<double>> tight = {{3.5, 0.0, 3.5},
-                                                    {3.6, 0.0, 3.6}};
+    const eval::RowBlock tight = {{3.5, 0.0, 3.5}, {3.6, 0.0, 3.6}};
     const auto shrunk = yield::refit_shift(tight, specs, 1, config);
     ASSERT_EQ(shrunk.mixture.components.size(), 2u);
     ASSERT_EQ(shrunk.mixture.components[1].sigma.size(), 1u);
     EXPECT_DOUBLE_EQ(shrunk.mixture.components[1].sigma[0], config.min_scale);
 
     // A single failing record carries no spread information: unit scale.
-    const std::vector<std::vector<double>> lone = {{4.0, 0.0, 4.0}};
+    const eval::RowBlock lone = {{4.0, 0.0, 4.0}};
     const auto single = yield::refit_shift(lone, specs, 1, config);
     ASSERT_EQ(single.mixture.components.size(), 2u);
     EXPECT_TRUE(single.mixture.components[1].sigma.empty());

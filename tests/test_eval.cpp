@@ -1,8 +1,8 @@
 // Unit tests for src/eval: the unified batched evaluation engine - LRU
 // memoisation, within-batch dedup, NaN failure propagation, counters, and
-// the moo / Monte Carlo bridges onto the engine. The kernel-shape matrix
-// (deterministic/stochastic x serial/parallel x cache on/off) lives in
-// test_async.cpp.
+// the moo / Monte Carlo bridges onto the engine. The batch-kind matrix
+// (design points over serial/parallel x cache on/off, samples over
+// serial/parallel) lives in test_async.cpp.
 
 #include <gtest/gtest.h>
 
@@ -153,17 +153,6 @@ TEST(Engine, TagSeparatesKernelKeySpaces) {
     EXPECT_FALSE(rb.front().from_cache);
     EXPECT_EQ(rb.front().values, std::vector<double>{9.0});
     EXPECT_NE(ra.front().values, rb.front().values);
-}
-
-TEST(Engine, NonCacheableItemsBypassCache) {
-    Engine engine;
-    EvalBatch batch;
-    batch.add({1.0}, kNominalProcess, false);
-    const auto first = engine.evaluate(batch, per_item(toy_kernel));
-    const auto second = engine.evaluate(batch, per_item(toy_kernel));
-    EXPECT_FALSE(second.front().from_cache);
-    EXPECT_EQ(engine.counters().evaluations, 2u);
-    EXPECT_EQ(engine.counters().cache_hits, 0u);
 }
 
 TEST(Engine, NanFailurePropagates) {

@@ -19,6 +19,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -74,7 +75,7 @@ public:
         add(static_cast<std::uint64_t>(s.size()));
         for (char c : s) byte(static_cast<unsigned char>(c));
     }
-    void add(const std::vector<double>& v) {
+    void add(std::span<const double> v) {
         add(static_cast<std::uint64_t>(v.size()));
         for (double x : v) add(x);
     }
@@ -218,8 +219,8 @@ TEST(Golden, ReducedFlow) {
         Rng rng(11);
         const mc::McResult rows = core::run_ota_monte_carlo(
             engine, evaluator, r.front.front().sizing, sampler, 32, rng);
-        mc_rows.add(u64(rows.rows.size()));
-        for (const auto& row : rows.rows) mc_rows.add(row);
+        mc_rows.add(u64(rows.size()));
+        for (std::size_t i = 0; i < rows.size(); ++i) mc_rows.add(rows.row(i));
     }
 
     Fnv1a certificates;

@@ -139,7 +139,7 @@ TEST(Yield, PerfectYieldCiBelowOne) {
 TEST(Yield, MatrixYieldRequiresAllSpecs) {
     const std::vector<Spec> specs = {Spec::at_least("gain", 50.0),
                                      Spec::at_least("pm", 60.0)};
-    const std::vector<std::vector<double>> rows = {
+    const eval::RowBlock rows = {
         {51.0, 65.0}, // pass
         {49.0, 65.0}, // gain fails
         {51.0, 55.0}, // pm fails
@@ -204,10 +204,10 @@ TEST(McRunner, DeterministicAcrossThreadCounts) {
     Rng r1(5), r2(5);
     const McResult a = run_monte_carlo(serial_engine, cfg, r1, per_sample(fn));
     const McResult b = run_monte_carlo(parallel_engine, cfg, r2, per_sample(fn));
-    ASSERT_EQ(a.rows.size(), b.rows.size());
-    for (std::size_t i = 0; i < a.rows.size(); ++i) {
-        EXPECT_DOUBLE_EQ(a.rows[i][0], b.rows[i][0]);
-        EXPECT_DOUBLE_EQ(a.rows[i][1], b.rows[i][1]);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_DOUBLE_EQ(a.row(i)[0], b.row(i)[0]);
+        EXPECT_DOUBLE_EQ(a.row(i)[1], b.row(i)[1]);
     }
 }
 
@@ -221,7 +221,7 @@ TEST(McRunner, SuccessiveRunsDiffer) {
     eval::Engine engine;
     const McResult a = run_monte_carlo(engine, cfg, rng, per_sample(fn));
     const McResult b = run_monte_carlo(engine, cfg, rng, per_sample(fn));
-    EXPECT_NE(a.rows[0][0], b.rows[0][0]);
+    EXPECT_NE(a.row(0)[0], b.row(0)[0]);
 }
 
 TEST(McRunner, TracksFailures) {
@@ -271,6 +271,43 @@ TEST(McRunner, HandBuiltResultAutoFinalizes) {
     hand_built.finalize();
     EXPECT_EQ(hand_built.failed(), 2u);
     EXPECT_EQ(hand_built.failure_mask().size(), 4u);
+}
+
+TEST(McRunner, FlatRowsKeepNanRowsInPlace) {
+    // Rows come back flat, in sample order, NaN rows included: row(i) is a
+    // span into one block, the failure mask marks the NaN rows, and the
+    // column accessors skip exactly those.
+    auto fn = [](std::size_t i, Rng&) -> std::vector<double> {
+        if (i % 3 == 1) return {nan_v, 10.0 + static_cast<double>(i)};
+        return {static_cast<double>(i), 10.0 + static_cast<double>(i)};
+    };
+    McConfig cfg;
+    cfg.samples = 9;
+    Rng rng(4);
+    eval::Engine engine;
+    const McResult r = run_monte_carlo(engine, cfg, rng, per_sample(fn));
+    ASSERT_EQ(r.size(), 9u);
+    EXPECT_EQ(r.rows.arity(), 2u);
+    ASSERT_EQ(r.rows.values().size(), 18u);
+    for (std::size_t i = 0; i < r.size(); ++i) {
+        const std::span<const double> row = r.row(i);
+        ASSERT_EQ(row.size(), 2u);
+        EXPECT_EQ(row.data(), r.rows.values().data() + 2 * i);
+        EXPECT_EQ(row[1], 10.0 + static_cast<double>(i));
+        EXPECT_EQ(std::isnan(row[0]), i % 3 == 1) << i;
+        EXPECT_EQ(r.failure_mask()[i], i % 3 == 1 ? 1 : 0) << i;
+    }
+    EXPECT_EQ(r.failed(), 3u);
+    const std::vector<double> col0 = r.column(0);
+    EXPECT_EQ(col0, (std::vector<double>{0.0, 2.0, 3.0, 5.0, 6.0, 8.0}));
+    EXPECT_EQ(r.column(1).size(), 6u);
+    EXPECT_EQ(r.column_summary(1).count, 6u);
+    EXPECT_THROW((void)r.column(2), InvalidInputError);
+    // An all-NaN result has no column to report.
+    McResult all_failed;
+    all_failed.rows = {{nan_v}, {nan_v}};
+    EXPECT_EQ(all_failed.failed(), 2u);
+    EXPECT_THROW((void)all_failed.column(0), NumericalError);
 }
 
 TEST(McRunner, RejectsZeroSamples) {

@@ -37,8 +37,8 @@ bool bits_equal(double a, double b) {
 }
 
 /// Bitwise comparison that treats NaN == NaN (failure sentinels).
-void expect_rows_identical(const std::vector<double>& a,
-                           const std::vector<double>& b) {
+void expect_rows_identical(std::span<const double> a,
+                           std::span<const double> b) {
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         if (std::isnan(a[i]) && std::isnan(b[i])) continue;
@@ -476,9 +476,9 @@ TEST(ProblemBatch, OtaMonteCarloChunkMatchesScalarStreams) {
     Rng r_chunk(77);
     const auto chunked = core::run_ota_monte_carlo(engine, evaluator, sizing,
                                                    sampler, cfg.samples, r_chunk);
-    ASSERT_EQ(chunked.rows.size(), scalar.rows.size());
-    for (std::size_t i = 0; i < scalar.rows.size(); ++i)
-        expect_rows_identical(scalar.rows[i], chunked.rows[i]);
+    ASSERT_EQ(chunked.size(), scalar.size());
+    for (std::size_t i = 0; i < scalar.size(); ++i)
+        expect_rows_identical(scalar.row(i), chunked.row(i));
 }
 
 } // namespace

@@ -310,6 +310,33 @@ TEST(Mt19937_64, CopyPartWayThroughFirstBlockContinuesIdentically) {
     }
 }
 
+TEST(Mt19937_64, CopyAssignOverUsedEngineShowsNoStaleWords) {
+    // The state is not value-initialised and copies carry only the seeded
+    // prefix, so a destination that has run past its first block keeps
+    // stale words beyond the source's prefix. None may ever reach an output:
+    // the assigned engine must continue exactly as the source would.
+    for (std::uint64_t seed : oracle_seeds(8)) {
+        for (int drawn : {0, 1, 2, 3, 77, 155, 156, 157, 200, 311}) {
+            Mt19937_64 source(seed);
+            std::mt19937_64 reference(seed);
+            for (int i = 0; i < drawn; ++i) {
+                (void)source();
+                (void)reference();
+            }
+            Mt19937_64 used(~seed);
+            for (int i = 0; i < 1000; ++i) (void)used();
+            used = source;
+            Mt19937_64& alias = used;
+            used = alias; // self-assignment keeps the engine as it is
+            for (int i = 0; i < 700; ++i) {
+                const std::uint64_t want = reference();
+                ASSERT_EQ(used(), want) << seed << ", at " << drawn;
+                ASSERT_EQ(source(), want) << seed << ", at " << drawn;
+            }
+        }
+    }
+}
+
 /// A UniformRandomBitGenerator that returns one fixed word, so the std
 /// algorithms can be fed chosen engine outputs.
 struct FixedWord {
@@ -435,6 +462,34 @@ TEST(Rng, ChildrenMatchChildDrawForDraw) {
         }
     }
     EXPECT_EQ(checked, oracle_seeds(300).size() * 153);
+}
+
+TEST(Rng, ChildrenCopiedBeforeFirstDrawMatchChild) {
+    // Streams from children() hold only their seeded first outputs; copies
+    // taken before any draw - copy-constructed, or assigned over a stream
+    // that has run past its first block - must still be child(id) draw for
+    // draw, as must the originals.
+    for (std::uint64_t seed : oracle_seeds(20)) {
+        const Rng base(seed);
+        const std::vector<std::size_t> ids = {0, 1, 2, 7, 8, 9, 10, 11, 12,
+                                              13, 14, 15, 16, 17, 40000};
+        std::vector<Rng> streams;
+        base.children(ids, streams);
+        const std::vector<Rng> copies = streams;
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+            Rng assigned = base.child(123456);
+            for (int d = 0; d < 1000; ++d) (void)assigned.engine()();
+            assigned = streams[i];
+            Rng want = base.child(ids[i]);
+            Rng copy = copies[i];
+            for (int d = 0; d < 400; ++d) {
+                const std::uint64_t w = want.engine()();
+                ASSERT_EQ(copy.engine()(), w) << seed << ", " << i;
+                ASSERT_EQ(assigned.engine()(), w) << seed << ", " << i;
+                ASSERT_EQ(streams[i].engine()(), w) << seed << ", " << i;
+            }
+        }
+    }
 }
 
 TEST(Rng, GaussSpanMatchesScalarCalls) {

@@ -258,10 +258,9 @@ TEST(MixtureSampler, NominalDrawMixtureUMatchesGeneralFormula) {
         for (std::uint64_t seed = 0; seed < 200; ++seed) {
             Rng fast_rng(seed), general_rng(seed);
             double fast_w = 1.0, general_w = 1.0;
-            const std::vector<double> fast =
-                draw_mixture_u(fast_rng, nominal, dim, fast_w);
-            const std::vector<double> want =
-                draw_mixture_u(general_rng, general, dim, general_w);
+            std::vector<double> fast(dim), want(dim);
+            draw_mixture_u(fast_rng, nominal, fast, fast_w);
+            draw_mixture_u(general_rng, general, want, general_w);
             ASSERT_EQ(fast, want) << "seed " << seed;
             ASSERT_EQ(fast_w, 0.0);
             ASSERT_FALSE(std::signbit(fast_w));
@@ -640,7 +639,7 @@ TEST(WeightedYield, NanPerformanceFailsTheSample) {
 TEST(ShiftFit, RecoversFailureCenterOfGravity) {
     // One spec over column 0, dimension 2: failures sit around u = (2, -1).
     const std::vector<mc::Spec> specs = {mc::Spec::at_least("v", 0.0)};
-    std::vector<std::vector<double>> rows;
+    eval::RowBlock rows;
     // Passing samples scattered near the origin (u should not matter).
     rows.push_back({1.0, 0.0, 0.3, 0.2});
     rows.push_back({2.0, 0.0, -0.4, 0.1});
@@ -664,7 +663,7 @@ TEST(ShiftFit, PerSpecCentersAreClampedAndAlwaysWellDefined) {
                                          mc::Spec::at_most("b", 10.0),
                                          mc::Spec::at_least("c", -1e9)};
     // Row arity: 3 specs + 1 log weight + 2 dims = 6.
-    std::vector<std::vector<double>> rows;
+    eval::RowBlock rows;
     rows.push_back({-1.0, 0.0, 0.0, 0.0, 4.0, 0.0}); // fails spec 0, u = (4, 0)
     rows.push_back({1.0, 20.0, 0.0, 0.0, 0.0, 4.0}); // fails spec 1, u = (0, 4)
     rows.push_back({1.0, 0.0, 0.0, 0.0, 0.1, -0.1}); // passes all
@@ -701,7 +700,7 @@ TEST(ShiftFit, RefitIsImportanceWeighted) {
     // the CE center of gravity is the weight-3 record's pull, (3*1 + 1*5)/4
     // = 2 - not the unweighted midpoint 3.
     const std::vector<mc::Spec> specs = {mc::Spec::at_least("v", 0.0)};
-    std::vector<std::vector<double>> rows;
+    eval::RowBlock rows;
     rows.push_back({-1.0, std::log(3.0), 1.0});
     rows.push_back({-1.0, 0.0, 5.0});
     rows.push_back({1.0, std::log(9.0), -4.0}); // passes: ignored entirely
@@ -711,7 +710,7 @@ TEST(ShiftFit, RefitIsImportanceWeighted) {
     EXPECT_NEAR(weighted.shift.mu[0], 2.0, 1e-12);
     EXPECT_EQ(weighted.pilot_failures, 2u);
     // Non-finite log weights are rejected on the weighted path.
-    std::vector<std::vector<double>> bad = {
+    const eval::RowBlock bad = {
         {-1.0, std::numeric_limits<double>::quiet_NaN(), 1.0}};
     EXPECT_THROW((void)yield::refit_shift(bad, specs, 1), InvalidInputError);
 }
@@ -750,7 +749,7 @@ TEST(SequentialYield, ZeroShiftBitIdenticalToPlainMonteCarlo) {
     const mc::McResult plain = mc::run_monte_carlo(
         plain_engine, cfg, plain_rng,
         mc::ChunkSampleFn([](std::span<const std::size_t>, std::span<Rng> rngs) {
-            std::vector<std::vector<double>> rows;
+            eval::RowBlock rows(1);
             for (Rng& rng : rngs) rows.push_back({50.0 + 2.0 * rng.gauss()});
             return rows;
         }));
@@ -1177,7 +1176,7 @@ TEST(SequentialYield, NoEarlyStopOnZeroFailureEvidenceUnderActiveWeights) {
     const yield::KernelFactory factory =
         [](const process::ProposalMixture&, bool) -> mc::ChunkSampleFn {
         return [](std::span<const std::size_t>, std::span<Rng> rngs) {
-            std::vector<std::vector<double>> rows;
+            eval::RowBlock rows(2);
             for (Rng& rng : rngs) {
                 (void)rng.gauss();
                 rows.push_back({1.0, 0.1}); // always passes, log weight 0.1
