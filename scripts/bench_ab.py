@@ -4,17 +4,17 @@
 Usage:
   bench_ab.py PARENT HEAD --pr N [--change TEXT]
       Exports the committed files of each commit (git archive) into
-      .bench_build/ab/<commit>/ and runs that checkout's ypmbench/run.py
-      (which builds there on its first run) in pairs: 10 paper_flow and
-      10 synth_yield pairs at --trace 0, then 4 + 4 at --trace 1, each run
+      .bench_build/ab/<commit>/, builds its benchmark there with that
+      checkout's ypmbench/run.py build step, and runs its run.py in pairs
+      (no timed run compiles anything): 10 paper_flow and 10 synth_yield
+      pairs at --trace 0, then 4 + 4 at --trace 1, each run
       BENCHMARK.json's run_seconds long. Pair k of a (workload, trace) runs
       both sides at --seed k + 1; the parent runs first on even k, the head
       on odd k. Writes BENCH_<N>.json (every run, per-metric medians and
-      quartiles, head wins/losses, digests, host steal) at the root of
-      this checkout,
-      and per (workload, trace) the two lists of result lines that
-      bench_diff.py compares, as .bench_build/ab/results/<workload>.trace<t>
-      .{parent,head}.json. Prints bench_diff.py's verdict for each --trace 0
+      quartiles, head wins/losses, digests, host steal, CPU time) at the
+      root of this checkout, and per (workload, trace) the two lists of
+      result lines that bench_diff.py compares, as
+      .bench_build/ab/results/<workload>.trace<t>.{parent,head}.json. Prints bench_diff.py's verdict for each --trace 0
       workload, and names every pair in which either side ran while host
       steal took more than 5 % of the CPU time. Exits 1 if a run is not
       correct, a digest differs between the sides of a pair, or
@@ -30,13 +30,18 @@ The sides run back to back on one host; files from different hosts or
 hours differ by more than most bounds. On a shared virtual machine the
 hypervisor can also take CPU time away during a run (steal), so each run
 records the share of all CPUs' time that /proc/stat counted as steal
-while it ran: a slow pair on a busy host reads as such.
+while it ran: a slow pair on a busy host reads as such. Each run also
+records the user + system CPU seconds of its process tree (run.py, its
+no-op build check and the benchmark binary), from getrusage(RUSAGE_CHILDREN):
+a pair whose walls differ while its CPU times agree lost time to the host,
+not to the commit.
 """
 
 import argparse
 import io
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -76,6 +81,12 @@ def steal_fraction(before, after):
     return (after[0] - before[0]) / total if total > 0 else 0.0
 
 
+def children_cpu_s():
+    """User + system CPU seconds of every child process waited for so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def summary(values):
     """ypmbench/steadiness.py's summary(), with no spread for a zero median
     (a failure count, say)."""
@@ -111,24 +122,28 @@ def export(commit):
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
         done.touch()
+    # run.py's own build step, so that every timed run finds the build done.
+    subprocess.run([sys.executable, "-c", "import run; run.build()"],
+                   cwd=tree / "ypmbench", stdout=sys.stderr, check=True)
     return sha, tree
 
 
 def run_side(tree, workload, trace, seed, seconds):
-    """One run.py call: its report line (meta, digest), result line and the
-    host steal share while it ran."""
-    before = cpu_jiffies()
+    """One run.py call: its report line (meta, digest), result line, the
+    host steal share while it ran and the CPU seconds its processes used."""
+    before, cpu_before = cpu_jiffies(), children_cpu_s()
     proc = subprocess.run(
         [sys.executable, str(tree / "ypmbench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
     steal = steal_fraction(before, cpu_jiffies())
+    cpu_s = children_cpu_s() - cpu_before
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"run failed in {tree}: {workload} seed {seed}")
     lines = proc.stdout.strip().splitlines()
     return {"report": json.loads(lines[0]), "result": json.loads(lines[-1]),
-            "steal": steal}
+            "steal": steal, "cpu_s": cpu_s}
 
 
 def metric_block(spec_metric, parent_values, head_values):
@@ -167,6 +182,8 @@ def assemble_runs(spec, trace, pairs):
         entry[f"{side}_correct"] = all(p[side]["result"]["correct"] for p in pairs)
     for side in SIDES:
         entry[f"{side}_steal"] = [p[side]["steal"] for p in pairs]
+    for side in SIDES:
+        entry[f"{side}_cpu_s"] = [p[side]["cpu_s"] for p in pairs]
     entry["metrics"] = {}
     for m in declared:
         values = {side: [p[side]["result"]["metrics"][m["name"]]["value"]
@@ -198,7 +215,10 @@ def assemble(spec, info, records):
             "direction (ties count for neither). *_steal list, per run, the "
             "share of all CPUs' time /proc/stat counted as steal while it ran; "
             "summary.busy_pairs names the pairs where either side exceeded "
-            f"{BUSY_STEAL:.0%}. All runs made are listed."),
+            f"{BUSY_STEAL:.0%}. *_cpu_s list, per run, the user + system CPU "
+            "seconds of run.py and its children (getrusage RUSAGE_CHILDREN); "
+            "summary.cpu_s gives their medians per side and "
+            "summary.cpu_s_counts what they count. All runs made are listed."),
         "host": {k: first[k] for k in ("nproc", "workers", "cpu", "compiler",
                                        "build_type")},
     }
@@ -238,10 +258,16 @@ def assemble(spec, info, records):
             for seed, a, b in zip(entry["seeds"], entry["parent_steal"],
                                   entry["head_steal"])
             if max(a, b) > BUSY_STEAL]
+    cpu_s = {key: {f"{side}_median": statistics.median(entry[f"{side}_cpu_s"])
+                   for side in SIDES} for key, entry in runs.items()}
     ledger["summary"] = {
         "end_to_end": end_to_end,
         "max_steal": max_steal,
         "busy_pairs": busy,
+        "cpu_s": cpu_s,
+        "cpu_s_counts": ("run.py, its no-op build check (the same on both "
+                         "sides; each tree is built before the first pair) "
+                         "and the benchmark binary"),
         "digests_equal": not mismatched,
         "digest_mismatches": mismatched,
         "all_correct": all(entry[f"{side}_correct"]
@@ -274,6 +300,9 @@ def verdict(ledger, diffs, out):
         ok = bench_diff.diff(parent_path, head_path, out) and ok
     for miss in ledger["summary"]["digest_mismatches"]:
         print(f"digest differs: {miss}", file=out)
+    for key, cpu in ledger["summary"]["cpu_s"].items():
+        print(f"CPU s per run, {key}: parent median {cpu['parent_median']:.2f}, "
+              f"head median {cpu['head_median']:.2f}", file=out)
     for busy in ledger["summary"]["busy_pairs"]:
         print(f"host steal above {BUSY_STEAL:.0%}: {busy['pair']} (parent "
               f"{busy['parent_steal']:.1%}, head {busy['head_steal']:.1%})",
@@ -306,21 +335,23 @@ def run(args):
     return verdict(ledger, side_lists(records, AB_DIR / "results"), sys.stdout)
 
 
-def canned_pairs(parent_results, head_results, digests, steals=None):
+def canned_pairs(parent_results, head_results, digests, steals=None, cpus=None):
     """Pairs as the driver records them, from two lists of result lines
-    (host steal per side from `steals`, else none)."""
+    (host steal and CPU seconds per side from `steals` and `cpus`, else
+    none)."""
     meta = {"nproc": 4, "workers": 4, "cpu": "canned", "compiler": "canned",
             "build_type": "Release", "src_lines": 0}
     pairs = []
     steals = steals or [(0.0, 0.0)] * len(parent_results)
-    for (workload, trace, seed, order), p, h, d, st in zip(
+    cpus = cpus or [(0.0, 0.0)] * len(parent_results)
+    for (workload, trace, seed, order), p, h, d, st, cpu in zip(
             schedule((("paper_flow", 0, len(parent_results)),)),
-            parent_results, head_results, digests, steals):
+            parent_results, head_results, digests, steals, cpus):
         pairs.append({"seed": seed, "first_side": order[0],
                       "parent": {"report": {"meta": meta, "digest": d[0]},
-                                 "result": p, "steal": st[0]},
+                                 "result": p, "steal": st[0], "cpu_s": cpu[0]},
                       "head": {"report": {"meta": meta, "digest": d[1]},
-                               "result": h, "steal": st[1]}})
+                               "result": h, "steal": st[1], "cpu_s": cpu[1]}})
     return pairs
 
 
@@ -354,8 +385,13 @@ def self_test(directory):
     steals = [(0.004, 0.01), (0.02, 0.0), (0.0, 0.003), (0.031, 0.153),
               (0.0, 0.0), (0.012, 0.006), (0.0, 0.05), (0.001, 0.0),
               (0.0, 0.002), (0.009, 0.011)][:len(parent)]
+    # CPU seconds per run of a 4-worker paper_flow: pair 3's head lost its
+    # wall time to steal, not to extra work.
+    cpus = [(27.1, 26.8), (26.5, 27.0), (27.4, 26.9), (26.9, 27.2),
+            (27.0, 26.6), (26.8, 26.7), (27.3, 27.1), (26.6, 26.9),
+            (27.2, 26.5), (26.7, 27.3)][:len(parent)]
     info = {"pr": 0, "change": "canned", "parent": "a", "head": "b"}
-    records = {("paper_flow", 0): canned_pairs(parent, head, same, steals)}
+    records = {("paper_flow", 0): canned_pairs(parent, head, same, steals, cpus)}
     ledger = assemble(spec, info, records)
     want = expected["runs"]["paper_flow.trace0"]
     got = ledger["runs"]["paper_flow.trace0"]
@@ -374,6 +410,12 @@ def self_test(directory):
     if [b["pair"] for b in ledger["summary"]["busy_pairs"]] != [
             "paper_flow.trace0 seed 4"]:
         failures.append("the busy pair (seed 4, head steal 15.3 %) is not named")
+    if (got["parent_cpu_s"] != [c[0] for c in cpus] or
+            got["head_cpu_s"] != [c[1] for c in cpus] or
+            ledger["summary"]["cpu_s"] != {
+                "paper_flow.trace0": {"parent_median": 26.95,
+                                      "head_median": 26.9}}):
+        failures.append("CPU seconds of the canned runs")
     with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "w") as sink:
         diffs = side_lists(records, Path(tmp))
         named = io.StringIO()
@@ -381,6 +423,9 @@ def self_test(directory):
             failures.append("canned parent -> head should pass")
         if "host steal above 5%: paper_flow.trace0 seed 4" not in named.getvalue():
             failures.append("verdict does not name the busy pair")
+        if ("CPU s per run, paper_flow.trace0: parent median 26.95, head median "
+                "26.90") not in named.getvalue():
+            failures.append("verdict does not give the CPU medians")
         swapped = {("paper_flow", 0): canned_pairs(head, parent, same)}
         if verdict(assemble(spec, info, swapped), side_lists(swapped, Path(tmp)), sink):
             failures.append("canned head -> parent should fail (wall_s regression)")
