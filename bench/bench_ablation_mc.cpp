@@ -1,9 +1,8 @@
-// Ablation A3 - Monte Carlo budget and sampling strategy.
+// Ablation A3 - Monte Carlo budget.
 //
 // The paper uses 200 samples per Pareto point for the variation model and
-// 500 for yield verification. This ablation shows (a) how the Δ(%) estimate
-// converges with sample count, and (b) what Latin hypercube sampling buys
-// over plain MC at equal budget for a smooth statistic.
+// 500 for yield verification. This ablation shows how the Δ(%) estimate
+// converges with sample count.
 
 #include <benchmark/benchmark.h>
 
@@ -12,7 +11,6 @@
 
 #include "bench_common.hpp"
 #include "core/ota_mc.hpp"
-#include "mc/lhs.hpp"
 #include "util/text_table.hpp"
 
 using namespace ypm;
@@ -73,29 +71,6 @@ void experiment() {
     std::printf("%s", t.to_string().c_str());
     std::printf("\npaper budget (200) sits where the estimate has roughly "
                 "stabilised - the table shows the error still shrinking beyond it.\n");
-
-    // LHS vs plain MC on a smooth synthetic statistic (mean of a monotone
-    // function of the process draws), matching how the sampler would be
-    // driven through latin_hypercube_gaussian.
-    std::printf("\nLHS vs plain MC (variance of the mean estimator, 64-sample "
-                "budget, 200 trials):\n");
-    Rng rng(7);
-    double var_mc = 0.0, var_lhs = 0.0;
-    constexpr int trials = 200;
-    constexpr std::size_t budget = 64;
-    for (int tr = 0; tr < trials; ++tr) {
-        double m1 = 0.0;
-        for (std::size_t i = 0; i < budget; ++i)
-            m1 += std::tanh(rng.gauss()) / budget;
-        var_mc += m1 * m1 / trials;
-        const auto g = mc::latin_hypercube_gaussian(budget, 1, rng);
-        double m2 = 0.0;
-        for (const auto& row : g) m2 += std::tanh(row[0]) / budget;
-        var_lhs += m2 * m2 / trials;
-    }
-    std::printf("  plain MC estimator variance: %.3e\n", var_mc);
-    std::printf("  LHS estimator variance:      %.3e  (%.1fx reduction)\n", var_lhs,
-                var_mc / var_lhs);
 }
 
 } // namespace

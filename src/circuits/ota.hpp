@@ -158,7 +158,8 @@ public:
     [[nodiscard]] std::vector<OtaPerformance>
     measure_chunk(std::span<const OtaSizing> sizings) const;
 
-    /// Paired sizing/realisation points (corner sweeps); sizes must match.
+    /// Paired sizing/realisation points (a different sizing and process
+    /// point each, e.g. a replayed point set); sizes must match.
     [[nodiscard]] std::vector<OtaPerformance>
     measure_chunk(std::span<const OtaSizing> sizings,
                   std::span<const process::Realization> realizations) const;

@@ -14,8 +14,8 @@ namespace ypm::circuits {
 /// request, NaNs on simulation failure, measured through one leased
 /// testbench prototype per chunk (OtaEvaluator::measure_chunk). Every
 /// consumer that shares an engine's default cache tag (the optimiser's
-/// populations, sensitivity probes, transistor-level verification) measures
-/// through this one kernel so cached rows stay interchangeable.
+/// populations, transistor-level verification) measures through this one
+/// kernel so cached rows stay interchangeable.
 /// \param evaluator must outlive the returned kernel.
 [[nodiscard]] eval::ChunkKernelFn
 ota_objectives_chunk_kernel(const OtaEvaluator& evaluator);

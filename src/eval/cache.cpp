@@ -27,7 +27,7 @@ struct CacheMetrics {
 } // namespace
 
 bool CacheKey::operator==(const CacheKey& other) const {
-    if (process_key != other.process_key || salt != other.salt) return false;
+    if (salt != other.salt) return false;
     if (params.size() != other.params.size()) return false;
     // Bit-exact comparison: distinguishes -0.0 from 0.0 and never equates
     // NaNs away, which is what a memoisation key needs.
@@ -49,7 +49,6 @@ std::size_t CacheKeyHash::operator()(const CacheKey& key) const {
         std::memcpy(&bits, &p, sizeof(bits));
         mix(bits);
     }
-    mix(key.process_key);
     mix(key.salt);
     return static_cast<std::size_t>(h);
 }

@@ -2,12 +2,14 @@
 /// \file cache.hpp
 /// \brief LRU memoisation cache for point evaluations.
 ///
-/// Keys are bit-exact: the parameter vector's double bit patterns, the
-/// process key and a salt (the batch tag) are hashed together, so a hit can
-/// only occur for a request that is guaranteed to reproduce the cached
-/// values. Typical wins:
-/// GA elites re-entering the population every generation, sensitivity
-/// probes landing on already-optimised points, repeated corner sweeps.
+/// Keys are bit-exact: the parameter vector's double bit patterns and a
+/// salt (the batch tag) are hashed together, so a hit can only occur for a
+/// request that is guaranteed to reproduce the cached values. Only
+/// design-point batches are cached, and they always run at the nominal
+/// process, so the key carries no process component (Monte Carlo samples
+/// travel in sample batches and are never cached). Typical wins: GA elites
+/// re-entering the population every generation, verification of front
+/// points the optimiser already evaluated.
 
 #include <cstddef>
 #include <cstdint>
@@ -25,13 +27,12 @@ namespace ypm::eval {
 /// Composite cache key, compared bit-exactly.
 struct CacheKey {
     std::vector<double> params;
-    std::uint64_t process_key = 0;
     std::uint64_t salt = 0;
 
     [[nodiscard]] bool operator==(const CacheKey& other) const;
 };
 
-/// FNV-1a over the double bit patterns plus the integer components.
+/// FNV-1a over the double bit patterns plus the salt.
 struct CacheKeyHash {
     [[nodiscard]] std::size_t operator()(const CacheKey& key) const;
 };

@@ -187,7 +187,7 @@ Engine::Ticket Engine::submit(EvalBatch batch, ChunkKernelFn kernel) {
                 pending->misses.push_back(i);
                 continue;
             }
-            pending->keys[i] = CacheKey{item.params, item.process_key, tag};
+            pending->keys[i] = CacheKey{item.params, tag};
             if (auto hit = cache_.find(pending->keys[i])) {
                 pending->results[i].values = std::move(*hit);
                 pending->results[i].from_cache = true;

@@ -3,23 +3,24 @@
 /// \brief Unified batched evaluation engine with async streaming dispatch.
 ///
 /// All repeated-testbench workloads of the Fig. 3 flow - GA populations,
-/// per-Pareto-point Monte Carlo, corner sweeps, sensitivity probes,
-/// verification - are submitted here instead of hand-rolling their own
-/// ThreadPool loops. Two kinds of batch share one queue:
+/// the nominal Bode re-measure, per-Pareto-point Monte Carlo, verification
+/// - are submitted here instead of hand-rolling their own ThreadPool loops.
+/// Two kinds of batch share one queue:
 ///
 ///  * design-point batches (EvalBatch + ChunkKernelFn): deterministic
-///    points, each with its own EvalResult, memoised in an LRU cache keyed
-///    bit-exactly on (params, process key, batch tag) - GA elites, repeated
-///    corner sweeps, sensitivity probes on archived designs. Lookups and
+///    points at the nominal process, each with its own EvalResult,
+///    memoised in an LRU cache keyed bit-exactly on (params, batch tag) -
+///    GA elites, verification of already-evaluated front points. Lookups and
 ///    within-batch dedup happen at submit(), insertions at retirement, both
 ///    in submission order, so a submit()+wait() sequence touches the cache
 ///    exactly like evaluate();
 ///  * sample batches (a count + SampleKernelFn + Rng): Monte Carlo samples,
-///    never cached. No request or result object exists per sample: sample
-///    i is its index and its child stream (base = rng.child(rng.engine()())
-///    drawn at submission, sample i gets base.child(i)), each chunk's kernel
-///    returns one flat RowBlock, and wait() hands back the batch's rows
-///    joined in sample order. Rows are bit-identical for any thread count.
+///    the only carrier of process variation, never cached. No request or
+///    result object exists per sample: sample i is its index and its child
+///    stream (base = rng.child(rng.engine()()) drawn at submission, sample
+///    i gets base.child(i)), each chunk's kernel returns one flat RowBlock,
+///    and wait() hands back the batch's rows joined in sample order. Rows
+///    are bit-identical for any thread count.
 ///
 /// The engine owns:
 ///
@@ -48,7 +49,7 @@
 /// -Wthread-safety / -Wthread-safety-beta.
 ///
 /// Memoisation contract: one engine instance serves one design context.
-/// Cache keys cover (params, process key, tag) but not the kernel's
+/// Cache keys cover (params, tag) but not the kernel's
 /// captured state, so batches submitted to a shared engine must evaluate
 /// the same testbench / process deck per tag - use a separate engine per
 /// context.

@@ -3,11 +3,12 @@
 /// \brief Value types of the engine's design-point batches.
 ///
 /// The deterministic repeated-testbench workloads of the Fig. 3 flow (GA
-/// populations, corner sweeps, sensitivity probes, the nominal Bode
-/// re-measure) are batches of point evaluations. These types describe one
-/// such batch in a consumer-neutral way so a single engine can schedule,
-/// memoise and count all of them. Monte Carlo samples are not requests:
-/// they travel as sample batches (see engine.hpp and row_block.hpp).
+/// populations, the nominal Bode re-measure, verification) are batches of
+/// point evaluations. These types describe one such batch in a
+/// consumer-neutral way so a single engine can schedule, memoise and count
+/// all of them. A design point is always evaluated at the nominal process:
+/// process variation travels only in sample batches, and Monte Carlo
+/// samples are not requests (see engine.hpp and row_block.hpp).
 
 #include <cmath>
 #include <cstdint>
@@ -16,16 +17,10 @@
 
 namespace ypm::eval {
 
-/// Cache-key component marking "nominal process" (no corner, no MC sample).
-inline constexpr std::uint64_t kNominalProcess = 0;
-
-/// One evaluation point: a designable-parameter vector plus an opaque
-/// process key. Results with equal (params, process_key, batch tag) are
-/// assumed interchangeable - the key must therefore encode everything that
-/// selects the process point (corner id).
+/// One evaluation point: a designable-parameter vector at the nominal
+/// process. Results with equal (params, batch tag) are interchangeable.
 struct EvalRequest {
-    std::vector<double> params;               ///< designable parameters
-    std::uint64_t process_key = kNominalProcess; ///< corner / nominal
+    std::vector<double> params; ///< designable parameters
 };
 
 /// A batch of requests evaluated through one kernel. `tag` namespaces the
@@ -44,14 +39,11 @@ struct EvalBatch {
         EvalBatch batch;
         batch.items.reserve(points.size());
         for (const auto& p : points)
-            batch.items.push_back({p, kNominalProcess});
+            batch.items.push_back({p});
         return batch;
     }
 
-    void add(std::vector<double> params,
-             std::uint64_t process_key = kNominalProcess) {
-        items.push_back({std::move(params), process_key});
-    }
+    void add(std::vector<double> params) { items.push_back({std::move(params)}); }
 
     [[nodiscard]] std::size_t size() const { return items.size(); }
     [[nodiscard]] bool empty() const { return items.empty(); }

@@ -14,30 +14,11 @@ bool row_failed(std::span<const double> row) {
 }
 } // namespace
 
-void McResult::finalize() {
-    finalized_ = false;
-    ensure_finalized();
-}
-
-void McResult::ensure_finalized() const {
-    if (finalized_ && failure_mask_.size() == rows.size()) return;
-    failure_mask_.assign(rows.size(), 0);
-    failed_ = 0;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        failure_mask_[i] = row_failed(rows.row(i)) ? 1 : 0;
-        if (failure_mask_[i]) ++failed_;
-    }
-    finalized_ = true;
-}
-
 std::size_t McResult::failed() const {
-    ensure_finalized();
-    return failed_;
-}
-
-const std::vector<char>& McResult::failure_mask() const {
-    ensure_finalized();
-    return failure_mask_;
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        if (row_failed(rows.row(i))) ++n;
+    return n;
 }
 
 Summary McResult::column_summary(std::size_t col) const {
@@ -45,13 +26,12 @@ Summary McResult::column_summary(std::size_t col) const {
 }
 
 std::vector<double> McResult::column(std::size_t col) const {
-    ensure_finalized();
     if (col >= rows.arity() && !rows.empty())
         throw InvalidInputError("McResult::column: column out of range");
     std::vector<double> out;
     out.reserve(rows.size());
     for (std::size_t i = 0; i < rows.size(); ++i)
-        if (failure_mask_[i] == 0) out.push_back(rows.row(i)[col]);
+        if (!row_failed(rows.row(i))) out.push_back(rows.row(i)[col]);
     if (out.empty())
         throw NumericalError("McResult::column: every sample failed");
     return out;
@@ -76,10 +56,7 @@ McTicket submit_monte_carlo(eval::Engine& engine, const McConfig& config,
 }
 
 McResult wait_monte_carlo(eval::Engine& engine, McTicket ticket) {
-    McResult result;
-    result.rows = engine.wait(std::move(ticket.ticket));
-    result.finalize();
-    return result;
+    return McResult{engine.wait(std::move(ticket.ticket))};
 }
 
 } // namespace ypm::mc

@@ -36,18 +36,8 @@ struct McResult {
         return rows.row(i);
     }
 
-    /// Scan rows once, recording the per-row failure mask and the failure
-    /// count. Every run path calls this before returning; hand-built
-    /// results are finalised automatically on first access instead (call
-    /// finalize() again after mutating `rows` - the accessors would
-    /// otherwise keep serving the stale mask).
-    void finalize();
-
-    /// Samples with any NaN performance. Finalises on first access.
+    /// Samples with any NaN performance (scans the rows on every call).
     [[nodiscard]] std::size_t failed() const;
-
-    /// Per-row failure mask (1 = failed). Finalises on first access.
-    [[nodiscard]] const std::vector<char>& failure_mask() const;
 
     /// Column-wise summary over the *successful* samples only.
     [[nodiscard]] Summary column_summary(std::size_t column) const;
@@ -57,17 +47,6 @@ struct McResult {
 
     /// Paper Δ(%) metric for one column.
     [[nodiscard]] VariationMetrics column_variation(std::size_t column) const;
-
-private:
-    /// Lazy-finalisation guard for hand-built results. The run paths
-    /// finalise eagerly before a result crosses threads, so first-touch
-    /// here stays single-owner; concurrent readers of a finalised result
-    /// only ever see the cached mask.
-    void ensure_finalized() const;
-
-    mutable std::vector<char> failure_mask_; ///< built by finalize()
-    mutable std::size_t failed_ = 0;
-    mutable bool finalized_ = false;
 };
 
 /// Sample kernel: the rows of a group of samples at once, one flat block

@@ -341,17 +341,4 @@ ShiftedDraw ProcessSampler::sample_mixture(Rng& rng,
     return out;
 }
 
-Realization ProcessSampler::corner(Corner c) const {
-    Realization r;
-    const CornerShift shift = corner_shift(c);
-    const auto& g = spec_.global;
-    // "Fast" = lower threshold magnitude and higher transconductance.
-    r.global.dvth_n = -shift.nmos_speed * g.sigma_vth_n;
-    r.global.dvth_p = -shift.pmos_speed * g.sigma_vth_p;
-    r.global.kp_scale_n = 1.0 + shift.nmos_speed * g.sigma_kp_rel_n;
-    r.global.kp_scale_p = 1.0 + shift.pmos_speed * g.sigma_kp_rel_p;
-    r.global.cox_scale = 1.0;
-    return r;
-}
-
 } // namespace ypm::process

@@ -1,9 +1,9 @@
 #pragma once
 /// \file sampler.hpp
 /// \brief Draws process realisations (global + per-device mismatch deltas)
-///        for Monte Carlo analysis, worst-case corners and importance-sampled
-///        yield estimation (shifted/widened proposal distributions with exact
-///        log likelihood ratios).
+///        for Monte Carlo analysis and importance-sampled yield estimation
+///        (shifted/widened proposal distributions with exact log likelihood
+///        ratios).
 
 #include <cstddef>
 #include <span>
@@ -198,9 +198,6 @@ public:
                                              const std::vector<MosGeometry>& devices,
                                              const ProposalMixture& mixture,
                                              bool record_u = false) const;
-
-    /// Global-only realisation for a worst-case corner (no mismatch).
-    [[nodiscard]] Realization corner(Corner c) const;
 
     [[nodiscard]] const ProcessCard& card() const { return card_; }
     [[nodiscard]] const VariationSpec& spec() const { return spec_; }

@@ -1,44 +1,9 @@
 #include "process/variation.hpp"
 
-#include "util/error.hpp"
-#include "util/strings.hpp"
-
 namespace ypm::process {
 
 VariationSpec VariationSpec::c35() {
     return VariationSpec{}; // defaults are the c35-class numbers
-}
-
-std::string to_string(Corner c) {
-    switch (c) {
-    case Corner::tt: return "tt";
-    case Corner::ff: return "ff";
-    case Corner::ss: return "ss";
-    case Corner::fs: return "fs";
-    case Corner::sf: return "sf";
-    }
-    return "?";
-}
-
-Corner corner_from_string(const std::string& name) {
-    const std::string n = str::to_lower(name);
-    if (n == "tt") return Corner::tt;
-    if (n == "ff") return Corner::ff;
-    if (n == "ss") return Corner::ss;
-    if (n == "fs") return Corner::fs;
-    if (n == "sf") return Corner::sf;
-    throw InvalidInputError("unknown process corner '" + name + "'");
-}
-
-CornerShift corner_shift(Corner c) {
-    switch (c) {
-    case Corner::tt: return {0.0, 0.0};
-    case Corner::ff: return {+3.0, +3.0};
-    case Corner::ss: return {-3.0, -3.0};
-    case Corner::fs: return {+3.0, -3.0};
-    case Corner::sf: return {-3.0, +3.0};
-    }
-    return {0.0, 0.0};
 }
 
 } // namespace ypm::process

@@ -1,14 +1,12 @@
 #pragma once
 /// \file variation.hpp
-/// \brief Statistical variation description: global (inter-die) spreads,
-///        Pelgrom local mismatch, and worst-case corners.
+/// \brief Statistical variation description: global (inter-die) spreads
+///        and Pelgrom local mismatch.
 ///
 /// Substitute for the foundry's statistical model deck (paper section 3.4
 /// runs "foundry variation models" through Spectre MC). Global parameters
 /// shift every device of a polarity together; local mismatch adds an
 /// area-dependent per-device delta with sigma = A / sqrt(W*L) (Pelgrom).
-
-#include <string>
 
 namespace ypm::process {
 
@@ -37,22 +35,5 @@ struct VariationSpec {
     /// 0.35 um-class statistical deck (matches ProcessCard::c35()).
     [[nodiscard]] static VariationSpec c35();
 };
-
-/// Classic five worst-case corners (NMOS speed / PMOS speed).
-enum class Corner { tt, ff, ss, fs, sf };
-
-[[nodiscard]] std::string to_string(Corner c);
-
-/// Parse "tt", "FF", ... \throws ypm::InvalidInputError on unknown names.
-[[nodiscard]] Corner corner_from_string(const std::string& name);
-
-/// Signed global shift (in sigma units) a corner applies to each polarity:
-/// fast = lower Vth and higher KP. Returns {n_sigma_nmos, n_sigma_pmos};
-/// tt gives {0, 0}, corners use +/- 3.
-struct CornerShift {
-    double nmos_speed = 0.0; ///< +3 fast, -3 slow
-    double pmos_speed = 0.0;
-};
-[[nodiscard]] CornerShift corner_shift(Corner c);
 
 } // namespace ypm::process

@@ -3,7 +3,7 @@
 /// \brief Reusable circuit prototype for batch evaluation.
 ///
 /// The hot path of every batch workload (GA populations, Monte Carlo,
-/// corners, sensitivity) evaluates the *same testbench topology* at many
+/// verification) evaluates the *same testbench topology* at many
 /// parameter/process points. Rebuilding the Circuit per point - node name
 /// maps, device allocations, finalisation - plus re-allocating the MNA
 /// factorisation workspace per analysis is pure overhead: the structure

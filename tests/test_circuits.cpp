@@ -107,12 +107,16 @@ TEST(Ota, AcResponseRollsOff) {
 
 TEST(Ota, ProcessRealizationShiftsPerformance) {
     const OtaEvaluator ev;
-    const process::ProcessSampler sampler(ev.config().card,
-                                          process::VariationSpec::c35());
     const auto nominal = ev.measure(OtaSizing{});
-    // A strong corner must move the measured gain.
-    const auto ss = sampler.corner(process::Corner::ss);
-    const auto shifted = ev.measure(OtaSizing{}, ss);
+    // A strong global shift (both polarities 3 sigma slow: higher threshold
+    // magnitude, lower KP) must move the measured gain.
+    const auto& g = process::VariationSpec::c35().global;
+    process::Realization slow;
+    slow.global.dvth_n = 3.0 * g.sigma_vth_n;
+    slow.global.dvth_p = 3.0 * g.sigma_vth_p;
+    slow.global.kp_scale_n = 1.0 - 3.0 * g.sigma_kp_rel_n;
+    slow.global.kp_scale_p = 1.0 - 3.0 * g.sigma_kp_rel_p;
+    const auto shifted = ev.measure(OtaSizing{}, slow);
     ASSERT_TRUE(nominal.valid && shifted.valid);
     EXPECT_NE(nominal.gain_db, shifted.gain_db);
 }

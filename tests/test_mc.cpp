@@ -1,13 +1,11 @@
 // Unit tests for src/mc: statistics, the paper's Δ(%) metric, yield with
-// Wilson intervals, the MC runner and Latin hypercube sampling.
+// Wilson intervals and the MC runner.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
-#include <set>
 
-#include "mc/lhs.hpp"
 #include "mc/monte_carlo.hpp"
 #include "mc/stats.hpp"
 #include "mc/yield.hpp"
@@ -255,28 +253,24 @@ TEST(McRunner, ColumnSummaryGaussian) {
 }
 
 TEST(McRunner, HandBuiltResultAutoFinalizes) {
-    // Regression: a hand-built McResult (rows filled directly, finalize()
-    // never called) used to silently fall back to per-row scans with a
-    // stale `failed` count of 0. The accessors now finalise on first touch.
+    // A hand-built McResult (rows filled directly) answers from its rows:
+    // the accessors scan on every call, so no count or mask can go stale.
     McResult hand_built;
     hand_built.rows = {{1.0, 2.0}, {nan_v, 2.0}, {3.0, 4.0}};
     EXPECT_EQ(hand_built.failed(), 1u);
-    ASSERT_EQ(hand_built.failure_mask().size(), 3u);
-    EXPECT_EQ(hand_built.failure_mask()[1], 1);
-    EXPECT_EQ(hand_built.column(0).size(), 2u); // failed row excluded
-    EXPECT_EQ(hand_built.column(1).size(), 2u);
+    EXPECT_EQ(hand_built.column(0), (std::vector<double>{1.0, 3.0}));
+    EXPECT_EQ(hand_built.column(1).size(), 2u); // failed row excluded
 
-    // Mutating rows requires an explicit re-finalize, per the contract.
+    // Mutating the rows is seen by the next call.
     hand_built.rows.push_back({nan_v, nan_v});
-    hand_built.finalize();
     EXPECT_EQ(hand_built.failed(), 2u);
-    EXPECT_EQ(hand_built.failure_mask().size(), 4u);
+    EXPECT_EQ(hand_built.column(1), (std::vector<double>{2.0, 4.0}));
 }
 
 TEST(McRunner, FlatRowsKeepNanRowsInPlace) {
     // Rows come back flat, in sample order, NaN rows included: row(i) is a
-    // span into one block, the failure mask marks the NaN rows, and the
-    // column accessors skip exactly those.
+    // span into one block, failed() counts the NaN rows, and the column
+    // accessors skip exactly those.
     auto fn = [](std::size_t i, Rng&) -> std::vector<double> {
         if (i % 3 == 1) return {nan_v, 10.0 + static_cast<double>(i)};
         return {static_cast<double>(i), 10.0 + static_cast<double>(i)};
@@ -295,7 +289,6 @@ TEST(McRunner, FlatRowsKeepNanRowsInPlace) {
         EXPECT_EQ(row.data(), r.rows.values().data() + 2 * i);
         EXPECT_EQ(row[1], 10.0 + static_cast<double>(i));
         EXPECT_EQ(std::isnan(row[0]), i % 3 == 1) << i;
-        EXPECT_EQ(r.failure_mask()[i], i % 3 == 1 ? 1 : 0) << i;
     }
     EXPECT_EQ(r.failed(), 3u);
     const std::vector<double> col0 = r.column(0);
@@ -321,66 +314,6 @@ TEST(McRunner, RejectsZeroSamples) {
                                   return std::vector<double>{0.0};
                               })),
         InvalidInputError);
-}
-
-// -------------------------------------------------------------------- LHS
-
-TEST(Lhs, EveryStratumHitOncePerDimension) {
-    Rng rng(3);
-    const std::size_t n = 32;
-    const auto s = latin_hypercube(n, 3, rng);
-    ASSERT_EQ(s.size(), n);
-    for (std::size_t d = 0; d < 3; ++d) {
-        std::set<std::size_t> strata;
-        for (const auto& row : s) {
-            EXPECT_GE(row[d], 0.0);
-            EXPECT_LT(row[d], 1.0);
-            strata.insert(static_cast<std::size_t>(row[d] * n));
-        }
-        EXPECT_EQ(strata.size(), n); // one sample per stratum
-    }
-}
-
-TEST(Lhs, GaussianVariantHasStandardMoments) {
-    Rng rng(5);
-    const auto s = latin_hypercube_gaussian(2000, 1, rng);
-    double sum = 0.0, sum2 = 0.0;
-    for (const auto& row : s) {
-        sum += row[0];
-        sum2 += row[0] * row[0];
-    }
-    EXPECT_NEAR(sum / 2000.0, 0.0, 0.05);
-    EXPECT_NEAR(sum2 / 2000.0, 1.0, 0.08);
-}
-
-TEST(Lhs, InverseNormalCdfKnownValues) {
-    EXPECT_NEAR(inverse_normal_cdf(0.5), 0.0, 1e-9);
-    EXPECT_NEAR(inverse_normal_cdf(0.975), 1.959964, 1e-4);
-    EXPECT_NEAR(inverse_normal_cdf(0.025), -1.959964, 1e-4);
-    EXPECT_NEAR(inverse_normal_cdf(0.8413447), 1.0, 1e-4);
-    EXPECT_THROW((void)inverse_normal_cdf(0.0), InvalidInputError);
-    EXPECT_THROW((void)inverse_normal_cdf(1.0), InvalidInputError);
-}
-
-TEST(Lhs, VarianceReductionOnSmoothIntegrand) {
-    // Estimating E[x] over [0,1): LHS variance should beat plain MC.
-    const std::size_t n = 64;
-    const int trials = 200;
-    double var_mc = 0.0, var_lhs = 0.0;
-    Rng rng(77);
-    for (int t = 0; t < trials; ++t) {
-        double mean_mc = 0.0;
-        for (std::size_t i = 0; i < n; ++i) mean_mc += rng.uniform01();
-        mean_mc /= n;
-        var_mc += (mean_mc - 0.5) * (mean_mc - 0.5);
-
-        const auto s = latin_hypercube(n, 1, rng);
-        double mean_lhs = 0.0;
-        for (const auto& row : s) mean_lhs += row[0];
-        mean_lhs /= n;
-        var_lhs += (mean_lhs - 0.5) * (mean_lhs - 0.5);
-    }
-    EXPECT_LT(var_lhs, var_mc / 10.0);
 }
 
 } // namespace

@@ -1,5 +1,5 @@
-// Unit tests for src/process: nominal card, variation spec, corners and the
-// Monte Carlo sampler (including the Pelgrom area law).
+// Unit tests for src/process: nominal card, variation spec and the Monte
+// Carlo sampler (including the Pelgrom area law).
 
 #include <gtest/gtest.h>
 
@@ -30,33 +30,6 @@ TEST(ProcessCard, CoxFollowsFromTox) {
     EXPECT_NEAR(p.cox(), 3.45e-11 / 7.6e-9, 1e-6);
     p.tox = 3.8e-9;
     EXPECT_NEAR(p.cox(), 2.0 * 3.45e-11 / 7.6e-9, 1e-5);
-}
-
-TEST(Corner, StringRoundTrip) {
-    for (Corner c : {Corner::tt, Corner::ff, Corner::ss, Corner::fs, Corner::sf})
-        EXPECT_EQ(corner_from_string(to_string(c)), c);
-    EXPECT_EQ(corner_from_string("FF"), Corner::ff);
-    EXPECT_THROW((void)corner_from_string("zz"), InvalidInputError);
-}
-
-TEST(Corner, ShiftsHaveExpectedSigns) {
-    EXPECT_DOUBLE_EQ(corner_shift(Corner::tt).nmos_speed, 0.0);
-    EXPECT_GT(corner_shift(Corner::ff).nmos_speed, 0.0);
-    EXPECT_LT(corner_shift(Corner::ss).pmos_speed, 0.0);
-    EXPECT_GT(corner_shift(Corner::fs).nmos_speed, 0.0);
-    EXPECT_LT(corner_shift(Corner::fs).pmos_speed, 0.0);
-}
-
-TEST(Sampler, CornerRealizationMatchesSpec) {
-    const ProcessSampler sampler(ProcessCard::c35(), VariationSpec::c35());
-    const auto& g = sampler.spec().global;
-    const Realization ff = sampler.corner(Corner::ff);
-    // Fast: threshold magnitude drops by 3 sigma, KP rises by 3 sigma.
-    EXPECT_NEAR(ff.global.dvth_n, -3.0 * g.sigma_vth_n, 1e-15);
-    EXPECT_NEAR(ff.global.kp_scale_p, 1.0 + 3.0 * g.sigma_kp_rel_p, 1e-15);
-    const Realization tt = sampler.corner(Corner::tt);
-    EXPECT_DOUBLE_EQ(tt.global.dvth_n, 0.0);
-    EXPECT_DOUBLE_EQ(tt.global.kp_scale_n, 1.0);
 }
 
 TEST(Sampler, SampleIsDeterministicInRng) {
