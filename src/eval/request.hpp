@@ -43,7 +43,9 @@ struct EvalBatch {
         return batch;
     }
 
-    void add(std::vector<double> params) { items.push_back({std::move(params)}); }
+    void add(std::vector<double> params) {
+        items.push_back({std::move(params)});
+    }
 
     [[nodiscard]] std::size_t size() const { return items.size(); }
     [[nodiscard]] bool empty() const { return items.empty(); }

@@ -321,7 +321,8 @@ TEST(McBridge, FailureMaskReusedAcrossColumnQueries) {
     const auto result = mc::run_monte_carlo(engine, config, rng, per_sample(fn));
     EXPECT_EQ(result.failed(), 4u);
     EXPECT_EQ(result.failed(), 4u);
-    EXPECT_EQ(result.column(0), (std::vector<double>{1, 2, 4, 5, 7, 8, 10, 11}));
+    EXPECT_EQ(result.column(0),
+              (std::vector<double>{1, 2, 4, 5, 7, 8, 10, 11}));
     EXPECT_EQ(result.column(1).size(), 8u);
     EXPECT_EQ(result.column_summary(0).count, 8u);
 }

@@ -254,7 +254,7 @@ TEST(McRunner, ColumnSummaryGaussian) {
 
 TEST(McRunner, HandBuiltResultAutoFinalizes) {
     // A hand-built McResult (rows filled directly) answers from its rows:
-    // the accessors scan on every call, so no count or mask can go stale.
+    // the accessors scan them on every call.
     McResult hand_built;
     hand_built.rows = {{1.0, 2.0}, {nan_v, 2.0}, {3.0, 4.0}};
     EXPECT_EQ(hand_built.failed(), 1u);
