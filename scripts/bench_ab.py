@@ -11,14 +11,18 @@ Usage:
       BENCHMARK.json's run_seconds long. Pair k of a (workload, trace) runs
       both sides at --seed k + 1; the parent runs first on even k, the head
       on odd k. Writes BENCH_<N>.json (every run, per-metric medians and
-      quartiles, head wins/losses, digests, host steal, CPU time) at the
-      root of this checkout, and per (workload, trace) the two lists of
-      result lines that bench_diff.py compares, as
-      .bench_build/ab/results/<workload>.trace<t>.{parent,head}.json. Prints bench_diff.py's verdict for each --trace 0
-      workload, and names every pair in which either side ran while host
-      steal took more than 5 % of the CPU time. Exits 1 if a run is not
-      correct, a digest differs between the sides of a pair, or
-      bench_diff.py finds a regression.
+      quartiles, head wins/losses, digests, host steal, rounds, CPU time,
+      elapsed time and peak RSS) at the root of this checkout, and per
+      (workload, trace) the two lists of result lines that bench_diff.py
+      compares, as
+      .bench_build/ab/results/<workload>.trace<t>.{parent,head}.json.
+      Prints bench_diff.py's verdict for each --trace 0 workload, the CPU
+      seconds per round and the per-side maxima of elapsed time and peak
+      RSS, and names every pair in which either side ran while host steal
+      took more than 5 % of the CPU time. Exits 1 if a run is not correct,
+      a digest differs between the sides of a pair, or bench_diff.py finds
+      a regression; a run that fails stops the driver with its exit
+      status, elapsed time and peak RSS.
   bench_ab.py --fixtures <dir>
       Self-test on canned results, without running ypmbench: the pair
       order against the newest BENCH_<N>.json (a change to PLAN needs a
@@ -31,21 +35,25 @@ hours differ by more than most bounds. On a shared virtual machine the
 hypervisor can also take CPU time away during a run (steal), so each run
 records the share of all CPUs' time that /proc/stat counted as steal
 while it ran: a slow pair on a busy host reads as such. Each run also
-records the user + system CPU seconds of its process tree (run.py, its
-no-op build check and the benchmark binary), from getrusage(RUSAGE_CHILDREN):
-a pair whose walls differ while its CPU times agree lost time to the host,
-not to the commit.
+records, from os.wait4 on its run.py, the user + system CPU seconds, the
+elapsed seconds and the peak RSS of that run.py and its children (its
+no-op build check and the benchmark binary), and ypmbench's round count
+from the report line. ypmbench repeats its round for run_seconds, so a
+run's CPU seconds move by a whole round when a wall crosses
+run_seconds / n; CPU seconds per round do not. A pair whose walls differ
+while its CPU seconds per round agree lost time to the host, not to the
+commit.
 """
 
 import argparse
 import io
 import json
 import os
-import resource
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -79,12 +87,6 @@ def steal_fraction(before, after):
     steal; 0 when no time passed."""
     total = after[1] - before[1]
     return (after[0] - before[0]) / total if total > 0 else 0.0
-
-
-def children_cpu_s():
-    """User + system CPU seconds of every child process waited for so far."""
-    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return usage.ru_utime + usage.ru_stime
 
 
 def summary(values):
@@ -128,22 +130,47 @@ def export(commit):
     return sha, tree
 
 
+def rounds_of(report):
+    """ypmbench's round count, from the detail of its rounds_identical check
+    ("<n> rounds with one digest and one ledger")."""
+    for check in report["checks"]:
+        if check["name"] == "rounds_identical":
+            return int(check["detail"].split()[0])
+    raise ValueError("no rounds_identical check in the report line")
+
+
 def run_side(tree, workload, trace, seed, seconds):
-    """One run.py call: its report line (meta, digest), result line, the
-    host steal share while it ran and the CPU seconds its processes used."""
-    before, cpu_before = cpu_jiffies(), children_cpu_s()
-    proc = subprocess.run(
-        [sys.executable, str(tree / "ypmbench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=tree, capture_output=True, text=True)
-    steal = steal_fraction(before, cpu_jiffies())
-    cpu_s = children_cpu_s() - cpu_before
+    """One run.py call: its report line (meta, digest), result line and
+    round count, the host steal share while it ran, and the elapsed
+    seconds, CPU seconds and peak RSS of this run.py and its children."""
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        before, start = cpu_jiffies(), time.monotonic()
+        proc = subprocess.Popen(
+            [sys.executable, str(tree / "ypmbench" / "run.py"), "--workload",
+             workload, "--seed", str(seed), "--seconds", str(seconds),
+             "--trace", str(trace)],
+            cwd=tree, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        elapsed_s = time.monotonic() - start
+        steal = steal_fraction(before, cpu_jiffies())
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read(), err.read()
+    record = {"steal": steal, "elapsed_s": elapsed_s,
+              "cpu_s": usage.ru_utime + usage.ru_stime,
+              "peak_rss_mb": usage.ru_maxrss / 1024}  # ru_maxrss is in KiB
     if proc.returncode != 0:
-        sys.stderr.write(proc.stderr)
-        raise SystemExit(f"run failed in {tree}: {workload} seed {seed}")
-    lines = proc.stdout.strip().splitlines()
-    return {"report": json.loads(lines[0]), "result": json.loads(lines[-1]),
-            "steal": steal, "cpu_s": cpu_s}
+        sys.stderr.write(stderr)
+        raise SystemExit(
+            f"run failed in {tree}: {key_of(workload, trace)} seed {seed} "
+            f"exited with {proc.returncode} after {elapsed_s:.1f} s, peak RSS "
+            f"{record['peak_rss_mb']:.0f} MB, CPU {record['cpu_s']:.1f} s")
+    lines = stdout.strip().splitlines()
+    record["report"] = json.loads(lines[0])
+    record["result"] = json.loads(lines[-1])
+    record["rounds"] = rounds_of(record["report"])
+    return record
 
 
 def metric_block(spec_metric, parent_values, head_values):
@@ -182,8 +209,12 @@ def assemble_runs(spec, trace, pairs):
         entry[f"{side}_correct"] = all(p[side]["result"]["correct"] for p in pairs)
     for side in SIDES:
         entry[f"{side}_steal"] = [p[side]["steal"] for p in pairs]
+    for field in ("cpu_s", "rounds", "elapsed_s", "peak_rss_mb"):
+        for side in SIDES:
+            entry[f"{side}_{field}"] = [p[side][field] for p in pairs]
     for side in SIDES:
-        entry[f"{side}_cpu_s"] = [p[side]["cpu_s"] for p in pairs]
+        entry[f"{side}_cpu_s_per_round"] = [p[side]["cpu_s"] / p[side]["rounds"]
+                                            for p in pairs]
     entry["metrics"] = {}
     for m in declared:
         values = {side: [p[side]["result"]["metrics"][m["name"]]["value"]
@@ -215,10 +246,15 @@ def assemble(spec, info, records):
             "direction (ties count for neither). *_steal list, per run, the "
             "share of all CPUs' time /proc/stat counted as steal while it ran; "
             "summary.busy_pairs names the pairs where either side exceeded "
-            f"{BUSY_STEAL:.0%}. *_cpu_s list, per run, the user + system CPU "
-            "seconds of run.py and its children (getrusage RUSAGE_CHILDREN); "
-            "summary.cpu_s gives their medians per side and "
-            "summary.cpu_s_counts what they count. All runs made are listed."),
+            f"{BUSY_STEAL:.0%}. *_cpu_s, *_elapsed_s and *_peak_rss_mb list, per "
+            "run, the user + system CPU seconds, the elapsed seconds and the "
+            "peak RSS of run.py and its children (os.wait4 on that run.py); "
+            "*_rounds the rounds ypmbench ran (its rounds_identical check) "
+            "and *_cpu_s_per_round their quotient. summary.cpu_s and "
+            "summary.cpu_s_per_round give medians per side, summary.max the "
+            "per-side maxima of elapsed time and peak RSS, and "
+            "summary.cpu_s_counts what the CPU seconds count. All runs made "
+            "are listed."),
         "host": {k: first[k] for k in ("nproc", "workers", "cpu", "compiler",
                                        "build_type")},
     }
@@ -258,13 +294,20 @@ def assemble(spec, info, records):
             for seed, a, b in zip(entry["seeds"], entry["parent_steal"],
                                   entry["head_steal"])
             if max(a, b) > BUSY_STEAL]
-    cpu_s = {key: {f"{side}_median": statistics.median(entry[f"{side}_cpu_s"])
-                   for side in SIDES} for key, entry in runs.items()}
+    def medians(field):
+        return {key: {f"{side}_median": statistics.median(entry[f"{side}_{field}"])
+                      for side in SIDES} for key, entry in runs.items()}
+
+    maxima = {key: {f"{side}_{field}": max(entry[f"{side}_{field}"])
+                    for field in ("elapsed_s", "peak_rss_mb") for side in SIDES}
+              for key, entry in runs.items()}
     ledger["summary"] = {
         "end_to_end": end_to_end,
         "max_steal": max_steal,
         "busy_pairs": busy,
-        "cpu_s": cpu_s,
+        "cpu_s": medians("cpu_s"),
+        "cpu_s_per_round": medians("cpu_s_per_round"),
+        "max": maxima,
         "cpu_s_counts": ("run.py, its no-op build check (the same on both "
                          "sides; each tree is built before the first pair) "
                          "and the benchmark binary"),
@@ -300,9 +343,14 @@ def verdict(ledger, diffs, out):
         ok = bench_diff.diff(parent_path, head_path, out) and ok
     for miss in ledger["summary"]["digest_mismatches"]:
         print(f"digest differs: {miss}", file=out)
-    for key, cpu in ledger["summary"]["cpu_s"].items():
-        print(f"CPU s per run, {key}: parent median {cpu['parent_median']:.2f}, "
+    for key, cpu in ledger["summary"]["cpu_s_per_round"].items():
+        print(f"CPU s per round, {key}: parent median {cpu['parent_median']:.2f}, "
               f"head median {cpu['head_median']:.2f}", file=out)
+    for key, top in ledger["summary"]["max"].items():
+        print(f"max per run, {key}: elapsed parent {top['parent_elapsed_s']:.1f} s, "
+              f"head {top['head_elapsed_s']:.1f} s; peak RSS parent "
+              f"{top['parent_peak_rss_mb']:.0f} MB, head "
+              f"{top['head_peak_rss_mb']:.0f} MB", file=out)
     for busy in ledger["summary"]["busy_pairs"]:
         print(f"host steal above {BUSY_STEAL:.0%}: {busy['pair']} (parent "
               f"{busy['parent_steal']:.1%}, head {busy['head_steal']:.1%})",
@@ -323,7 +371,9 @@ def run(args):
             pair[side] = run_side(trees[side], workload, trace, seed, seconds)
             metrics = pair[side]["result"]["metrics"]
             print(f"{key_of(workload, trace)} seed {seed} {side}: digest "
-                  f"{pair[side]['report']['digest']}, " +
+                  f"{pair[side]['report']['digest']}, {pair[side]['rounds']} "
+                  f"rounds, {pair[side]['elapsed_s']:.1f} s elapsed, peak RSS "
+                  f"{pair[side]['peak_rss_mb']:.0f} MB, " +
                   ", ".join(f"{k}={v['value']:.6g}" for k, v in metrics.items()
                             if trace == 0 or k == "circuits.point_us"),
                   file=sys.stderr)
@@ -335,28 +385,36 @@ def run(args):
     return verdict(ledger, side_lists(records, AB_DIR / "results"), sys.stdout)
 
 
-def canned_pairs(parent_results, head_results, digests, steals=None, cpus=None):
-    """Pairs as the driver records them, from two lists of result lines
-    (host steal and CPU seconds per side from `steals` and `cpus`, else
-    none)."""
+def canned_pairs(parent_results, head_results, digests, usage=None):
+    """Pairs as the driver records them, from two lists of result lines.
+    `usage` gives per pair a (parent, head) tuple of the run records'
+    steal, cpu_s, rounds, elapsed_s and peak_rss_mb; else zeros and one
+    round."""
     meta = {"nproc": 4, "workers": 4, "cpu": "canned", "compiler": "canned",
             "build_type": "Release", "src_lines": 0}
+    idle = {"steal": 0.0, "cpu_s": 0.0, "rounds": 1, "elapsed_s": 0.0,
+            "peak_rss_mb": 0.0}
+    usage = usage or [(idle, idle)] * len(parent_results)
     pairs = []
-    steals = steals or [(0.0, 0.0)] * len(parent_results)
-    cpus = cpus or [(0.0, 0.0)] * len(parent_results)
-    for (workload, trace, seed, order), p, h, d, st, cpu in zip(
+    for (workload, trace, seed, order), p, h, d, u in zip(
             schedule((("paper_flow", 0, len(parent_results)),)),
-            parent_results, head_results, digests, steals, cpus):
+            parent_results, head_results, digests, usage):
         pairs.append({"seed": seed, "first_side": order[0],
                       "parent": {"report": {"meta": meta, "digest": d[0]},
-                                 "result": p, "steal": st[0], "cpu_s": cpu[0]},
+                                 "result": p, **u[0]},
                       "head": {"report": {"meta": meta, "digest": d[1]},
-                               "result": h, "steal": st[1], "cpu_s": cpu[1]}})
+                               "result": h, **u[1]}})
     return pairs
 
 
 def latest_ledger():
     return max(ROOT.glob("BENCH_*.json"), key=lambda p: int(p.stem.split("_")[1]))
+
+
+def rounded(medians):
+    """Per-key medians to 9 decimals: float sums differ in the last bit."""
+    return {key: {k: round(v, 9) for k, v in sides.items()}
+            for key, sides in medians.items()}
 
 
 def self_test(directory):
@@ -385,13 +443,23 @@ def self_test(directory):
     steals = [(0.004, 0.01), (0.02, 0.0), (0.0, 0.003), (0.031, 0.153),
               (0.0, 0.0), (0.012, 0.006), (0.0, 0.05), (0.001, 0.0),
               (0.0, 0.002), (0.009, 0.011)][:len(parent)]
-    # CPU seconds per run of a 4-worker paper_flow: pair 3's head lost its
-    # wall time to steal, not to extra work.
-    cpus = [(27.1, 26.8), (26.5, 27.0), (27.4, 26.9), (26.9, 27.2),
+    # CPU seconds and rounds per run of a 4-worker paper_flow: pair 3's
+    # head lost its wall time to steal, not to extra work, and fit one
+    # round fewer into the run; pair 2's parent ran one round more.
+    cpus = [(27.1, 26.8), (26.5, 27.0), (36.4, 26.9), (26.9, 20.4),
             (27.0, 26.6), (26.8, 26.7), (27.3, 27.1), (26.6, 26.9),
             (27.2, 26.5), (26.7, 27.3)][:len(parent)]
+    rounds = [(4, 4), (4, 4), (5, 4), (4, 3), (4, 4),
+              (4, 4), (4, 4), (4, 4), (4, 4), (4, 4)][:len(parent)]
+    # Elapsed seconds and peak RSS (MB) per run: the head's pair-3 run is
+    # the longest, the parent's pair-6 run the largest.
+    walls = [(35.9, 36.0)] * 3 + [(36.1, 41.7)] + [(35.8, 36.2)] * 6
+    rss = [(15.0, 15.1)] * 6 + [(21.5, 15.0)] + [(15.2, 15.1)] * 3
+    usage = [tuple({"steal": st[i], "cpu_s": cpu[i], "rounds": n[i],
+                    "elapsed_s": wall[i], "peak_rss_mb": mb[i]} for i in (0, 1))
+             for st, cpu, n, wall, mb in zip(steals, cpus, rounds, walls, rss)]
     info = {"pr": 0, "change": "canned", "parent": "a", "head": "b"}
-    records = {("paper_flow", 0): canned_pairs(parent, head, same, steals, cpus)}
+    records = {("paper_flow", 0): canned_pairs(parent, head, same, usage)}
     ledger = assemble(spec, info, records)
     want = expected["runs"]["paper_flow.trace0"]
     got = ledger["runs"]["paper_flow.trace0"]
@@ -412,10 +480,26 @@ def self_test(directory):
         failures.append("the busy pair (seed 4, head steal 15.3 %) is not named")
     if (got["parent_cpu_s"] != [c[0] for c in cpus] or
             got["head_cpu_s"] != [c[1] for c in cpus] or
-            ledger["summary"]["cpu_s"] != {
+            got["parent_rounds"] != [n[0] for n in rounds] or
+            got["head_cpu_s_per_round"][3] != 20.4 / 3 or
+            rounded(ledger["summary"]["cpu_s"]) != {
                 "paper_flow.trace0": {"parent_median": 26.95,
-                                      "head_median": 26.9}}):
-        failures.append("CPU seconds of the canned runs")
+                                      "head_median": 26.85}} or
+            rounded(ledger["summary"]["cpu_s_per_round"]) != {
+                "paper_flow.trace0": {"parent_median": 6.7375,
+                                      "head_median": 6.725}}):
+        failures.append("CPU seconds and rounds of the canned runs")
+    if (got["head_elapsed_s"] != [w[1] for w in walls] or
+            got["parent_peak_rss_mb"] != [mb[0] for mb in rss] or
+            ledger["summary"]["max"] != {"paper_flow.trace0": {
+                "parent_elapsed_s": 36.1, "head_elapsed_s": 41.7,
+                "parent_peak_rss_mb": 21.5, "head_peak_rss_mb": 15.1}}):
+        failures.append("elapsed time and peak RSS of the canned runs")
+    detail = {"name": "rounds_identical", "ok": True,
+              "detail": "4 rounds with one digest and one ledger"}
+    if rounds_of({"checks": [{"name": "trace.kernel_inside_batch", "ok": True,
+                              "detail": "12 of 12"}, detail]}) != 4:
+        failures.append("round count of a report line")
     with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "w") as sink:
         diffs = side_lists(records, Path(tmp))
         named = io.StringIO()
@@ -423,9 +507,12 @@ def self_test(directory):
             failures.append("canned parent -> head should pass")
         if "host steal above 5%: paper_flow.trace0 seed 4" not in named.getvalue():
             failures.append("verdict does not name the busy pair")
-        if ("CPU s per run, paper_flow.trace0: parent median 26.95, head median "
-                "26.90") not in named.getvalue():
-            failures.append("verdict does not give the CPU medians")
+        if ("CPU s per round, paper_flow.trace0: parent median 6.74, head "
+                "median 6.72") not in named.getvalue():
+            failures.append("verdict does not give the CPU medians per round")
+        if ("max per run, paper_flow.trace0: elapsed parent 36.1 s, head 41.7 s; "
+                "peak RSS parent 22 MB, head 15 MB") not in named.getvalue():
+            failures.append("verdict does not give the per-side maxima")
         swapped = {("paper_flow", 0): canned_pairs(head, parent, same)}
         if verdict(assemble(spec, info, swapped), side_lists(swapped, Path(tmp)), sink):
             failures.append("canned head -> parent should fail (wall_s regression)")
