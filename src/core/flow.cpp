@@ -9,6 +9,7 @@
 #include "moo/problem.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "process/variation.hpp"
 #include "util/clock.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -121,7 +122,6 @@ FlowResult YieldFlow::run() const {
     // scheduler, cache and ledger.
     eval::EngineConfig engine_config;
     engine_config.parallel = config_.parallel;
-    engine_config.cache_capacity = config_.eval_cache;
     eval::Engine engine(engine_config);
 
     // Steps 1-2: problem definition + WBGA optimisation. The process
@@ -130,7 +130,8 @@ FlowResult YieldFlow::run() const {
     // above the GA leaves the probe-off flow bit-identical).
     circuits::OtaProblem problem(ota_);
     const circuits::OtaEvaluator& evaluator = problem.evaluator();
-    const process::ProcessSampler sampler(ota_.card, config_.variation);
+    const process::ProcessSampler sampler(ota_.card,
+                                          process::VariationSpec::c35());
     moo::WbgaConfig ga = config_.ga;
     ga.engine = &engine;
     ga.robustness.probe = nullptr;

@@ -25,12 +25,14 @@
 #include "eval/engine.hpp"
 #include "mc/yield.hpp"
 #include "moo/wbga.hpp"
-#include "process/variation.hpp"
 #include "yield/probe.hpp"
 #include "yield/sequential.hpp"
 
 namespace ypm::core {
 
+/// Settings of one flow run. The process variation is the C35 statistical
+/// deck (process::VariationSpec::c35(), paper section 3.4), and the engine
+/// memoises through EngineConfig's default 4096-entry cache.
 struct FlowConfig {
     moo::WbgaConfig ga;             ///< paper: population 100 x 100 generations
     std::size_t mc_samples = 200;   ///< paper: 200 per Pareto point
@@ -39,9 +41,7 @@ struct FlowConfig {
                                     ///< (1 = the middle point)
     std::uint64_t seed = 1;
     std::string artifact_dir;       ///< empty = skip file output
-    process::VariationSpec variation = process::VariationSpec::c35();
     bool parallel = true;
-    std::size_t eval_cache = 4096;  ///< engine memoisation entries; 0 disables
 
     /// Front hygiene: extreme Pareto endpoints (near-zero phase margin,
     /// exploding relative variation, frequent MC failures) are useless in a
@@ -60,7 +60,7 @@ struct FlowConfig {
     /// Per-point pilot/chunk/early-stop settings for the yield stage,
     /// including the proposal-family knobs: `mixture_proposal` (defensive
     /// mixture vs legacy single shift), `refine_after_chunks`/`max_refits`
-    /// (cross-entropy refinement) and `shift_fit.defensive_weight`. To
+    /// (cross-entropy refinement) and `adapt_scale`. To
     /// certify with an estimator-zoo member, specialize it first:
     /// `yield_sequential = EstimatorRegistry::instance().create(name)
     /// ->configure(yield_sequential)` (yield/estimator.hpp).

@@ -10,7 +10,14 @@
 
 namespace ypm::spice {
 
-DcSolver::DcSolver(DcOptions options) : options_(options) {}
+namespace {
+
+constexpr std::size_t kMaxIterations = 150; ///< per Newton attempt
+constexpr double kVtol = 1e-6;   ///< absolute node-voltage tolerance (V)
+constexpr double kReltol = 1e-6; ///< relative tolerance
+constexpr double kMaxStep = 0.6; ///< Newton damping: max |dV| per iter (V)
+
+} // namespace
 
 bool DcSolver::newton(Circuit& circuit, Solution& x, double gmin,
                       double source_scale, std::size_t& iterations,
@@ -22,7 +29,7 @@ bool DcSolver::newton(Circuit& circuit, Solution& x, double gmin,
     if (ws.a.rows() != n) ws.a = linalg::MatrixD(n);
     ws.b.resize(n);
 
-    for (std::size_t iter = 0; iter < options_.max_iterations; ++iter) {
+    for (std::size_t iter = 0; iter < kMaxIterations; ++iter) {
         ++iterations;
         ws.a.set_zero();
         std::fill(ws.b.begin(), ws.b.end(), 0.0);
@@ -48,16 +55,16 @@ bool DcSolver::newton(Circuit& circuit, Solution& x, double gmin,
             double delta = x_new[i] - x.raw()[i];
             if (!std::isfinite(delta)) return false;
             if (i < n_nodes)
-                delta = mathx::clamp(delta, -options_.max_step, options_.max_step);
+                delta = mathx::clamp(delta, -kMaxStep, kMaxStep);
             x.raw()[i] += delta;
             const double scale =
                 std::max(std::fabs(x.raw()[i]), std::fabs(x_new[i]));
-            const double tol = options_.vtol + options_.reltol * scale;
+            const double tol = kVtol + kReltol * scale;
             if (i < n_nodes) {
                 if (std::fabs(delta) > tol) converged = false;
             } else {
                 // Branch currents: relative check with a loose floor.
-                if (std::fabs(delta) > 1e-9 + options_.reltol * scale)
+                if (std::fabs(delta) > 1e-9 + kReltol * scale)
                     converged = false;
             }
         }
@@ -91,25 +98,24 @@ DcResult DcSolver::solve(Circuit& circuit, const Solution& initial,
         result.solution = Solution(circuit.node_count(), circuit.branch_count());
 
     // Strategy 1: plain Newton from the initial point.
-    if (newton(circuit, result.solution, options_.gmin, 1.0, result.iterations,
-               ws)) {
+    if (newton(circuit, result.solution, kDcGmin, 1.0, result.iterations, ws)) {
         result.converged = true;
         result.method = "newton";
         return result;
     }
 
-    // Strategy 2: gmin stepping - solve with a heavily damped circuit and
-    // progressively remove the damping.
-    if (options_.gmin_stepping) {
+    // Strategy 2: gmin stepping - solve with a heavily damped circuit
+    // (gmin 1e-3) and progressively remove the damping.
+    {
         Solution x(circuit.node_count(), circuit.branch_count());
         bool ok = true;
-        for (double gmin = 1e-3; gmin >= options_.gmin * 0.99; gmin *= 0.01) {
+        for (double gmin = 1e-3; gmin >= kDcGmin * 0.99; gmin *= 0.01) {
             if (!newton(circuit, x, gmin, 1.0, result.iterations, ws)) {
                 ok = false;
                 break;
             }
         }
-        if (ok && newton(circuit, x, options_.gmin, 1.0, result.iterations, ws)) {
+        if (ok && newton(circuit, x, kDcGmin, 1.0, result.iterations, ws)) {
             result.converged = true;
             result.method = "gmin-stepping";
             result.solution = x;
@@ -120,11 +126,11 @@ DcResult DcSolver::solve(Circuit& circuit, const Solution& initial,
     // Strategy 3: source stepping - ramp the supplies from zero in ten
     // steps. An integer counter makes the last step exactly 1.0 (summing
     // 0.1 ten times stops at 0.9999999999999999).
-    if (options_.source_stepping) {
+    {
         Solution x(circuit.node_count(), circuit.branch_count());
         bool ok = true;
         for (int k = 1; k <= 10; ++k) {
-            if (!newton(circuit, x, options_.gmin, k / 10.0, result.iterations,
+            if (!newton(circuit, x, kDcGmin, k / 10.0, result.iterations,
                         ws)) {
                 ok = false;
                 break;
@@ -143,8 +149,8 @@ DcResult DcSolver::solve(Circuit& circuit, const Solution& initial,
     return result;
 }
 
-Solution solve_op(Circuit& circuit, const DcOptions& options) {
-    const DcSolver solver(options);
+Solution solve_op(Circuit& circuit) {
+    const DcSolver solver;
     DcResult result = solver.solve(circuit);
     if (!result.converged)
         throw NumericalError("solve_op: DC operating point did not converge");

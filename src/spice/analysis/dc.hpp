@@ -5,7 +5,9 @@
 ///
 /// Robustness matters more than raw speed here: the WBGA evaluates 10,000
 /// sizings (paper Table 5) and every one must either converge or fail
-/// loudly so the optimiser can penalise it.
+/// loudly so the optimiser can penalise it. The schedule is fixed: plain
+/// Newton, then gmin stepping, then source stepping, each Newton attempt
+/// capped at 150 iterations of 0.6 V damped steps (dc.cpp).
 
 #include <string>
 #include <vector>
@@ -28,15 +30,9 @@ struct DcWorkspace {
     linalg::InplaceLu<double> lu;
 };
 
-struct DcOptions {
-    std::size_t max_iterations = 150; ///< per Newton attempt
-    double vtol = 1e-6;               ///< absolute node-voltage tolerance (V)
-    double reltol = 1e-6;             ///< relative tolerance
-    double max_step = 0.6;            ///< Newton damping: max |dV| per iter (V)
-    double gmin = 1e-12;              ///< node-to-ground conductance floor
-    bool gmin_stepping = true;        ///< homotopy 1: relax gmin 1e-3 -> gmin
-    bool source_stepping = true;      ///< homotopy 2: ramp sources 0 -> 1
-};
+/// Node-to-ground conductance floor (S) every Newton iteration stamps; it
+/// keeps the Jacobian non-singular while devices are cut off.
+inline constexpr double kDcGmin = 1e-12;
 
 struct DcResult {
     bool converged = false;
@@ -47,8 +43,6 @@ struct DcResult {
 
 class DcSolver {
 public:
-    explicit DcSolver(DcOptions options = {});
-
     /// Solve from a cold start (all unknowns zero).
     [[nodiscard]] DcResult solve(Circuit& circuit) const;
 
@@ -63,18 +57,14 @@ public:
     [[nodiscard]] DcResult solve(Circuit& circuit, const Solution& initial,
                                  DcWorkspace& ws) const;
 
-    [[nodiscard]] const DcOptions& options() const { return options_; }
-
 private:
     /// One Newton attempt; returns true on convergence, updating x.
     [[nodiscard]] bool newton(Circuit& circuit, Solution& x, double gmin,
                               double source_scale, std::size_t& iterations,
                               DcWorkspace& ws) const;
-
-    DcOptions options_;
 };
 
 /// Convenience: solve and throw ypm::NumericalError on failure.
-[[nodiscard]] Solution solve_op(Circuit& circuit, const DcOptions& options = {});
+[[nodiscard]] Solution solve_op(Circuit& circuit);
 
 } // namespace ypm::spice

@@ -93,9 +93,9 @@ public:
         }
 
         /// Cold-start DC operating point; bit-identical to
-        /// DcSolver(options).solve(circuit) on a fresh build.
-        [[nodiscard]] DcResult solve_op(const DcOptions& options = {}) {
-            const DcSolver solver(options);
+        /// DcSolver().solve(circuit) on a fresh build.
+        [[nodiscard]] DcResult solve_op() {
+            const DcSolver solver;
             return solver.solve(proto_->circuit(), dc_ws_);
         }
 

@@ -7,8 +7,18 @@
 
 namespace ypm::va {
 
-std::string generate_va_module(const VaModuleFiles& files,
-                               const VaModuleOptions& options) {
+namespace {
+
+constexpr const char* kModuleName = "ota_yield_model";
+/// $table_model() control strings (paper section 3.5): cubic spline, no
+/// extrapolation.
+constexpr const char* kControl1d = "3E";
+constexpr const char* kControl2d = "3E,3E";
+constexpr double kRout = 1e6; ///< ro of the output contribution
+
+} // namespace
+
+std::string generate_va_module(const VaModuleFiles& files) {
     if (files.param_tables.empty())
         throw InvalidInputError("generate_va_module: need >= 1 parameter table");
 
@@ -19,7 +29,7 @@ std::string generate_va_module(const VaModuleFiles& files,
           "`include \"disciplines.vams\"\n"
           "\n"
           "module "
-       << options.module_name
+       << kModuleName
        << "(inp, inn, out);\n"
           "  inout inp, inn, out;\n"
           "  electrical inp, inn, out;\n"
@@ -27,7 +37,7 @@ std::string generate_va_module(const VaModuleFiles& files,
           "  parameter real gain = 50.0;   // required open-loop gain (dB)\n"
           "  parameter real pm   = 74.0;   // required phase margin (deg)\n"
           "  parameter real ro   = "
-       << options.rout
+       << kRout
        << ";\n"
           "\n"
           "  real gain_delta, pm_delta, gain_prop, pm_prop, gain_in_v;\n";
@@ -41,10 +51,10 @@ std::string generate_va_module(const VaModuleFiles& files,
           "    // and inflate the target so the worst-case sample still meets\n"
           "    // it (yield targeting, paper Table 3).\n"
           "    gain_delta = $table_model(gain, \""
-       << files.gain_delta << "\", \"" << options.control_1d
+       << files.gain_delta << "\", \"" << kControl1d
        << "\");\n"
           "    pm_delta   = $table_model(pm, \""
-       << files.pm_delta << "\", \"" << options.control_1d
+       << files.pm_delta << "\", \"" << kControl1d
        << "\");\n"
           "    gain_prop = ((gain_delta/100)*gain)+gain;\n"
           "    pm_prop   = ((pm_delta/100)*pm)+pm;\n"
@@ -55,7 +65,7 @@ std::string generate_va_module(const VaModuleFiles& files,
           "    // performance target from the Pareto-front tables.\n";
     for (std::size_t i = 0; i < files.param_tables.size(); ++i)
         os << "    lp" << i + 1 << " = $table_model(gain_prop, pm_prop, \""
-           << files.param_tables[i] << "\", \"" << options.control_2d << "\");\n";
+           << files.param_tables[i] << "\", \"" << kControl2d << "\");\n";
     os << "\n"
           "    fptr = $fopen(\""
        << files.params_out
@@ -79,11 +89,10 @@ std::string generate_va_module(const VaModuleFiles& files,
     return os.str();
 }
 
-void write_va_module(const std::string& path, const VaModuleFiles& files,
-                     const VaModuleOptions& options) {
+void write_va_module(const std::string& path, const VaModuleFiles& files) {
     std::ofstream f(path);
     if (!f) throw IoError("va_codegen: cannot open '" + path + "' for writing");
-    f << generate_va_module(files, options);
+    f << generate_va_module(files);
     if (!f) throw IoError("va_codegen: write failed for '" + path + "'");
 }
 

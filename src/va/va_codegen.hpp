@@ -23,20 +23,13 @@ struct VaModuleFiles {
     std::string params_out = "params.dat";
 };
 
-struct VaModuleOptions {
-    std::string module_name = "ota_yield_model";
-    std::string control_1d = "3E";     ///< paper section 3.5: cubic, no extrap
-    std::string control_2d = "3E,3E";
-    double rout = 1e6;                 ///< ro of the output contribution
-};
-
 /// Generate the complete Verilog-A module text (the paper's section 4.4
-/// listing generalised to N designable parameters).
-[[nodiscard]] std::string generate_va_module(const VaModuleFiles& files,
-                                             const VaModuleOptions& options = {});
+/// listing generalised to N designable parameters): module
+/// ota_yield_model, cubic $table_model() controls without extrapolation
+/// ("3E", paper section 3.5) and a 1 MOhm output resistance.
+[[nodiscard]] std::string generate_va_module(const VaModuleFiles& files);
 
 /// Write the module to a file. \throws ypm::IoError on failure.
-void write_va_module(const std::string& path, const VaModuleFiles& files,
-                     const VaModuleOptions& options = {});
+void write_va_module(const std::string& path, const VaModuleFiles& files);
 
 } // namespace ypm::va

@@ -26,7 +26,7 @@ namespace {
 SequentialConfig reset_method_knobs(SequentialConfig c) {
     c.mixture_proposal = true;
     c.refine_after_chunks = 0;
-    c.shift_fit.adapt_scale = false;
+    c.adapt_scale = false;
     return c;
 }
 
@@ -56,7 +56,7 @@ SequentialConfig mixture_ce(SequentialConfig base) {
 
 SequentialConfig mixture_ce_scale(SequentialConfig c) {
     c = mixture_ce(std::move(c));
-    c.shift_fit.adapt_scale = true;
+    c.adapt_scale = true;
     return c;
 }
 

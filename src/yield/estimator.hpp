@@ -18,7 +18,7 @@
 ///   single_shift     - pilot + single combined mean shift (ISLE).
 ///   mixture_ce       - defensive mixture + one cross-entropy mean refit.
 ///   mixture_ce_scale - mixture_ce whose CE refit also learns per-component
-///                      diagonal variances (ShiftFitConfig::adapt_scale).
+///                      diagonal variances (SequentialConfig::adapt_scale).
 ///
 /// Each member earns a column of bench_yield_matrix; a member that wins no
 /// column is deleted rather than kept as an option.

@@ -41,10 +41,6 @@ void validate_sequential_config(const SequentialConfig& config) {
             "SequentialConfig: min_samples exceeds max_samples - the early "
             "stop would be silently unreachable and every run would burn the "
             "full sample cap");
-    if (!(config.shift_fit.defensive_weight >= 0.0 &&
-          config.shift_fit.defensive_weight < 1.0))
-        throw InvalidInputError(
-            "SequentialConfig: shift_fit.defensive_weight must be in [0, 1)");
     if (!config.initial_proposal.components.empty() && config.pilot_samples > 0)
         throw InvalidInputError(
             "SequentialConfig: initial_proposal (warm start) and a pilot "
@@ -103,7 +99,7 @@ void SequentialYieldRunner::finish_pilot() {
         FailSideMoments moments;
         moments.add_rows(pilot.rows, specs_, specs_.size() + 1 + dimension_);
         pilot_estimate_ = moments.estimate();
-        fit_ = fit_shift(pilot.rows, specs_, dimension_, config_.shift_fit);
+        fit_ = fit_shift(pilot.rows, specs_, dimension_);
         pilot_failures_ = fit_.pilot_failures;
         span.arg("failures", static_cast<double>(pilot_failures_));
     }
@@ -216,7 +212,7 @@ void SequentialYieldRunner::maybe_refit() {
     // run - depends only on folded chunks, never on the inflight window.
     rewind_inflight();
 
-    fit_ = refit_shift(fail_rows_, specs_, dimension_, config_.shift_fit);
+    fit_ = refit_shift(fail_rows_, specs_, dimension_, config_.adapt_scale);
     bind_main_kernel(fit_);
 
     // Close the current stage (its estimate is already stages_.back()): its

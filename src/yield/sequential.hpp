@@ -101,7 +101,11 @@ struct SequentialConfig {
     /// A refit without evidence would aim the proposal at noise: skip the
     /// refinement until at least this many failing records accumulated.
     std::size_t refit_min_failures = 8;
-    ShiftFitConfig shift_fit; ///< clamp + defensive weight for the fits
+    /// Scale adaptation (CE refit only): the refit also learns each
+    /// component's diagonal variance from the importance-weighted failing
+    /// records, clamped to [0.9, 3] sigma; specs with fewer than two failing
+    /// records keep the unit scale (yield::refit_shift).
+    bool adapt_scale = false;
     /// Warm-start seam: a pre-fitted main-stage proposal (e.g. carried over
     /// from an earlier generation's probe at a nearby design point). Empty
     /// components - the default - leave the seam unset. When set, the run
@@ -119,8 +123,7 @@ struct SequentialConfig {
 /// expensive stages). \throws ypm::InvalidInputError on zero chunk/max
 /// samples, a non-positive pilot_scale, min_samples > max_samples (which
 /// would silently make the early stop unreachable and burn the full cap on
-/// every run), a defensive weight outside [0, 1), or a warm-start proposal
-/// alongside a pilot.
+/// every run), or a warm-start proposal alongside a pilot.
 void validate_sequential_config(const SequentialConfig& config);
 
 /// Result of one sequential run.

@@ -14,6 +14,10 @@
 ///    each record's exact likelihood ratio so the re-fitted means estimate
 ///    the nominal-density centers of gravity of the failure regions (the
 ///    CE-optimal mean for a Gaussian family with fixed covariance).
+///
+/// Both clamp every fitted mean to a 4-sigma norm and give the nominal
+/// defensive component weight 0.1 (the constants and their reasons are in
+/// shift.cpp).
 
 #include <cstddef>
 #include <vector>
@@ -24,42 +28,6 @@
 
 namespace ypm::yield {
 
-struct ShiftFitConfig {
-    /// Clamp on the Euclidean norm of every fitted mean shift (in sigma
-    /// units) - each per-spec component *and* the combined single shift.
-    /// Pilot chunks drawn from a widened proposal find failures farther out
-    /// than the dominant failure boundary; the clamp keeps the main-stage
-    /// proposal from overshooting into weight collapse. 0 disables.
-    double max_norm = 4.0;
-    /// Mixture weight of the nominal (zero-shift) defensive component, in
-    /// [0, 1); the remaining mass is split over the per-spec components in
-    /// proportion to their (weighted) failure mass. The nominal component
-    /// bounds the likelihood ratios near the bulk of the distribution, the
-    /// defensive-IS guarantee. 0 drops the nominal component entirely.
-    /// \throws ypm::InvalidInputError from the fit when outside [0, 1).
-    double defensive_weight = 0.1;
-    /// Scale adaptation (CE refit only): when true, refit_shift also learns
-    /// each component's *diagonal* variance from the importance-weighted
-    /// failing records - sigma_d^2 = sum(w (u_d - mu_d)^2) / sum(w) around
-    /// the fitted mean - the CE-optimal diagonal covariance for a Gaussian
-    /// family. Per-dimension sigmas are clamped to [min_scale, max_scale]
-    /// (a single dominant record would otherwise collapse a sigma to ~0 and
-    /// spike the weights); specs with fewer than two failing records keep
-    /// the unit scale. The pilot fit (fit_shift) never adapts scales: its
-    /// few unweighted failures carry no usable spread information.
-    bool adapt_scale = false;
-    /// Lower sigma clamp for adapted scales. Kept close to the unit scale:
-    /// the weighted spread of a handful of failing records systematically
-    /// *underestimates* the conditional variance, and an over-shrunk
-    /// component spikes the fail-side weights of records landing in the
-    /// other components' territory (measured on the bimodal OTA scenario:
-    /// min_scale 0.5 costs ~20 % more samples-to-target than mean-only CE;
-    /// 0.9 beats it). Values below 1 still allow a genuine, evidence-backed
-    /// shrink.
-    double min_scale = 0.9;
-    double max_scale = 3.0; ///< upper sigma clamp for adapted scales
-};
-
 /// Fitted proposal for the main importance-sampling stage.
 struct ShiftFit {
     /// Combined single shift: failure-mass-weighted average of the
@@ -68,8 +36,8 @@ struct ShiftFit {
     /// plain MC). Kept for the legacy single-shift proposal mode and for
     /// reporting.
     process::SampleShift shift;
-    /// Defensive mixture proposal: a nominal component (weight
-    /// defensive_weight) plus one component per failing spec at that spec's
+    /// Defensive mixture proposal: a nominal component (weight 0.1) plus
+    /// one component per failing spec at that spec's
     /// clamped center of gravity. A single nominal component when the fit
     /// saw no failures.
     process::ProposalMixture mixture;
@@ -89,12 +57,12 @@ struct ShiftFit {
 /// non-converging realisation is a failing die. The centers of gravity are
 /// unweighted (ISLE): the widened pilot proposal is failure-agnostic, and
 /// weighting its few failures by likelihood ratios would let one
-/// near-nominal failure dominate the fit. \throws ypm::InvalidInputError
-/// on arity mismatch or a bad config.
+/// near-nominal failure dominate the fit. Scales are never adapted: the
+/// few unweighted failures carry no usable spread information.
+/// \throws ypm::InvalidInputError on arity mismatch.
 [[nodiscard]] ShiftFit fit_shift(const eval::RowBlock& pilot_rows,
                                  const std::vector<mc::Spec>& specs,
-                                 std::size_t dimension,
-                                 const ShiftFitConfig& config = {});
+                                 std::size_t dimension);
 
 /// Cross-entropy refinement from accumulated main-stage records (same row
 /// layout). Each failing row enters its spec's center of gravity with
@@ -102,12 +70,12 @@ struct ShiftFit {
 /// the row was drawn from - so records accumulated across *different*
 /// proposals (earlier CE stages) combine into one unbiased estimate of the
 /// nominal-density failure centers. Passing rows are ignored, so callers
-/// may feed either the failing subset or everything. \throws
-/// ypm::InvalidInputError on arity mismatch, a non-finite log weight or a
-/// bad config.
+/// may feed either the failing subset or everything. With `adapt_scale`
+/// each component also gets a diagonal sigma learnt from its weighted
+/// failing records (SequentialConfig::adapt_scale). \throws
+/// ypm::InvalidInputError on arity mismatch or a non-finite log weight.
 [[nodiscard]] ShiftFit refit_shift(const eval::RowBlock& rows,
                                    const std::vector<mc::Spec>& specs,
-                                   std::size_t dimension,
-                                   const ShiftFitConfig& config = {});
+                                   std::size_t dimension, bool adapt_scale);
 
 } // namespace ypm::yield

@@ -24,8 +24,7 @@ LinearSystem<double> dc_system(const spice::Circuit& ckt,
                              std::vector<double>(ckt.unknowns(), 0.0)};
     spice::RealStamper stamper(sys.a, sys.b, n_nodes);
     for (const auto& dev : ckt.devices()) dev->stamp_dc(stamper, x);
-    const double gmin = spice::DcOptions{}.gmin;
-    for (std::size_t i = 0; i < n_nodes; ++i) sys.a(i, i) += gmin;
+    for (std::size_t i = 0; i < n_nodes; ++i) sys.a(i, i) += spice::kDcGmin;
     return sys;
 }
 

@@ -209,12 +209,6 @@ TEST(Flow, RejectsMalformedYieldSpecs) {
     inverted.yield_sequential.min_samples = 512;
     inverted.yield_sequential.max_samples = 256;
     EXPECT_THROW((void)YieldFlow(ota, inverted).run(), InvalidInputError);
-
-    // Same for a defensive mixture weight outside [0, 1).
-    FlowConfig bad_dw = cfg;
-    bad_dw.yield_specs = good_specs;
-    bad_dw.yield_sequential.shift_fit.defensive_weight = 1.0;
-    EXPECT_THROW((void)YieldFlow(ota, bad_dw).run(), InvalidInputError);
 }
 
 TEST(Flow, SingleMonteCarloPointIsTheMiddleOfTheFront) {

@@ -87,13 +87,13 @@ TEST(EstimatorRegistry, MethodKnobsDoNotLeakAcrossEstimators) {
     yield::SequentialConfig base;
     base.refine_after_chunks = 2;
     base.max_refits = 3;
-    base.shift_fit.adapt_scale = true;
+    base.adapt_scale = true;
 
     const auto& registry = yield::EstimatorRegistry::instance();
     const auto plain = registry.create("plain_mc")->configure(base);
     EXPECT_EQ(plain.pilot_samples, 0u);
     EXPECT_EQ(plain.refine_after_chunks, 0u);
-    EXPECT_FALSE(plain.shift_fit.adapt_scale);
+    EXPECT_FALSE(plain.adapt_scale);
 
     const auto single = registry.create("single_shift")->configure(base);
     EXPECT_FALSE(single.mixture_proposal);
@@ -103,10 +103,10 @@ TEST(EstimatorRegistry, MethodKnobsDoNotLeakAcrossEstimators) {
     const auto ce = registry.create("mixture_ce")->configure(base);
     EXPECT_EQ(ce.refine_after_chunks, 2u); // scenario override respected
     EXPECT_EQ(ce.max_refits, 3u);
-    EXPECT_FALSE(ce.shift_fit.adapt_scale);
+    EXPECT_FALSE(ce.adapt_scale);
 
     const auto scale = registry.create("mixture_ce_scale")->configure(base);
-    EXPECT_TRUE(scale.shift_fit.adapt_scale);
+    EXPECT_TRUE(scale.adapt_scale);
 }
 
 // ------------------------------------------------------------- conformance
@@ -173,40 +173,31 @@ TEST(ShiftFitScale, LearnsWeightedSpreadAroundClampedCenter) {
     // the *clamped* center is E[u^2] - 2*4*E[u] + 16 = 26 - 40 + 16 = 2.
     const std::vector<mc::Spec> specs = {mc::Spec::at_most("v", 3.0)};
     const eval::RowBlock rows = {{4.0, 0.0, 4.0}, {6.0, 0.0, 6.0}};
-    yield::ShiftFitConfig config;
-    config.adapt_scale = true;
-    const auto fit = yield::refit_shift(rows, specs, 1, config);
+    const auto fit = yield::refit_shift(rows, specs, 1, true);
     ASSERT_EQ(fit.mixture.components.size(), 2u); // nominal + 1 spec
     const auto& comp = fit.mixture.components[1];
-    EXPECT_DOUBLE_EQ(comp.mu[0], 4.0); // norm clamp at max_norm = 4
+    EXPECT_DOUBLE_EQ(comp.mu[0], 4.0); // the 4-sigma norm clamp
     ASSERT_EQ(comp.sigma.size(), 1u);
     EXPECT_NEAR(comp.sigma[0], std::sqrt(2.0), 1e-12);
 
-    // Near-coincident records under-estimate the spread; the min_scale
-    // clamp keeps the component from over-shrinking into weight spikes.
+    // Near-coincident records under-estimate the spread; the 0.9 sigma
+    // floor keeps the component from over-shrinking into weight spikes.
     const eval::RowBlock tight = {{3.5, 0.0, 3.5}, {3.6, 0.0, 3.6}};
-    const auto shrunk = yield::refit_shift(tight, specs, 1, config);
+    const auto shrunk = yield::refit_shift(tight, specs, 1, true);
     ASSERT_EQ(shrunk.mixture.components.size(), 2u);
     ASSERT_EQ(shrunk.mixture.components[1].sigma.size(), 1u);
-    EXPECT_DOUBLE_EQ(shrunk.mixture.components[1].sigma[0], config.min_scale);
+    EXPECT_DOUBLE_EQ(shrunk.mixture.components[1].sigma[0], 0.9);
 
     // A single failing record carries no spread information: unit scale.
     const eval::RowBlock lone = {{4.0, 0.0, 4.0}};
-    const auto single = yield::refit_shift(lone, specs, 1, config);
+    const auto single = yield::refit_shift(lone, specs, 1, true);
     ASSERT_EQ(single.mixture.components.size(), 2u);
     EXPECT_TRUE(single.mixture.components[1].sigma.empty());
 
-    // The pilot fit never adapts scales, whatever the config says.
-    const auto pilot = yield::fit_shift(rows, specs, 1, config);
+    // The pilot fit never adapts scales.
+    const auto pilot = yield::fit_shift(rows, specs, 1);
     ASSERT_EQ(pilot.mixture.components.size(), 2u);
     EXPECT_TRUE(pilot.mixture.components[1].sigma.empty());
-
-    // Malformed clamps are rejected up front.
-    yield::ShiftFitConfig bad = config;
-    bad.min_scale = 2.0;
-    bad.max_scale = 1.0;
-    EXPECT_THROW((void)yield::refit_shift(rows, specs, 1, bad),
-                 InvalidInputError);
 }
 
 // ------------------------------------------------------------- yield probes

@@ -215,7 +215,8 @@ TEST(Golden, ReducedFlow) {
     {
         eval::Engine engine;
         const circuits::OtaEvaluator evaluator(ota);
-        const process::ProcessSampler sampler(ota.card, cfg.variation);
+        const process::ProcessSampler sampler(ota.card,
+                                              process::VariationSpec::c35());
         Rng rng(11);
         const mc::McResult rows = core::run_ota_monte_carlo(
             engine, evaluator, r.front.front().sizing, sampler, 32, rng);

@@ -174,25 +174,43 @@ public:
 };
 
 TEST(Dc, SourceSteppingEndsAtFullSources) {
-    // A 10 V divider from a cold start: damped Newton moves node voltages
-    // at most max_step per iteration, so four iterations cannot climb to
-    // 10 V, while each 1 V source step settles within them.
+    // A 150 V divider from a cold start: damped Newton moves node voltages
+    // at most 0.6 V per iteration, so plain Newton and the first gmin stage
+    // (the source still drives node "in") each need 250 steps, more than
+    // the 150 iterations of one attempt. Each 15 V source step settles
+    // within them.
     Circuit c;
     const NodeId in = c.node("in");
     const NodeId mid = c.node("mid");
-    c.add<VoltageSource>("v1", in, ground, 10.0);
+    c.add<VoltageSource>("v1", in, ground, 150.0);
     c.add<Resistor>("r1", in, mid, 1e3);
     c.add<Resistor>("r2", mid, ground, 1e3);
     const auto& probe = c.add<SourceScaleProbe>("probe");
 
-    DcOptions options;
-    options.gmin_stepping = false;
-    options.max_iterations = 4;
-    const DcResult r = DcSolver(options).solve(c);
+    const DcResult r = DcSolver().solve(c);
     ASSERT_TRUE(r.converged);
     EXPECT_EQ(r.method, "source-stepping");
     EXPECT_EQ(probe.last_scale, 1.0);
-    EXPECT_NEAR(r.solution.voltage(mid), 5.0, 1e-6);
+    EXPECT_NEAR(r.solution.voltage(mid), 75.0, 1e-6);
+    EXPECT_EQ(r.iterations, 560U);
+}
+
+TEST(Dc, GminSteppingRescuesLongClimb) {
+    // 1.5 mA into 100 kOhm settles at 150 V: 250 damped 0.6 V steps from a
+    // cold start, more than plain Newton's 150. The gmin ladder climbs in
+    // stages (1.5 V at 1e-3 S, 75 V at 1e-5 S, 148.5 V at 1e-7 S, ...),
+    // each within one attempt.
+    Circuit c;
+    const NodeId a = c.node("a");
+    c.add<CurrentSource>("i1", ground, a, 1.5e-3);
+    c.add<Resistor>("r1", a, ground, 100e3);
+
+    const DcResult r = DcSolver().solve(c);
+    ASSERT_TRUE(r.converged);
+    EXPECT_EQ(r.method, "gmin-stepping");
+    // The node sees 100 kOhm in parallel with the final gmin floor.
+    EXPECT_NEAR(r.solution.voltage(a), 1.5e-3 / (1e-5 + kDcGmin), 1e-6);
+    EXPECT_EQ(r.iterations, 410U);
 }
 
 // ---------------------------------------------------------------------- AC

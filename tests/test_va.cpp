@@ -129,6 +129,7 @@ TEST(VaCodegen, ContainsPaperStructure) {
     EXPECT_NE(text.find("$fopen(\"params.dat\")"), std::string::npos);
     EXPECT_NE(text.find("module ota_yield_model(inp, inn, out);"),
               std::string::npos);
+    EXPECT_NE(text.find("parameter real ro   = 1e+06;"), std::string::npos);
     EXPECT_NE(text.find("endmodule"), std::string::npos);
 }
 
@@ -144,17 +145,6 @@ TEST(VaCodegen, GeneralisesToNParameters) {
 TEST(VaCodegen, RequiresAtLeastOneTable) {
     va::VaModuleFiles files;
     EXPECT_THROW((void)va::generate_va_module(files), InvalidInputError);
-}
-
-TEST(VaCodegen, HonoursOptions) {
-    va::VaModuleFiles files;
-    files.param_tables = {"p1.tbl"};
-    va::VaModuleOptions opts;
-    opts.module_name = "my_model";
-    opts.control_1d = "1C";
-    const std::string text = va::generate_va_module(files, opts);
-    EXPECT_NE(text.find("module my_model"), std::string::npos);
-    EXPECT_NE(text.find("\"1C\""), std::string::npos);
 }
 
 } // namespace

@@ -656,7 +656,7 @@ TEST(ShiftFit, RecoversFailureCenterOfGravity) {
 
 TEST(ShiftFit, PerSpecCentersAreClampedAndAlwaysWellDefined) {
     // Regression (two bugs): per-spec components used to escape the
-    // max_norm clamp (only the combined shift was clamped - but each
+    // 4-sigma norm clamp (only the combined shift was clamped - but each
     // component is a proposal mean in the defensive mixture), and specs
     // that never failed left *empty* mu vectors callers could not index.
     const std::vector<mc::Spec> specs = {mc::Spec::at_least("a", 0.0),
@@ -664,34 +664,32 @@ TEST(ShiftFit, PerSpecCentersAreClampedAndAlwaysWellDefined) {
                                          mc::Spec::at_least("c", -1e9)};
     // Row arity: 3 specs + 1 log weight + 2 dims = 6.
     eval::RowBlock rows;
-    rows.push_back({-1.0, 0.0, 0.0, 0.0, 4.0, 0.0}); // fails spec 0, u = (4, 0)
-    rows.push_back({1.0, 20.0, 0.0, 0.0, 0.0, 4.0}); // fails spec 1, u = (0, 4)
+    rows.push_back({-1.0, 0.0, 0.0, 0.0, 8.0, 0.0}); // fails spec 0, u = (8, 0)
+    rows.push_back({1.0, 20.0, 0.0, 0.0, 0.0, 8.0}); // fails spec 1, u = (0, 8)
     rows.push_back({1.0, 0.0, 0.0, 0.0, 0.1, -0.1}); // passes all
-    yield::ShiftFitConfig config;
-    config.max_norm = 2.0;
-    const yield::ShiftFit fit = yield::fit_shift(rows, specs, 2, config);
+    const yield::ShiftFit fit = yield::fit_shift(rows, specs, 2);
     ASSERT_EQ(fit.per_spec.size(), 3u);
-    // Each per-spec center is clamped to the norm budget on its own.
-    EXPECT_NEAR(fit.per_spec[0].mu[0], 2.0, 1e-12);
-    EXPECT_NEAR(fit.per_spec[0].norm(), 2.0, 1e-12);
-    EXPECT_NEAR(fit.per_spec[1].mu[1], 2.0, 1e-12);
+    // Each per-spec center is clamped to the 4-sigma norm on its own.
+    EXPECT_NEAR(fit.per_spec[0].mu[0], 4.0, 1e-12);
+    EXPECT_NEAR(fit.per_spec[0].norm(), 4.0, 1e-12);
+    EXPECT_NEAR(fit.per_spec[1].mu[1], 4.0, 1e-12);
     // The never-failing spec has a well-defined all-zero mu of full size.
     ASSERT_EQ(fit.per_spec[2].mu.size(), 2u);
     EXPECT_EQ(fit.per_spec[2].mu[0], 0.0);
     EXPECT_EQ(fit.per_spec[2].mu[1], 0.0);
     EXPECT_FALSE(fit.per_spec[2].active());
-    // Combined shift averages the *clamped* centers: (1, 1), inside the
+    // Combined shift averages the *clamped* centers: (2, 2), inside the
     // clamp.
-    EXPECT_NEAR(fit.shift.mu[0], 1.0, 1e-12);
-    EXPECT_NEAR(fit.shift.mu[1], 1.0, 1e-12);
-    EXPECT_LE(fit.shift.norm(), 2.0 + 1e-12);
+    EXPECT_NEAR(fit.shift.mu[0], 2.0, 1e-12);
+    EXPECT_NEAR(fit.shift.mu[1], 2.0, 1e-12);
+    EXPECT_LE(fit.shift.norm(), 4.0 + 1e-12);
     // Defensive mixture: nominal + one component per *failing* spec.
     ASSERT_EQ(fit.mixture.components.size(), 3u);
     EXPECT_TRUE(fit.mixture.components[0].mu.empty()); // nominal
     EXPECT_NEAR(fit.mixture.components[0].weight, 0.1, 1e-12);
-    EXPECT_NEAR(fit.mixture.components[1].mu[0], 2.0, 1e-12);
+    EXPECT_NEAR(fit.mixture.components[1].mu[0], 4.0, 1e-12);
     EXPECT_NEAR(fit.mixture.components[1].weight, 0.45, 1e-12);
-    EXPECT_NEAR(fit.mixture.components[2].mu[1], 2.0, 1e-12);
+    EXPECT_NEAR(fit.mixture.components[2].mu[1], 4.0, 1e-12);
     EXPECT_NEAR(fit.mixture.components[2].weight, 0.45, 1e-12);
 }
 
@@ -705,24 +703,15 @@ TEST(ShiftFit, RefitIsImportanceWeighted) {
     rows.push_back({-1.0, 0.0, 5.0});
     rows.push_back({1.0, std::log(9.0), -4.0}); // passes: ignored entirely
     const yield::ShiftFit unweighted = yield::fit_shift(rows, specs, 1);
-    const yield::ShiftFit weighted = yield::refit_shift(rows, specs, 1);
+    const yield::ShiftFit weighted =
+        yield::refit_shift(rows, specs, 1, false);
     EXPECT_NEAR(unweighted.shift.mu[0], 3.0, 1e-12);
     EXPECT_NEAR(weighted.shift.mu[0], 2.0, 1e-12);
     EXPECT_EQ(weighted.pilot_failures, 2u);
     // Non-finite log weights are rejected on the weighted path.
     const eval::RowBlock bad = {
         {-1.0, std::numeric_limits<double>::quiet_NaN(), 1.0}};
-    EXPECT_THROW((void)yield::refit_shift(bad, specs, 1), InvalidInputError);
-}
-
-TEST(ShiftFit, RejectsBadDefensiveWeight) {
-    const std::vector<mc::Spec> specs = {mc::Spec::at_least("v", 0.0)};
-    yield::ShiftFitConfig config;
-    config.defensive_weight = 1.0;
-    EXPECT_THROW((void)yield::fit_shift({}, specs, 1, config),
-                 InvalidInputError);
-    config.defensive_weight = -0.1;
-    EXPECT_THROW((void)yield::fit_shift({}, specs, 1, config),
+    EXPECT_THROW((void)yield::refit_shift(bad, specs, 1, false),
                  InvalidInputError);
 }
 
@@ -1221,14 +1210,6 @@ TEST(SequentialYield, RunnerValidatesConfig) {
     inverted.min_samples = 512;
     inverted.max_samples = 256;
     EXPECT_THROW(yield::SequentialYieldRunner(engine, inverted, specs,
-                                              synthetic_factory(0.0, 1.0), 1,
-                                              Rng(1)),
-                 InvalidInputError);
-    // Defensive weight outside [0, 1) is rejected up front, not at fit
-    // time deep into the run.
-    yield::SequentialConfig bad_dw;
-    bad_dw.shift_fit.defensive_weight = 1.0;
-    EXPECT_THROW(yield::SequentialYieldRunner(engine, bad_dw, specs,
                                               synthetic_factory(0.0, 1.0), 1,
                                               Rng(1)),
                  InvalidInputError);
