@@ -60,8 +60,8 @@ struct FlowConfig {
     /// Per-point pilot/chunk/early-stop settings for the yield stage,
     /// including the proposal-family knobs: `mixture_proposal` (defensive
     /// mixture vs legacy single shift), `refine_after_chunks`/`max_refits`
-    /// (cross-entropy refinement) and `adapt_scale`. To
-    /// certify with an estimator-zoo member, specialize it first:
+    /// (cross-entropy refinement) and `adapt_scale` (CE scale adaptation).
+    /// To certify with an estimator-zoo member, specialize it first:
     /// `yield_sequential = EstimatorRegistry::instance().create(name)
     /// ->configure(yield_sequential)` (yield/estimator.hpp).
     yield::SequentialConfig yield_sequential;

@@ -37,9 +37,8 @@ struct ShiftFit {
     /// reporting.
     process::SampleShift shift;
     /// Defensive mixture proposal: a nominal component (weight 0.1) plus
-    /// one component per failing spec at that spec's
-    /// clamped center of gravity. A single nominal component when the fit
-    /// saw no failures.
+    /// one component per failing spec at that spec's clamped center of
+    /// gravity. A single nominal component when the fit saw no failures.
     process::ProposalMixture mixture;
     /// Center of gravity of the samples failing spec s, norm-clamped.
     /// Every entry has a well-defined mu of size `dimension` (all zero for
