@@ -45,9 +45,9 @@ void clamp_norm(std::vector<double>& mu) {
 /// centers of gravity of the failing rows, each norm-clamped; a combined
 /// single shift; and the defensive mixture. With `adapt_scale` (refit
 /// only) each component also learns its *diagonal* variance from the
-/// importance-weighted failing records - sigma_d^2 = sum(w (u_d - mu_d)^2)
-/// / sum(w) around the fitted mean - the CE-optimal diagonal covariance for
-/// a Gaussian family.
+/// importance-weighted failing records, around the fitted mean:
+///   sigma_d^2 = sum(w (u_d - mu_d)^2) / sum(w),
+/// the CE-optimal diagonal covariance for a Gaussian family.
 ShiftFit fit_impl(const eval::RowBlock& rows,
                   const std::vector<mc::Spec>& specs, std::size_t dimension,
                   bool importance_weighted, bool adapt_scale) {
@@ -103,8 +103,8 @@ ShiftFit fit_impl(const eval::RowBlock& rows,
     // widening the component exactly where the clamp cut it short. Sigmas
     // are clamped to [kMinScale, kMaxScale]: a single dominant record would
     // otherwise collapse a sigma to ~0 and spike the weights. Specs with < 2
-    // failing
-    // records keep the unit scale - a variance from one record is zero.
+    // failing records keep the unit scale - a variance from one record is
+    // zero.
     std::vector<std::vector<double>> spec_sigma(specs.size());
     double total_mass = 0.0;
     for (std::size_t s = 0; s < specs.size(); ++s) {
